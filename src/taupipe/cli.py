@@ -162,12 +162,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _outputs_for_variant(
-    run_cfg: RunConfig, events: Sequence[Event], merge: str, clean: str
-):
-    return _simulate(run_cfg, events, merge, clean)
-
-
 def _minimize_divergent_event(event: Event, diverges) -> Event:
     """Greedy shrink: drop valid particles while the divergence persists."""
     from .core import PAD_PARTICLE
@@ -193,14 +187,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
     events, source_desc = _load_events(args, run_cfg)
     if args.dimension == "merge":
         variants = [("A", run_cfg.clean_solution), ("B", run_cfg.clean_solution)]
-        rows = default_stage_specs("A", "A")["merging"], default_stage_specs("B", "B")["merging"]
-        title = "merging step"
+        stage, title = "merging", "merging step"
     else:
         variants = [(run_cfg.merge_solution, "A"), (run_cfg.merge_solution, "B")]
-        rows = default_stage_specs("A", "A")["cleaning"], default_stage_specs("B", "B")["cleaning"]
-        title = "tau cleaning step"
+        stage, title = "cleaning", "tau cleaning step"
 
-    results = [_outputs_for_variant(run_cfg, events, m, c) for m, c in variants]
+    results = [_simulate(run_cfg, events, m, c) for m, c in variants]
 
     for ev, out_a, out_b in zip(events, results[0].outputs, results[1].outputs):
         if tuple(out_a) != tuple(out_b):
@@ -216,7 +208,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             sys.stderr.write(write_events([minimized]))
             return 1
 
-    spec_a, spec_b = rows
+    # The rows that were simulated, config overrides included.
+    spec_a, spec_b = (_specs_for(run_cfg, m, c)[stage] for m, c in variants)
     print(f"{title} ({source_desc}, {len(events)} events)")
     print(f"{'':28s}{'solution A':>12s}{'solution B':>12s}")
     print(f"{'stage latency, cycles':28s}{spec_a.latency_cycles:>12d}{spec_b.latency_cycles:>12d}")

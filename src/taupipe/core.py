@@ -58,8 +58,14 @@ class ParticleKind:
 
     @classmethod
     def of(cls, species: Species) -> "ParticleKind":
-        """Kind with the canonical charge for the species (+1 when charged)."""
-        return cls(species, 1 if species.is_charged else 0)
+        """Kind with the canonical charge for the species (+1 when charged).
+
+        Returns one shared instance per species; the record is immutable.
+        """
+        return _CANONICAL_KINDS[species]
+
+
+_CANONICAL_KINDS = {s: ParticleKind(s, 1 if s.is_charged else 0) for s in Species}
 
 
 @dataclass(frozen=True)
@@ -192,7 +198,8 @@ def delta_r2(
     ``r2_max`` instead of wrapping.
     """
     deta = p.eta - q.eta
-    dphi = wrap_delta_phi(p.phi, q.phi, phi_range)
+    half = phi_range // 2
+    dphi = (p.phi - q.phi + half) % phi_range - half  # wrap_delta_phi, inlined
     if ops is not None:
         ops.multiplications += 2
     r2 = deta * deta + dphi * dphi

@@ -430,19 +430,23 @@ def load_config(text: str) -> RunConfig:
     if got is not None:
         cdc = _to_int("cdc_overhead_cycles", *got)
         if cdc < 0:
-            raise ConfigError("cdc_overhead_cycles must be non-negative")
+            raise ConfigError(f"line {got[0]}: cdc_overhead_cycles must be non-negative")
 
     ii_budget_ns = II_BUDGET_NS
     got = take("ii_budget_ns")
     if got is not None:
         ii_budget_ns = _to_int("ii_budget_ns", *got)
         if ii_budget_ns <= 0:
-            raise ConfigError("ii_budget_ns must be positive")
+            raise ConfigError(f"line {got[0]}: ii_budget_ns must be positive")
     latency_budgets = dict(LATENCY_BUDGET_CYCLES)
     for freq in sorted(latency_budgets):
-        got = take(f"latency_budget_{freq}")
+        key = f"latency_budget_{freq}"
+        got = take(key)
         if got is not None:
-            latency_budgets[freq] = _to_int(f"latency_budget_{freq}", *got)
+            cycles = _to_int(key, *got)
+            if cycles <= 0:
+                raise ConfigError(f"line {got[0]}: {key} must be positive, got {cycles}")
+            latency_budgets[freq] = cycles
 
     specs = dict(default_stage_specs(merge_solution, clean_solution))
     stage_keys = [k for k in entries if k.startswith("stage.")]

@@ -9,6 +9,7 @@ the optional ``ops`` argument collects datapath operation counts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -16,6 +17,7 @@ from .core import (
     ETA_MAX,
     PHI_RANGE,
     PT_MAX,
+    R2_MAX,
     AngularCoord,
     Event,
     OpCounter,
@@ -232,16 +234,35 @@ def filter_block(
 ) -> tuple[Particle, ...]:
     """Keep the block's valid particles inside the seed's filter cone.
 
-    Input order is preserved; the cone boundary is inclusive.
+    Input order is preserved; the cone boundary is inclusive.  Each valid
+    particle counts as one ``delta_r2`` evaluation (two multiplications) and
+    one comparison, as the hardware tests every slot; the model itself skips
+    the distance for particles outside the cone's eta reach.
     """
+    if ops is not None:
+        n_valid = sum(1 for p in block if p.valid)
+        ops.multiplications += 2 * n_valid
+        ops.comparisons += n_valid
+    cone_r2 = cfg.filter_cone_r2
+    if cone_r2 >= R2_MAX:
+        # delta_r2 saturates at R2_MAX, so every valid particle passes.
+        return tuple(p for p in block if p.valid)
+    # |deta| > isqrt(cone_r2) implies deta^2 > cone_r2: rejected on eta alone.
+    reach = math.isqrt(cone_r2)
+    phi_range = cfg.phi_range
+    half = phi_range // 2
+    seed_eta = seed.particle.pos.eta
+    seed_phi = seed.particle.pos.phi
     kept: list[Particle] = []
     for p in block:
         if not p.valid:
             continue
-        d = delta_r2(p.pos, seed.particle.pos, phi_range=cfg.phi_range, ops=ops)
-        if ops is not None:
-            ops.comparisons += 1
-        if d <= cfg.filter_cone_r2:
+        q = p.pos
+        deta = q.eta - seed_eta
+        if deta > reach or deta < -reach:
+            continue
+        dphi = (q.phi - seed_phi + half) % phi_range - half  # wrap_delta_phi
+        if deta * deta + dphi * dphi <= cone_r2:
             kept.append(p)
     return tuple(kept)
 

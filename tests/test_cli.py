@@ -1,3 +1,5 @@
+import pytest
+
 from taupipe.cli import main
 from taupipe.core import make_event, make_particle
 from taupipe.eventio import parse_report, write_events
@@ -149,3 +151,26 @@ def test_run_rejects_bad_config(tmp_path, capsys):
     cfgfile.write_text("frobnicate = 1\n")
     assert run_cli(["run", "--gen", "1:5:uniform", "--config", str(cfgfile)]) == 2
     assert "unknown config key" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_run_rejects_non_positive_latency_budget(tmp_path, capsys, value):
+    cfgfile = tmp_path / "budget.cfg"
+    cfgfile.write_text(f"# budgets\nlatency_budget_360 = {value}\n")
+    assert run_cli(["run", "--gen", "1:5:uniform", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err
+    assert "latency_budget_360 must be positive" in err
+
+
+def test_compare_prints_overridden_stage_rows(tmp_path, capsys):
+    cfgfile = tmp_path / "merge20.cfg"
+    cfgfile.write_text("stage.merging.latency = 20\n")
+    code = run_cli(
+        ["compare", "--dimension", "merge", "--gen", "2:50:clustered", "--config", str(cfgfile)]
+    )
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = {l[:28].strip(): l[28:].split() for l in out.splitlines()[2:]}
+    assert rows["stage latency, cycles"] == ["20", "20"]
+    assert rows["measured latency, cycles"] == ["187", "187"]

@@ -1,0 +1,77 @@
+"""Pinned output digests: the gate for any speed-up of the functional model.
+
+Every value below was captured before the per-particle hot path was
+optimised.  A change that alters a report byte, a generated event or an
+operation count fails here, whatever its speed.
+"""
+
+import hashlib
+
+import pytest
+
+from taupipe.cli import main
+from taupipe.core import OpCounter
+from taupipe.eventio import gen_events, write_events
+from taupipe.stages import TriggerConfig, run_stages
+
+DENSE_CONFIG = (
+    "filter_cone_r2 = 400000000\n"
+    "signal_cone_r2_max = 400000000\n"
+    "signal_cone_k = 2000000000\n"
+)
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, config, digest",
+    [
+        (
+            ["--gen", "1:40:busy"],
+            None,
+            "e0132987661e9370169a1b36e937cead37fa3651a6c1014a703a3d45768863d3",
+        ),
+        (
+            ["--gen", "1:60:uniform", "--freq", "300"],
+            "min_seed_pt = 200\n",
+            "d1969bf98f7b3d4220f07d1b14e660361a7df046ebba3f6f9ec624fdf700b3a1",
+        ),
+        (
+            ["--gen", "1:30:busy", "--merge", "A", "--clean", "A"],
+            DENSE_CONFIG,
+            "fc0be3fe816c8a2d39f67e08040f109ebfa300e292cf03903c19d5b10a392707",
+        ),
+    ],
+    ids=["busy", "sparse-300mhz", "dense-overflow"],
+)
+def test_report_digest_pinned(tmp_path, argv, config, digest):
+    report = tmp_path / "report.jsonl"
+    full = ["run", *argv, "--report", str(report)]
+    if config is not None:
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(config)
+        full += ["--config", str(cfgfile)]
+    assert main(full) == 0
+    assert sha256(report.read_bytes()) == digest
+
+
+@pytest.mark.parametrize(
+    "profile, digest",
+    [
+        ("uniform", "4f74fa69dc7d9287a7a8f7c67173ab1de9d5f824dd75850e5912521ef6fc148a"),
+        ("clustered", "794415cdfb19dd902aa516a1b8b52422b901aedc5c6beae5a509b5c4373a37db"),
+        ("busy", "3abdc708ea8eb42d67758aa4a1bf44e531554294e9ba7ae5f8d30158d7a4f81a"),
+    ],
+)
+def test_generated_events_digest_pinned(profile, digest):
+    assert sha256(write_events(gen_events(1, 200, profile)).encode()) == digest
+
+
+def test_op_totals_pinned():
+    cfg = TriggerConfig()
+    ops = OpCounter()
+    for event in gen_events(1, 50, "busy", cfg):
+        run_stages(event, cfg, "B", "B", ops)
+    assert ops.snapshot() == (157801, 1424, 92268)

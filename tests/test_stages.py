@@ -2,9 +2,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from taupipe.core import (
+    ETA_MAX,
+    PAD_PARTICLE,
+    PHI_RANGE,
+    R2_MAX,
     AngularCoord,
     OpCounter,
     Species,
+    delta_r2,
     make_event,
     make_particle,
 )
@@ -115,6 +120,54 @@ def test_filter_block_preserves_order():
     near = [make_particle(5 + i, i, i) for i in range(6)]
     kept = filter_block(near, seed_at(), CFG)
     assert kept == tuple(near)
+
+
+@st.composite
+def filter_cases(draw):
+    """A block with padding, a seed and a cone from the edge cases of the
+    eta pre-check: zero, a particle's exact distance, squares +-1 (the isqrt
+    edges) and saturating cones.  The wide eta range makes deta^2 overflow
+    R2_MAX; the small phi ranges make most differences wrap around."""
+    eta_max = draw(st.sampled_from([ETA_MAX, 2**20]))
+    phi_range = draw(st.sampled_from([PHI_RANGE, 64, 2]))
+    half = phi_range // 2
+    etas = st.integers(-eta_max, eta_max)
+    phis = st.integers(-half, half - 1)
+    slots = draw(st.lists(st.one_of(st.none(), st.tuples(etas, phis)), max_size=32))
+    block = [
+        PAD_PARTICLE if s is None else make_particle(1 + i, s[0], s[1])
+        for i, s in enumerate(slots)
+    ]
+    seed = Seed(make_particle(50, draw(etas), draw(phis)), 0)
+    distances = [
+        delta_r2(p.pos, seed.particle.pos, phi_range=phi_range) for p in block if p.valid
+    ] or [0]
+    cone = draw(
+        st.one_of(
+            st.just(0),
+            st.sampled_from(distances),
+            st.builds(lambda k, d: max(0, k * k + d), st.integers(0, 2 * eta_max), st.integers(-1, 1)),
+            st.integers(R2_MAX - 1, R2_MAX + 1),
+            st.integers(0, 2 * R2_MAX),
+        )
+    )
+    cfg = TriggerConfig(filter_cone_r2=cone, phi_range=phi_range, eta_max=eta_max)
+    return block, seed, cfg
+
+
+@given(filter_cases())
+def test_filter_block_matches_naive_definition(case):
+    block, seed, cfg = case
+    want = tuple(
+        p
+        for p in block
+        if p.valid
+        and delta_r2(p.pos, seed.particle.pos, phi_range=cfg.phi_range) <= cfg.filter_cone_r2
+    )
+    ops = OpCounter()
+    assert filter_block(block, seed, cfg, ops) == want
+    n_valid = sum(1 for p in block if p.valid)
+    assert ops.snapshot() == (2 * n_valid, 0, n_valid)
 
 
 # --- totals ----------------------------------------------------------------
