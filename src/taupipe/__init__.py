@@ -1,4 +1,4 @@
-"""Functional model and cycle-level dataflow simulator for a tau trigger pipeline."""
+"""Functional model and dataflow timing model of a tau trigger pipeline."""
 
 from .core import (
     AngularCoord,
@@ -38,19 +38,15 @@ from .stages import (
     stage_cost_report,
 )
 from .dataflow import (
-    DeadlockError,
     EngineConfig,
-    FifoChannel,
-    Pipeline,
     PipelineMetrics,
-    PipelineRun,
-    PipoChannel,
-    Stage,
     StageSpec,
+    StageStats,
     apply_cdc,
-    build_trigger_pipeline,
+    channel_depths,
     default_stage_specs,
     run_pipeline,
+    trigger_timing,
 )
 from .reference import MergeExpectation, oracle_clean, oracle_merge, oracle_trigger
 from .budget import FeasibilityReport, TimingBudget, cycle_budget, evaluate_feasibility

@@ -11,9 +11,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .budget import evaluate_feasibility
+from .budget import TimingBudget, evaluate_feasibility
 from .core import Event
-from .dataflow import apply_cdc, build_trigger_pipeline, default_stage_specs, run_pipeline
+from .dataflow import PipelineMetrics, apply_cdc, trigger_timing
 from .eventio import (
     ConfigError,
     EventFileError,
@@ -84,56 +84,45 @@ def _variants(args: argparse.Namespace, run_cfg: RunConfig) -> tuple[str, str]:
     return merge, clean
 
 
-def _specs_for(run_cfg: RunConfig, merge: str, clean: str):
-    # Config-provided stage overrides are kept; the merging/cleaning timing
-    # rows follow the selected solution unless the config overrode them.
-    specs = dict(run_cfg.stage_specs)
-    baseline = default_stage_specs(run_cfg.merge_solution, run_cfg.clean_solution)
-    wanted = default_stage_specs(merge, clean)
-    for name in ("merging", "cleaning"):
-        if specs[name] == baseline[name]:
-            specs[name] = wanted[name]
-    return specs
+def _timing(run_cfg: RunConfig, n_events: int, merge: str, clean: str) -> PipelineMetrics:
+    specs = run_cfg.specs_for(merge, clean)
+    return trigger_timing(specs, merge, run_cfg.engine, n_events)
 
 
 def _simulate(run_cfg: RunConfig, events: Sequence[Event], merge: str, clean: str):
-    pipeline = build_trigger_pipeline(
-        run_cfg.trigger,
-        _specs_for(run_cfg, merge, clean),
-        merge_solution=merge,
-        clean_solution=clean,
-        engine=run_cfg.engine,
-    )
-    return run_pipeline(pipeline, events, feed_period=run_cfg.engine.feed_period)
+    """Tau outputs per event and the pipeline timing of the given solutions."""
+    outputs = tuple(run_stages(ev, run_cfg.trigger, merge, clean) for ev in events)
+    return outputs, _timing(run_cfg, len(events), merge, clean)
+
+
+def _operating_point(
+    run_cfg: RunConfig, metrics: PipelineMetrics, freq_mhz: int
+) -> tuple[PipelineMetrics, TimingBudget]:
+    """Metrics and budget at ``freq_mhz``; off the nominal clock the
+    clock-domain-crossing allowance is added to latency."""
+    if freq_mhz != NOMINAL_FREQ_MHZ:
+        metrics = apply_cdc(metrics, run_cfg.cdc_overhead_cycles)
+    return metrics, run_cfg.budget_for(freq_mhz)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     run_cfg = _load_run_config(args.config)
     events, source_desc = _load_events(args, run_cfg)
     merge, clean = _variants(args, run_cfg)
-    result = _simulate(run_cfg, events, merge, clean)
+    outputs, metrics = _simulate(run_cfg, events, merge, clean)
 
     divergent = None
     if not args.no_oracle_check:
-        for ev, got in zip(events, result.outputs):
-            want = oracle_trigger(ev, run_cfg.trigger)
-            if tuple(got) != want:
+        for ev, got in zip(events, outputs):
+            if got != oracle_trigger(ev, run_cfg.trigger, merge):
                 divergent = ev.event_id
                 break
 
-    metrics = result.metrics
-    if args.freq != NOMINAL_FREQ_MHZ:
-        metrics = apply_cdc(metrics, run_cfg.cdc_overhead_cycles)
-    budget = run_cfg.budget_for(args.freq)
+    metrics, budget = _operating_point(run_cfg, metrics, args.freq)
     report = evaluate_feasibility(metrics, budget)
 
     if args.report:
-        records = build_report(
-            [ev.event_id for ev in events],
-            [out for out in result.outputs],
-            metrics,
-            report,
-        )
+        records = build_report([ev.event_id for ev in events], outputs, metrics, report)
         Path(args.report).write_text(serialize_report(records))
 
     print(f"events: {len(events)} ({source_desc})")
@@ -192,10 +181,12 @@ def cmd_compare(args: argparse.Namespace) -> int:
         variants = [(run_cfg.merge_solution, "A"), (run_cfg.merge_solution, "B")]
         stage, title = "cleaning", "tau cleaning step"
 
-    results = [_simulate(run_cfg, events, m, c) for m, c in variants]
+    (outputs_a, metrics_a), (outputs_b, metrics_b) = (
+        _simulate(run_cfg, events, m, c) for m, c in variants
+    )
 
-    for ev, out_a, out_b in zip(events, results[0].outputs, results[1].outputs):
-        if tuple(out_a) != tuple(out_b):
+    for ev, out_a, out_b in zip(events, outputs_a, outputs_b):
+        if out_a != out_b:
             print(f"functional divergence at event {ev.event_id}; minimizing", file=sys.stderr)
 
             def diverges(candidate: Event) -> bool:
@@ -209,18 +200,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
             return 1
 
     # The rows that were simulated, config overrides included.
-    spec_a, spec_b = (_specs_for(run_cfg, m, c)[stage] for m, c in variants)
+    spec_a, spec_b = (run_cfg.specs_for(m, c)[stage] for m, c in variants)
     print(f"{title} ({source_desc}, {len(events)} events)")
     print(f"{'':28s}{'solution A':>12s}{'solution B':>12s}")
     print(f"{'stage latency, cycles':28s}{spec_a.latency_cycles:>12d}{spec_b.latency_cycles:>12d}")
     print(f"{'stage ii, cycles':28s}{spec_a.ii_cycles:>12d}{spec_b.ii_cycles:>12d}")
     print(
         f"{'measured latency, cycles':28s}"
-        f"{results[0].metrics.latency_cycles:>12d}{results[1].metrics.latency_cycles:>12d}"
+        f"{metrics_a.latency_cycles:>12d}{metrics_b.latency_cycles:>12d}"
     )
     print(
         f"{'measured ii, cycles':28s}"
-        f"{results[0].metrics.ii_cycles:>12d}{results[1].metrics.ii_cycles:>12d}"
+        f"{metrics_a.ii_cycles:>12d}{metrics_b.ii_cycles:>12d}"
     )
     print(f"functional outputs identical across {len(events)} events")
     return 0
@@ -244,14 +235,11 @@ def cmd_explore(args: argparse.Namespace) -> int:
         events = gen_events(1, 50, "clustered", run_cfg.trigger)
         source_desc = "gen 1:50:clustered"
     merge, clean = run_cfg.merge_solution, run_cfg.clean_solution
-    base = _simulate(run_cfg, events, merge, clean).metrics
+    base = _timing(run_cfg, len(events), merge, clean)
 
     columns = []
     for freq in freq_values:
-        metrics = base
-        if freq != NOMINAL_FREQ_MHZ:
-            metrics = apply_cdc(base, run_cfg.cdc_overhead_cycles)
-        budget = run_cfg.budget_for(freq)
+        metrics, budget = _operating_point(run_cfg, base, freq)
         columns.append((freq, metrics, evaluate_feasibility(metrics, budget)))
 
     print(f"operating point exploration ({source_desc}, merge {merge}, clean {clean})")

@@ -1,33 +1,44 @@
-"""Cycle-approximate dataflow simulation of the partitioned trigger pipeline.
+"""Timing model of the partitioned trigger pipeline.
 
-Stages are processes with a latency and an initiation interval, connected by
-FIFO or ping-pong channels.  Time is one global integer cycle counter; the
-engine is a deterministic tick loop, so identical inputs always produce
-identical outputs and identical timing.
+Stages have a latency and an initiation interval and form a linear chain;
+each hop between two stages is a bounded buffer (a FIFO, or the two-bank
+ping-pong buffer of merge solution B).  Time is an integer cycle count.
 
 Firing contract.  Stage ``s`` begins iteration ``k`` at the earliest cycle
 ``t`` satisfying all of:
 
 * initiation spacing: ``t >= start(s, k-1) + ii + hop`` where ``hop`` is the
   per-iteration handshake overhead of the stage's input hop;
-* input availability: the iteration-``k`` token is in the input channel and
-  ``t >= ready + hop``, where ``ready`` is the token's completion time for a
-  store-and-forward stage (``start_offset_cycles == 0``), or the producer's
-  start time plus ``start_offset_cycles`` for a streaming stage (the offset
-  asserts how much upstream progress makes downstream reads safe);
-* output space: the output channel can accept a token (else backpressure).
+* input availability: ``t >= ready + hop``, where ``ready`` is the
+  producer's completion time of iteration ``k`` for a store-and-forward stage
+  (``start_offset_cycles == 0``), or the producer's start time plus
+  ``start_offset_cycles`` for a streaming stage (the offset asserts how much
+  upstream progress makes downstream reads safe); the first stage reads
+  event ``k`` from the source, which offers it at cycle ``k * feed_period``;
+* output space: the output buffer holds fewer than ``depth`` iterations, so
+  the consumer must have begun iteration ``k - depth`` in an earlier cycle
+  (else backpressure).
 
 Outputs of iteration ``k`` become visible ``latency_cycles`` after its start.
 Per-event latency is measured from the start of the event's transfer into the
 first stage to the last stage's completion; the steady-state initiation
 interval is the spacing of consecutive sink completions.
+
+Timing depends on the number of events only, never on their data, and the
+contract makes the chain a timed event graph: start times follow a max-plus
+recurrence (Baccelli, Cohen, Olsder and Quadrat, *Synchronization and
+Linearity*, 1992).  Every bound refers to an earlier iteration of the same
+stage, to the same iteration of the producer, or to the consumer ``depth >=
+1`` iterations back, so one pass in iteration-major, stage-minor order
+computes each start time exactly, and a linear chain cannot deadlock.  The
+cycles a stage waits past its spacing count as input stalls while its input
+is not ready, and as output stalls after that.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Mapping, Sequence
 
 TRIGGER_STAGE_NAMES = (
     "seeding",
@@ -51,14 +62,6 @@ MERGE_STREAM_OFFSET = 4
 DEFAULT_CDC_OVERHEAD_CYCLES = 10
 
 
-class DeadlockError(RuntimeError):
-    """No stage can ever fire again although events remain."""
-
-    def __init__(self, blocked: Sequence[str]):
-        self.blocked = tuple(blocked)
-        super().__init__(f"pipeline deadlock; blocked stages: {', '.join(self.blocked)}")
-
-
 @dataclass(frozen=True)
 class StageSpec:
     """Static timing descriptor of one pipeline stage."""
@@ -73,224 +76,6 @@ class StageSpec:
             raise ValueError(f"stage {self.name}: ii_cycles must be >= 1")
         if self.latency_cycles < 0 or self.start_offset_cycles < 0:
             raise ValueError(f"stage {self.name}: cycle counts must be non-negative")
-
-
-@dataclass(frozen=True)
-class Token:
-    """One iteration's payload in flight on a channel.
-
-    The iteration index doubles as the ownership tag that keeps items of
-    consecutive iterations apart (the role of the size registers in the
-    hardware buffers).  ``visible_at`` is when the payload is complete at the
-    consumer side; streaming consumers may fire earlier, gated by their
-    start offset against ``produced_at``.
-    """
-
-    iteration: int
-    payload: object
-    produced_at: int
-    visible_at: int
-
-
-class FifoChannel:
-    """Bounded first-in-first-out channel with backpressure.
-
-    ``push`` on a full channel refuses (producer stalls that cycle); ``pop``
-    on an empty channel returns None (consumer stalls).  Both are normal
-    outcomes, never errors.
-    """
-
-    def __init__(self, depth: int = 32):
-        if depth < 1:
-            raise ValueError("fifo depth must be >= 1")
-        self.depth = depth
-        self._q: deque[Token] = deque()
-        self.max_occupancy = 0
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._q)
-
-    def can_accept(self) -> bool:
-        return len(self._q) < self.depth
-
-    def push(self, token: Token) -> bool:
-        if not self.can_accept():
-            return False
-        self._q.append(token)
-        self.max_occupancy = max(self.max_occupancy, len(self._q))
-        return True
-
-    def front(self) -> Token | None:
-        return self._q[0] if self._q else None
-
-    def pop(self) -> Token | None:
-        return self._q.popleft() if self._q else None
-
-
-class PipoChannel:
-    """Two-bank ping-pong buffer: random access reads of a committed bank.
-
-    The writer fills one bank while the reader holds the other; ``commit``
-    publishes the writer bank and swaps.  Reads of a committed bank are
-    stable for the whole consumer iteration; slots beyond the last written
-    index keep stale content from an earlier iteration (readable, dead).
-    Reading before any commit yields the empty token (None).
-    """
-
-    def __init__(self, bank_capacity: int = 32):
-        if bank_capacity < 1:
-            raise ValueError("bank capacity must be >= 1")
-        self.bank_capacity = bank_capacity
-        self._banks: list[list[object]] = [
-            [None] * bank_capacity,
-            [None] * bank_capacity,
-        ]
-        self._committed = [False, False]
-        self._commit_seq: deque[int] = deque()
-        self._write_bank = 0
-        self._held: int | None = None
-        self._staged = False
-        self.max_occupancy = 0
-
-    # bank-level interface
-
-    def write_bank(self, values: Sequence[object]) -> bool:
-        """Stage an iteration's items into the writer bank; False if blocked."""
-        b = self._write_bank
-        if self._committed[b] or self._held == b:
-            return False
-        vals = list(values)
-        if len(vals) > self.bank_capacity:
-            raise ValueError(f"{len(vals)} items exceed bank capacity {self.bank_capacity}")
-        self._banks[b][: len(vals)] = vals
-        self._staged = True
-        return True
-
-    def commit(self) -> bool:
-        """Publish the staged bank atomically and swap writer banks."""
-        if not self._staged:
-            return False
-        b = self._write_bank
-        self._committed[b] = True
-        self._commit_seq.append(b)
-        self._write_bank = 1 - b
-        self._staged = False
-        self.max_occupancy = max(self.max_occupancy, self.occupancy)
-        return True
-
-    def read(self, index: int) -> object | None:
-        """Read the held bank (or the oldest committed one); None before any commit."""
-        if index < 0 or index >= self.bank_capacity:
-            raise IndexError(f"index {index} outside bank capacity {self.bank_capacity}")
-        b = self._held if self._held is not None else (
-            self._commit_seq[0] if self._commit_seq else None
-        )
-        if b is None:
-            return None
-        return self._banks[b][index]
-
-    def acquire(self) -> bool:
-        """Take the oldest committed bank for a consumer iteration."""
-        if self._held is not None or not self._commit_seq:
-            return False
-        self._held = self._commit_seq.popleft()
-        return True
-
-    def release(self) -> None:
-        """End the consumer iteration; the held bank becomes writable again."""
-        if self._held is None:
-            return
-        self._committed[self._held] = False
-        self._held = None
-
-    # channel interface used by the engine (one token per bank)
-
-    @property
-    def occupancy(self) -> int:
-        return len(self._commit_seq) + (1 if self._held is not None else 0)
-
-    def can_accept(self) -> bool:
-        b = self._write_bank
-        return not self._committed[b] and self._held != b
-
-    def push(self, token: Token) -> bool:
-        if not self.write_bank([token]):
-            return False
-        return self.commit()
-
-    def front(self) -> Token | None:
-        if not self._commit_seq:
-            return None
-        tok = self._banks[self._commit_seq[0]][0]
-        assert isinstance(tok, Token)
-        return tok
-
-    def pop(self) -> Token | None:
-        if not self._commit_seq:
-            return None
-        b = self._commit_seq.popleft()
-        self._committed[b] = False
-        tok = self._banks[b][0]
-        assert isinstance(tok, Token)
-        return tok
-
-
-Channel = FifoChannel | PipoChannel
-
-
-@dataclass
-class Stage:
-    """A runtime pipeline node: timing spec plus the pure payload function."""
-
-    spec: StageSpec
-    fn: Callable[[object], object]
-    hop_overhead_cycles: int = 0
-    in_channel: Channel | None = None
-    out_channel: Channel | None = None
-
-    def __post_init__(self) -> None:
-        if self.hop_overhead_cycles < 0:
-            raise ValueError(f"stage {self.spec.name}: hop overhead must be non-negative")
-
-
-class Pipeline:
-    """Stages in topological order; the first reads the source, the last is the sink."""
-
-    def __init__(self, stages: Sequence[Stage]):
-        if not stages:
-            raise ValueError("pipeline needs at least one stage")
-        if stages[0].in_channel is not None:
-            raise ValueError("first stage must read from the event source")
-        if stages[-1].out_channel is not None:
-            raise ValueError("last stage must write to the sink")
-        names = [s.spec.name for s in stages]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate stage names: {names}")
-        self.stages = list(stages)
-
-    @classmethod
-    def chain(cls, stages: Sequence[Stage], channels: Sequence[Channel] | None = None,
-              fifo_depth: int = 32) -> "Pipeline":
-        """Wire stages into a linear chain, creating FIFO channels by default."""
-        stages = list(stages)
-        if channels is None:
-            channels = [FifoChannel(fifo_depth) for _ in range(len(stages) - 1)]
-        if len(channels) != len(stages) - 1:
-            raise ValueError(
-                f"chain of {len(stages)} stages needs {len(stages) - 1} channels, "
-                f"got {len(channels)}"
-            )
-        for producer, consumer, ch in zip(stages, stages[1:], channels):
-            producer.out_channel = ch
-            consumer.in_channel = ch
-        stages[0].in_channel = None
-        stages[-1].out_channel = None
-        return cls(stages)
-
-    @property
-    def channels(self) -> list[Channel]:
-        return [s.out_channel for s in self.stages if s.out_channel is not None]
 
 
 @dataclass(frozen=True)
@@ -320,12 +105,6 @@ class PipelineMetrics:
     cdc_overhead_cycles: int = 0
 
 
-@dataclass(frozen=True)
-class PipelineRun:
-    outputs: tuple[object, ...]
-    metrics: PipelineMetrics
-
-
 def apply_cdc(
     metrics: PipelineMetrics, overhead_cycles: int = DEFAULT_CDC_OVERHEAD_CYCLES
 ) -> PipelineMetrics:
@@ -340,111 +119,83 @@ def apply_cdc(
     )
 
 
-@dataclass
-class _StageState:
-    started: int = 0
-    last_start: int | None = None
-    busy: int = 0
-    in_stall: int = 0
-    out_stall: int = 0
-
-
 def run_pipeline(
-    pipeline: Pipeline, events: Sequence[object], *, feed_period: int = 0
-) -> PipelineRun:
-    """Simulate the pipeline over the event list; see the module docstring.
+    specs: Sequence[StageSpec],
+    hops: Sequence[int],
+    depths: Sequence[int],
+    n_events: int,
+    feed_period: int = 0,
+) -> PipelineMetrics:
+    """Timing of ``n_events`` iterations through a chain of stages.
 
-    ``feed_period`` spaces event arrivals at the source (0 feeds each event as
-    soon as the first stage accepts it, which is how the pipeline's own
-    initiation interval is measured).
+    ``hops[s]`` is stage ``s``'s input handshake overhead and ``depths[s]``
+    the capacity, in iterations, of the buffer from stage ``s`` to stage
+    ``s + 1``.  ``feed_period`` spaces event arrivals at the source (0 feeds
+    each event as soon as the first stage accepts it, which is how the
+    pipeline's own initiation interval is measured).  See the module
+    docstring for the contract and the recurrence.
     """
-    if feed_period < 0:
-        raise ValueError("feed_period must be non-negative")
-    stages = pipeline.stages
-    n = len(events)
-    states = {id(s): _StageState() for s in stages}
-    source_times: list[int] = []
-    sink_times: list[int] = []
-    outputs: list[object] = []
+    n_stages = len(specs)
+    if n_stages == 0:
+        raise ValueError("pipeline needs at least one stage")
+    if len(hops) != n_stages or len(depths) != n_stages - 1:
+        raise ValueError(
+            f"chain of {n_stages} stages needs {n_stages} hop overheads and "
+            f"{n_stages - 1} buffer depths, got {len(hops)} and {len(depths)}"
+        )
+    if any(h < 0 for h in hops):
+        raise ValueError("hop overheads must be non-negative")
+    if any(d < 1 for d in depths):
+        raise ValueError("buffer depths must be >= 1")
+    if feed_period < 0 or n_events < 0:
+        raise ValueError("feed_period and n_events must be non-negative")
 
-    horizon = (
-        sum(s.spec.latency_cycles + s.spec.ii_cycles + s.hop_overhead_cycles for s in stages)
-        + max((s.spec.start_offset_cycles for s in stages), default=0)
-        + feed_period
-        + 64
-    )
-    last_progress = 0
-    t = -1
-    while any(states[id(s)].started < n for s in stages):
-        t += 1
-        if t - last_progress > horizon:
-            blocked = [s.spec.name for s in stages if states[id(s)].started < n]
-            raise DeadlockError(blocked)
-        for idx, stage in enumerate(stages):
-            st = states[id(stage)]
-            k = st.started
-            if k >= n:
-                continue
-            spec = stage.spec
-            hop = stage.hop_overhead_cycles
-            if st.last_start is not None and t < st.last_start + spec.ii_cycles + hop:
-                continue
-            if stage.in_channel is None:
-                payload: object = events[k]
-                ready = k * feed_period + hop
-            else:
-                tok = stage.in_channel.front()
-                if tok is None or tok.iteration != k:
-                    st.in_stall += 1
-                    continue
-                if spec.start_offset_cycles > 0:
-                    ready = tok.produced_at + spec.start_offset_cycles + hop
-                else:
-                    ready = tok.visible_at + hop
-                payload = tok.payload
-            if t < ready:
-                st.in_stall += 1
-                continue
-            if stage.out_channel is not None and not stage.out_channel.can_accept():
-                st.out_stall += 1
-                continue
-            if stage.in_channel is not None:
-                stage.in_channel.pop()
-            result = stage.fn(payload)
-            if stage.out_channel is None:
-                sink_times.append(t + spec.latency_cycles)
-                outputs.append(result)
-            else:
-                accepted = stage.out_channel.push(
-                    Token(k, result, produced_at=t, visible_at=t + spec.latency_cycles)
-                )
-                assert accepted
-            if idx == 0:
-                source_times.append(t - hop)
-            st.last_start = t
-            st.started += 1
-            st.busy += spec.latency_cycles
-            last_progress = t
+    # Cycles from the producer's start (the source's offer for stage 0) until
+    # stage s may begin, and from one start of stage s to its next.
+    lead = [hops[0]] + [
+        (spec.start_offset_cycles or producer.latency_cycles) + hop
+        for producer, spec, hop in zip(specs, specs[1:], hops[1:])
+    ]
+    step = [spec.ii_cycles + hop for spec, hop in zip(specs, hops)]
+    start = [[0] * n_events for _ in specs]
+    in_stall = [0] * n_stages
+    out_stall = [0] * n_stages
+    last = n_stages - 1
+    for k in range(n_events):
+        offered = k * feed_period
+        for s in range(n_stages):
+            spacing = start[s][k - 1] + step[s] if k else 0
+            in_ok = (start[s - 1][k] if s else offered) + lead[s]
+            ready = in_ok if in_ok > spacing else spacing
+            t = ready
+            if s < last and k >= depths[s]:
+                freed = start[s + 1][k - depths[s]] + 1
+                if freed > t:
+                    t = freed
+            start[s][k] = t
+            in_stall[s] += ready - spacing
+            out_stall[s] += t - ready
 
+    source_times = [t - hops[0] for t in start[0]]
+    sink_latency = specs[last].latency_cycles
+    sink_times = tuple(t + sink_latency for t in start[last])
     per_event = tuple(snk - src for snk, src in zip(sink_times, source_times))
-    diffs = [b - a for a, b in zip(sink_times, sink_times[1:])]
-    metrics = PipelineMetrics(
+    return PipelineMetrics(
         latency_cycles=max(per_event, default=0),
-        ii_cycles=diffs[-1] if diffs else 0,
+        ii_cycles=sink_times[-1] - sink_times[-2] if n_events > 1 else 0,
         per_event_latency=per_event,
-        sink_times=tuple(sink_times),
+        sink_times=sink_times,
         stage_stats=tuple(
             StageStats(
-                name=s.spec.name,
-                fires=states[id(s)].started,
-                busy_cycles=states[id(s)].busy,
-                input_stall_cycles=states[id(s)].in_stall,
-                output_stall_cycles=states[id(s)].out_stall,
+                name=spec.name,
+                fires=n_events,
+                busy_cycles=n_events * spec.latency_cycles,
+                input_stall_cycles=in_stall[s],
+                output_stall_cycles=out_stall[s],
             )
-            for s in stages
+            for s, spec in enumerate(specs)
         ),
     )
-    return PipelineRun(outputs=tuple(outputs), metrics=metrics)
 
 
 def default_stage_specs(
@@ -479,7 +230,7 @@ DEFAULT_HOP_OVERHEADS = (1, 1, 1, 1, 1, 1, 2)
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Channel and handshake parameters of the simulated pipeline."""
+    """Buffer and handshake parameters of the simulated pipeline."""
 
     fifo_depth: int = 32
     hop_overheads: tuple[int, ...] = DEFAULT_HOP_OVERHEADS
@@ -499,79 +250,27 @@ class EngineConfig:
             raise ValueError("feed_period must be non-negative")
 
 
-def build_trigger_pipeline(
-    cfg,
-    specs: dict[str, StageSpec] | None = None,
-    *,
-    merge_solution: str = "B",
-    clean_solution: str = "B",
-    engine: EngineConfig | None = None,
-) -> Pipeline:
-    """Assemble the seven-stage trigger pipeline around the pure stage functions.
+def channel_depths(merge_solution: str, engine: EngineConfig) -> tuple[int, ...]:
+    """Capacity, in iterations, of each hop of the trigger chain.
 
-    Channels are FIFOs except the filtering-to-merging hop, which becomes a
-    ping-pong buffer when merge solution B is selected (random access instead
-    of sequential drains).
+    Every hop is a FIFO of ``engine.fifo_depth`` except filtering to merging
+    under merge solution B, a ping-pong buffer: two banks of one iteration
+    each, whatever the FIFO depth.
     """
-    from . import stages as tr
+    return tuple(
+        2 if producer == "filtering" and merge_solution == "B" else engine.fifo_depth
+        for producer in TRIGGER_STAGE_NAMES[:-1]
+    )
 
-    engine = engine or EngineConfig()
-    specs = specs or default_stage_specs(merge_solution, clean_solution)
-    missing = [n for n in TRIGGER_STAGE_NAMES if n not in specs]
-    if missing:
-        raise ValueError(f"stage specs missing entries: {missing}")
-    merge = tr.merge_fn(merge_solution)
-    clean = tr.clean_fn(clean_solution)
 
-    def fn_seeding(event):
-        return (event, tr.select_seeds(event, cfg))
-
-    def fn_filtering(x):
-        event, seeds = x
-        blocks = tr.partition_blocks(event, cfg)
-        return tuple(
-            (seed, tuple(tr.filter_block(b, seed, cfg) for b in blocks)) for seed in seeds
-        )
-
-    def fn_merging(x):
-        out = []
-        for seed, lists in x:
-            merged = merge(lists, cfg)
-            total = tr.compute_total_pt(merged.items, cfg)
-            out.append(tr.CandidateList(seed=seed, candidates=merged.items, total_pt=total))
-        return tuple(out)
-
-    def fn_signal(x):
-        return tuple(tr.select_signal_candidates(cl, cfg) for cl in x)
-
-    def fn_params(x):
-        return tuple(tr.compute_tau_params(cl, cfg) for cl in x)
-
-    def fn_recon(x):
-        taus = [tr.reconstruct_tau(p, cfg) for p in x]
-        taus.extend([tr.INVALID_TAU] * (cfg.n_seeds - len(taus)))
-        return tuple(taus)
-
-    def fn_cleaning(x):
-        return clean(x, cfg)
-
-    fns = {
-        "seeding": fn_seeding,
-        "filtering": fn_filtering,
-        "merging": fn_merging,
-        "signal_selection": fn_signal,
-        "tau_parameters": fn_params,
-        "tau_reconstruction": fn_recon,
-        "cleaning": fn_cleaning,
-    }
-    stage_nodes = [
-        Stage(spec=specs[name], fn=fns[name], hop_overhead_cycles=hop)
-        for name, hop in zip(TRIGGER_STAGE_NAMES, engine.hop_overheads)
-    ]
-    channels: list[Channel] = []
-    for producer in TRIGGER_STAGE_NAMES[:-1]:
-        if producer == "filtering" and merge_solution == "B":
-            channels.append(PipoChannel(bank_capacity=engine.fifo_depth))
-        else:
-            channels.append(FifoChannel(depth=engine.fifo_depth))
-    return Pipeline.chain(stage_nodes, channels=channels)
+def trigger_timing(
+    specs: Mapping[str, StageSpec], merge_solution: str, engine: EngineConfig, n_events: int
+) -> PipelineMetrics:
+    """Timing of ``n_events`` events through the seven-stage trigger chain."""
+    return run_pipeline(
+        [specs[name] for name in TRIGGER_STAGE_NAMES],
+        engine.hop_overheads,
+        channel_depths(merge_solution, engine),
+        n_events,
+        engine.feed_period,
+    )

@@ -292,13 +292,22 @@ class RunConfig:
     trigger: TriggerConfig = field(default_factory=TriggerConfig)
     merge_solution: str = "B"
     clean_solution: str = "B"
-    stage_specs: Mapping[str, StageSpec] = field(default_factory=default_stage_specs)
+    # Explicit ``stage.<name>.<field>`` settings: stage name -> StageSpec
+    # field -> value, applied on top of whichever solution rows are run.
+    stage_overrides: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
     engine: EngineConfig = field(default_factory=EngineConfig)
     cdc_overhead_cycles: int = DEFAULT_CDC_OVERHEAD_CYCLES
     ii_budget_ns: int = II_BUDGET_NS
     latency_budgets: Mapping[int, int] = field(
         default_factory=lambda: dict(LATENCY_BUDGET_CYCLES)
     )
+
+    def specs_for(self, merge_solution: str, clean_solution: str) -> dict[str, StageSpec]:
+        """Stage timing of the given solutions, with the config's overrides."""
+        specs = default_stage_specs(merge_solution, clean_solution)
+        for name, fields in self.stage_overrides.items():
+            specs[name] = replace(specs[name], **fields)
+        return specs
 
     def budget_for(self, freq_mhz: int) -> TimingBudget:
         return TimingBudget.for_frequency(
@@ -404,26 +413,23 @@ def load_config(text: str) -> RunConfig:
         if clean_solution not in CLEAN_SOLUTIONS:
             raise ConfigError(f"line {got[0]}: clean_solution must be one of {CLEAN_SOLUTIONS}")
 
-    engine_kwargs: dict[str, object] = {}
-    got = take("fifo_depth")
-    if got is not None:
-        engine_kwargs["fifo_depth"] = _to_int("fifo_depth", *got)
-    got = take("feed_period")
-    if got is not None:
-        engine_kwargs["feed_period"] = _to_int("feed_period", *got)
-    got = take("hop_overheads")
-    if got is not None:
+    engine = EngineConfig()
+    for key in ("fifo_depth", "feed_period", "hop_overheads"):
+        got = take(key)
+        if got is None:
+            continue
         lineno, value = got
+        if key == "hop_overheads":
+            try:
+                parsed: object = tuple(int(v.strip()) for v in value.split(",") if v.strip())
+            except ValueError:
+                raise ConfigError(f"line {lineno}: hop_overheads needs comma-separated integers")
+        else:
+            parsed = _to_int(key, lineno, value)
         try:
-            engine_kwargs["hop_overheads"] = tuple(
-                int(v.strip()) for v in value.split(",") if v.strip()
-            )
-        except ValueError:
-            raise ConfigError(f"line {lineno}: hop_overheads needs comma-separated integers")
-    try:
-        engine = EngineConfig(**engine_kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+            engine = replace(engine, **{key: parsed})
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from exc
 
     cdc = DEFAULT_CDC_OVERHEAD_CYCLES
     got = take("cdc_overhead_cycles")
@@ -448,7 +454,10 @@ def load_config(text: str) -> RunConfig:
                 raise ConfigError(f"line {got[0]}: {key} must be positive, got {cycles}")
             latency_budgets[freq] = cycles
 
-    specs = dict(default_stage_specs(merge_solution, clean_solution))
+    # StageSpec checks each field on its own, so checking the overrides
+    # against this table checks them for every solution's rows.
+    specs = default_stage_specs(merge_solution, clean_solution)
+    overrides: dict[str, dict[str, int]] = {}
     stage_keys = [k for k in entries if k.startswith("stage.")]
     for key in stage_keys:
         lineno, value = entries.pop(key)
@@ -459,12 +468,12 @@ def load_config(text: str) -> RunConfig:
                 f"stage.<{'|'.join(TRIGGER_STAGE_NAMES)}>.<latency|ii|start_offset>"
             )
         _, stage_name, fld = parts
+        setting = {_STAGE_FIELD_BY_KEY[fld]: _to_int(key, lineno, value)}
         try:
-            specs[stage_name] = replace(
-                specs[stage_name], **{_STAGE_FIELD_BY_KEY[fld]: _to_int(key, lineno, value)}
-            )
+            specs[stage_name] = replace(specs[stage_name], **setting)
         except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+            raise ConfigError(f"line {lineno}: {exc}") from exc
+        overrides.setdefault(stage_name, {}).update(setting)
 
     if entries:
         key, (lineno, _) = next(iter(entries.items()))
@@ -474,7 +483,7 @@ def load_config(text: str) -> RunConfig:
         trigger=trigger,
         merge_solution=merge_solution,
         clean_solution=clean_solution,
-        stage_specs=specs,
+        stage_overrides=overrides,
         engine=engine,
         cdc_overhead_cycles=cdc,
         ii_budget_ns=ii_budget_ns,

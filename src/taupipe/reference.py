@@ -4,12 +4,13 @@ Everything here favors obviousness over speed: full sorts, list
 comprehensions, exact rational arithmetic.  The trigger reference keeps only
 the stated structural limits (16 seeds, 30 candidates, 8 taus) and no other
 capacity mechanics, so it defines the canonical per-event output that the
-staged pipeline and the dataflow engine are checked against.
+staged pipeline is checked against.
 
-The candidate cap takes the earliest survivors in input order.  A merge step
-is allowed to pick any items once a seed's cone holds more than the cap, so
-on such events a round-robin merge can legitimately differ from this
-canonical choice; the batch runners surface that as a divergence.
+A merge step may keep any items once a seed's cone holds more than the
+candidate cap, and the two merge solutions keep different ones.  So the
+order in which the cap keeps in-cone particles is the one place where the
+trigger reference depends on the merge solution: A keeps slot order, B's
+round-robin keeps (rank within the block's in-cone list, block index).
 """
 
 from __future__ import annotations
@@ -20,12 +21,24 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import AngularCoord, Event, Particle, delta_r2, wrap_delta_phi, wrap_phi
-from .stages import INVALID_TAU, Tau, TriggerConfig, signal_cone_r2
+from .stages import INVALID_TAU, MERGE_SOLUTIONS, Tau, TriggerConfig, signal_cone_r2
 
 
-def oracle_trigger(event: Event, cfg: TriggerConfig) -> tuple[Tau, ...]:
-    """Canonical end-to-end result: the seven steps, written the simple way."""
-    valid = [p for p in event.particles if p.valid]
+def oracle_trigger(
+    event: Event, cfg: TriggerConfig, merge_solution: str = "A"
+) -> tuple[Tau, ...]:
+    """Canonical end-to-end result: the seven steps, written the simple way.
+
+    ``merge_solution`` selects the candidate cap's order; it matters only
+    when a seed's cone holds more than ``cfg.max_candidates`` particles.
+    """
+    if merge_solution not in MERGE_SOLUTIONS:
+        raise ValueError(f"merge_solution must be one of {MERGE_SOLUTIONS}")
+    bs = cfg.block_size
+    blocks = [
+        [p for p in event.particles[b * bs : (b + 1) * bs] if p.valid]
+        for b in range(cfg.n_filter_blocks)
+    ]
 
     ranked = sorted(
         (
@@ -40,11 +53,20 @@ def oracle_trigger(event: Event, cfg: TriggerConfig) -> tuple[Tau, ...]:
     taus: list[Tau] = [INVALID_TAU] * cfg.n_seeds
     for slot, (_, seed) in enumerate(seeds):
         in_cone = [
-            p
-            for p in valid
-            if delta_r2(p.pos, seed.pos, phi_range=cfg.phi_range) <= cfg.filter_cone_r2
+            [
+                p
+                for p in block
+                if delta_r2(p.pos, seed.pos, phi_range=cfg.phi_range) <= cfg.filter_cone_r2
+            ]
+            for block in blocks
         ]
-        cands = in_cone[: cfg.max_candidates]
+        # The cap keeps the first max_candidates in the merge solution's
+        # order: slot order under A; (rank within the block's list, block
+        # index) under B.  Without overflow it keeps all, in any order.
+        ordered = [p for lst in in_cone for p in lst]
+        if merge_solution == "B" and len(ordered) > cfg.max_candidates:
+            ordered = [lst[r] for r in range(bs) for lst in in_cone if r < len(lst)]
+        cands = ordered[: cfg.max_candidates]
         total = min(sum(p.pt for p in cands), cfg.pt_max)
 
         r2_sig = signal_cone_r2(total, cfg)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from taupipe.core import AngularCoord
+from taupipe.dataflow import PipelineMetrics, StageStats
 from taupipe.eventio import SplitMix64
 from taupipe.stages import INVALID_TAU, Tau, TriggerConfig
 
@@ -64,3 +65,56 @@ def chain_taus(cfg: TriggerConfig) -> tuple[Tau, ...]:
     taus[1] = tau(50, 150, 0)
     taus[2] = tau(30, 300, 0)
     return tuple(taus)
+
+
+def tick_reference(specs, hops, depths, n_events, feed_period=0) -> PipelineMetrics:
+    """Cycle-stepping reference of the dataflow firing contract.
+
+    Every cycle visits the stages in chain order, so a consumer sees an
+    iteration its producer began in the same cycle, and a producer sees the
+    buffer place a consumer frees only from the next cycle.  Buffers are
+    occupancy counters; no timing is derived in closed form.
+    """
+    n_stages = len(specs)
+    starts = [[] for _ in specs]
+    occupancy = [0] * (n_stages - 1)
+    in_stall = [0] * n_stages
+    out_stall = [0] * n_stages
+    t = -1
+    while len(starts[-1]) < n_events:
+        t += 1
+        for s, spec in enumerate(specs):
+            k = len(starts[s])
+            if k == n_events:
+                continue
+            if k and t < starts[s][k - 1] + spec.ii_cycles + hops[s]:
+                continue
+            if s == 0:
+                ready = k * feed_period
+            elif len(starts[s - 1]) > k:
+                producer = starts[s - 1][k]
+                ready = producer + (spec.start_offset_cycles or specs[s - 1].latency_cycles)
+            else:
+                ready = None  # the producer has not begun iteration k
+            if ready is None or t < ready + hops[s]:
+                in_stall[s] += 1
+            elif s < n_stages - 1 and occupancy[s] == depths[s]:
+                out_stall[s] += 1
+            else:
+                if s:
+                    occupancy[s - 1] -= 1
+                if s < n_stages - 1:
+                    occupancy[s] += 1
+                starts[s].append(t)
+    sinks = tuple(t + specs[-1].latency_cycles for t in starts[-1])
+    per_event = tuple(snk - (src - hops[0]) for snk, src in zip(sinks, starts[0]))
+    return PipelineMetrics(
+        latency_cycles=max(per_event, default=0),
+        ii_cycles=sinks[-1] - sinks[-2] if len(sinks) > 1 else 0,
+        per_event_latency=per_event,
+        sink_times=sinks,
+        stage_stats=tuple(
+            StageStats(spec.name, n_events, n_events * spec.latency_cycles, i, o)
+            for spec, i, o in zip(specs, in_stall, out_stall)
+        ),
+    )

@@ -10,13 +10,7 @@ import time
 from helpers import fig5_taus, random_merge_lists, random_tau_slots
 from taupipe.budget import TimingBudget, cycle_budget, evaluate_feasibility
 from taupipe.core import AngularCoord, OpCounter, delta_r2
-from taupipe.dataflow import (
-    EngineConfig,
-    apply_cdc,
-    build_trigger_pipeline,
-    default_stage_specs,
-    run_pipeline,
-)
+from taupipe.dataflow import EngineConfig, apply_cdc, default_stage_specs, trigger_timing
 from taupipe.cli import main as cli_main
 from taupipe.eventio import SplitMix64, gen_events, parse_events, parse_report, serialize_report, write_events
 from taupipe.reference import oracle_clean, oracle_merge, oracle_trigger
@@ -91,15 +85,8 @@ def test_c3_end_to_end_functional_transparency():
     canonical = [oracle_trigger(ev, CFG) for ev in events]
     for merge in "AB":
         for clean in "AB":
-            pipe = build_trigger_pipeline(
-                CFG,
-                default_stage_specs(merge, clean),
-                merge_solution=merge,
-                clean_solution=clean,
-            )
-            run = run_pipeline(pipe, events)
-            for got, want in zip(run.outputs, canonical):
-                assert got == want
+            for ev, want in zip(events, canonical):
+                assert run_stages(ev, CFG, merge, clean) == want
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0
     _report("C3", "1000 events, 4 variant combinations, pipeline == reference", elapsed)
@@ -117,23 +104,13 @@ def test_c5_pipeline_composition():
     specs = default_stage_specs("A", "A")  # the original partitioning table
     latencies = [s.latency_cycles for s in specs.values()]
     assert sum(latencies) == 229 and max(latencies) == 59
-    events = gen_events(7, 8, "clustered", CFG)
-    pipe = build_trigger_pipeline(CFG, specs, merge_solution="A", clean_solution="A")
-    metrics = run_pipeline(pipe, events).metrics
-    again = run_pipeline(
-        build_trigger_pipeline(CFG, specs, merge_solution="A", clean_solution="A"), events
-    ).metrics
+    metrics = trigger_timing(specs, "A", EngineConfig(), 8)
+    again = trigger_timing(specs, "A", EngineConfig(), 8)
     assert metrics == again  # deterministic
     assert 59 <= metrics.latency_cycles < 237
     assert metrics.ii_cycles <= 45
-    zero_hop = build_trigger_pipeline(
-        CFG,
-        specs,
-        merge_solution="A",
-        clean_solution="A",
-        engine=EngineConfig(hop_overheads=(0,) * 7),
-    )
-    ii_bare = run_pipeline(zero_hop, events).metrics.ii_cycles
+    zero_hop = EngineConfig(hop_overheads=(0,) * 7)
+    ii_bare = trigger_timing(specs, "A", zero_hop, 8).ii_cycles
     assert ii_bare == max(s.ii_cycles for s in specs.values()) == 43
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -147,8 +124,7 @@ def test_c5_pipeline_composition():
 
 def test_c6_frequency_tradeoff_reproduction():
     t0 = time.perf_counter()
-    events = gen_events(99, 8, "clustered", CFG)
-    metrics_360 = run_pipeline(build_trigger_pipeline(CFG), events).metrics
+    metrics_360 = trigger_timing(default_stage_specs(), "B", EngineConfig(), 8)
     feas_360 = evaluate_feasibility(metrics_360, TimingBudget.for_frequency(360))
     assert feas_360.budget.latency_budget_cycles == 275
     assert feas_360.budget.ii_budget_cycles == 54

@@ -174,3 +174,44 @@ def test_compare_prints_overridden_stage_rows(tmp_path, capsys):
     rows = {l[:28].strip(): l[28:].split() for l in out.splitlines()[2:]}
     assert rows["stage latency, cycles"] == ["20", "20"]
     assert rows["measured latency, cycles"] == ["187", "187"]
+
+
+def test_run_keeps_stage_override_under_merge_flag(tmp_path, capsys):
+    # the override applies to whichever merge solution the flag selects
+    cfgfile = tmp_path / "merge33.cfg"
+    cfgfile.write_text("stage.merging.latency = 33\n")
+    argv = ["run", "--gen", "1:20:clustered", "--merge", "A", "--config", str(cfgfile)]
+    assert run_cli(argv) == 0
+    assert "latency: 200 cycles  ii: 44 cycles" in capsys.readouterr().out
+
+
+def test_run_merge_b_checks_its_own_cap_order_on_cone_overflow(tmp_path, capsys):
+    # whole-plane cones overflow every seed's candidate cap, where the two
+    # merge solutions keep different candidates
+    cfgfile = tmp_path / "wide.cfg"
+    cfgfile.write_text(
+        "filter_cone_r2 = 400000000\nsignal_cone_r2_max = 400000000\nsignal_cone_k = 2000000000\n"
+    )
+    for merge in "AB":
+        argv = ["run", "--gen", "3:30:busy", "--merge", merge, "--config", str(cfgfile)]
+        assert run_cli(argv) == 0
+        assert "oracle check: ok (30 events)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "setting, message",
+    [
+        ("fifo_depth = 0", "fifo_depth must be >= 1"),
+        ("feed_period = -1", "feed_period must be non-negative"),
+        ("hop_overheads = 1,1", "hop_overheads needs 7 entries"),
+        ("stage.merging.ii = 0", "ii_cycles must be >= 1"),
+        ("stage.merging.latency = -3", "cycle counts must be non-negative"),
+    ],
+)
+def test_run_engine_and_stage_errors_name_the_line(tmp_path, capsys, setting, message):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"# timing\n{setting}\n")
+    assert run_cli(["run", "--gen", "1:5:uniform", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert "line 2: " in err
+    assert message in err

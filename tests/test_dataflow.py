@@ -1,31 +1,25 @@
-from collections import deque
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from helpers import tick_reference
 from taupipe.dataflow import (
-    DeadlockError,
+    TRIGGER_STAGE_NAMES,
     EngineConfig,
-    FifoChannel,
-    Pipeline,
-    PipoChannel,
-    Stage,
     StageSpec,
-    Token,
     apply_cdc,
-    build_trigger_pipeline,
+    channel_depths,
     default_stage_specs,
     run_pipeline,
+    trigger_timing,
 )
-from taupipe.eventio import gen_events
-from taupipe.stages import TriggerConfig, run_stages
-
-CFG = TriggerConfig()
 
 
-def tok(k, payload="x", produced=0, visible=0):
-    return Token(k, payload, produced, visible)
+def chain(specs, n, hops=None, depths=None, feed_period=0):
+    hops = hops or [0] * len(specs)
+    depths = depths or [32] * (len(specs) - 1)
+    return run_pipeline(specs, hops, depths, n, feed_period)
 
 
 # --- stage specs --------------------------------------------------------------
@@ -39,183 +33,127 @@ def test_stage_spec_validation():
     StageSpec("s", 38, 34)  # latency < ii is not required the other way around
 
 
-# --- fifo channel ---------------------------------------------------------------
+# --- buffers ------------------------------------------------------------------
 
 
 def test_fifo_backpressure_at_depth():
-    ch = FifoChannel(depth=2)
-    assert ch.push(tok(0))
-    assert ch.push(tok(1))
-    assert not ch.push(tok(2))  # third push without pops: backpressure
-    assert ch.pop().iteration == 0
-    assert ch.push(tok(2))  # freed slot accepts again
+    # a fast producer ahead of a slow consumer fills a two-place buffer
+    specs = [StageSpec("fast", 1, 1), StageSpec("slow", 10, 10)]
+    tight = chain(specs, 6, depths=[2]).stage_stats[0]
+    roomy = chain(specs, 6, depths=[32]).stage_stats[0]
+    assert roomy.output_stall_cycles == 0
+    # iterations 3..5 each wait 9 cycles for the consumer to free a place
+    assert tight.output_stall_cycles == 3 * 9
 
 
 def test_fifo_pop_empty_is_stall():
-    ch = FifoChannel(depth=2)
-    assert ch.pop() is None
-    assert ch.front() is None
+    # the consumer waits on an empty input: counted as input stall, no error
+    specs = [StageSpec("slow", 10, 10), StageSpec("fast", 1, 1)]
+    consumer = chain(specs, 3).stage_stats[1]
+    assert consumer.input_stall_cycles == 10 + 9 + 9
+    assert consumer.output_stall_cycles == 0
 
 
-def test_fifo_order():
-    ch = FifoChannel(depth=4)
-    ch.push(tok(0, "a"))
-    ch.push(tok(1, "b"))
-    assert ch.pop().payload == "a"
-    assert ch.pop().payload == "b"
+def test_channel_depths():
+    engine = EngineConfig(fifo_depth=5)
+    assert channel_depths("A", engine) == (5,) * 6
+    # the filtering-to-merging ping-pong buffer holds two iterations
+    assert channel_depths("B", engine) == (5, 2, 5, 5, 5, 5)
+    assert channel_depths("B", EngineConfig(fifo_depth=1))[1] == 2
 
 
-@given(st.lists(st.sampled_from(["push", "pop"]), max_size=60))
-def test_fifo_matches_shadow_queue(script):
-    ch = FifoChannel(depth=4)
-    shadow = deque()
-    n = 0
-    for op in script:
-        if op == "push":
-            accepted = ch.push(tok(n))
-            assert accepted == (len(shadow) < 4)
-            if accepted:
-                shadow.append(n)
-                n += 1
-        else:
-            got = ch.pop()
-            want = shadow.popleft() if shadow else None
-            assert (got.iteration if got else None) == want
-        assert ch.occupancy == len(shadow) <= 4
+def test_run_pipeline_validation():
+    specs = [StageSpec("a", 1, 1), StageSpec("b", 1, 1)]
+    with pytest.raises(ValueError):
+        run_pipeline([], [], [], 1)
+    with pytest.raises(ValueError):
+        run_pipeline(specs, [0], [1], 1)
+    with pytest.raises(ValueError):
+        run_pipeline(specs, [0, 0], [0], 1)
+    with pytest.raises(ValueError):
+        run_pipeline(specs, [0, -1], [1], 1)
+    with pytest.raises(ValueError):
+        run_pipeline(specs, [0, 0], [1], 1, feed_period=-1)
 
 
-# --- pipo channel -----------------------------------------------------------------
+stage_specs = st.builds(
+    StageSpec,
+    name=st.just("s"),
+    latency_cycles=st.integers(0, 60),
+    ii_cycles=st.integers(1, 60),
+    start_offset_cycles=st.one_of(st.just(0), st.integers(0, 20)),
+)
 
 
-def test_pipo_read_before_commit_is_empty():
-    ch = PipoChannel(bank_capacity=4)
-    assert ch.read(0) is None
+@st.composite
+def chains(draw):
+    specs = draw(st.lists(stage_specs, min_size=1, max_size=7))
+    specs = [replace(s, name=f"s{i}") for i, s in enumerate(specs)]
+    n = len(specs)
+    hops = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    # 2 is also how the ping-pong buffer behaves
+    depths = draw(st.lists(st.sampled_from([1, 2, 3, 32]), min_size=n - 1, max_size=n - 1))
+    feed_period = draw(st.one_of(st.just(0), st.integers(0, 80)))
+    n_events = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 40)))
+    return specs, hops, depths, n_events, feed_period
 
 
-def test_pipo_write_commit_read():
-    ch = PipoChannel(bank_capacity=4)
-    assert ch.write_bank(["x", "y"])
-    assert ch.commit()
-    assert ch.read(1) == "y"
-    assert ch.read(0) == "x"
-
-
-def test_pipo_reader_isolated_from_writer():
-    ch = PipoChannel(bank_capacity=4)
-    ch.write_bank(["x", "y"])
-    ch.commit()
-    assert ch.acquire()
-    # iteration-2 data lands in the other bank; the held bank is untouched
-    assert ch.write_bank(["p", "q"])
-    assert ch.commit()
-    assert ch.read(0) == "x" and ch.read(1) == "y"
-    # both banks occupied now: the writer is backpressured
-    assert not ch.write_bank(["r"])
-    ch.release()
-    assert ch.write_bank(["r"])
-
-
-def test_pipo_stale_slots_readable():
-    ch = PipoChannel(bank_capacity=4)
-    ch.write_bank(["a", "b", "c"])
-    ch.commit()
-    assert ch.acquire()
-    ch.release()
-    ch.write_bank(["z"])  # lands in the other bank
-    ch.commit()
-    ch.write_bank(["only"])  # reuses the first bank: fresh head, stale tail
-    ch.commit()
-    assert ch.acquire()
-    assert ch.read(0) == "z"
-    ch.release()
-    assert ch.acquire()
-    assert ch.read(0) == "only"
-    assert ch.read(1) == "b"  # stale leftover from two iterations ago
-    with pytest.raises(IndexError):
-        ch.read(4)
-
-
-def test_pipo_commit_requires_staged_data():
-    ch = PipoChannel(bank_capacity=2)
-    assert not ch.commit()
-
-
-def test_pipo_engine_token_interface():
-    ch = PipoChannel(bank_capacity=2)
-    assert ch.front() is None
-    assert ch.push(tok(0, "a"))
-    assert ch.push(tok(1, "b"))
-    assert not ch.push(tok(2, "c"))  # both banks committed
-    assert ch.front().payload == "a"
-    assert ch.pop().payload == "a"
-    assert ch.push(tok(2, "c"))
-    assert ch.pop().payload == "b"
-    assert ch.pop().payload == "c"
+@settings(max_examples=300, deadline=None)
+@given(chains())
+def test_run_pipeline_matches_cycle_reference(case):
+    assert run_pipeline(*case) == tick_reference(*case)
 
 
 # --- engine timing ---------------------------------------------------------------
 
 
-def chain(specs, hops=None, fn=None):
-    fn = fn or (lambda x: x)
-    hops = hops or [0] * len(specs)
-    return Pipeline.chain([Stage(s, fn, hop_overhead_cycles=h) for s, h in zip(specs, hops)])
-
-
 def test_single_stage_latency():
-    run = run_pipeline(chain([StageSpec("s", 5, 5)]), ["e0"])
-    assert run.metrics.sink_times == (5,)
-    assert run.metrics.latency_cycles == 5
-    assert run.outputs == ("e0",)
+    metrics = chain([StageSpec("s", 5, 5)], 1)
+    assert metrics.sink_times == (5,)
+    assert metrics.latency_cycles == 5
 
 
 def test_two_stage_chain_latency():
-    run = run_pipeline(chain([StageSpec("a", 3, 1), StageSpec("b", 4, 1)]), ["e0"])
-    assert run.metrics.latency_cycles == 7
+    assert chain([StageSpec("a", 3, 1), StageSpec("b", 4, 1)], 1).latency_cycles == 7
 
 
 def test_paced_feed_matches_ii():
-    run = run_pipeline(chain([StageSpec("s", 10, 10)]), ["e"] * 5, feed_period=10)
-    assert run.metrics.ii_cycles == 10
-    stats = run.metrics.stage_stats[0]
+    metrics = chain([StageSpec("s", 10, 10)], 5, feed_period=10)
+    assert metrics.ii_cycles == 10
+    stats = metrics.stage_stats[0]
     assert stats.input_stall_cycles == 0
     assert stats.output_stall_cycles == 0
 
 
 def test_feed_slower_than_pipeline_sets_spacing():
-    run = run_pipeline(chain([StageSpec("s", 2, 1)]), ["e"] * 4, feed_period=9)
-    assert run.metrics.ii_cycles == 9
+    assert chain([StageSpec("s", 2, 1)], 4, feed_period=9).ii_cycles == 9
 
 
 def test_measured_ii_is_bottleneck_stage():
     specs = [StageSpec("a", 4, 3), StageSpec("b", 9, 7), StageSpec("c", 2, 2)]
-    run = run_pipeline(chain(specs), ["e"] * 6)
-    assert run.metrics.ii_cycles == 7
+    assert chain(specs, 6).ii_cycles == 7
 
 
 def test_hop_overhead_adds_to_effective_ii():
     specs = [StageSpec("a", 4, 3), StageSpec("b", 9, 7), StageSpec("c", 2, 2)]
-    run = run_pipeline(chain(specs, hops=[0, 2, 0]), ["e"] * 6)
-    assert run.metrics.ii_cycles == 9
+    assert chain(specs, 6, hops=[0, 2, 0]).ii_cycles == 9
 
 
 def test_streaming_offset_shortens_latency():
     specs0 = [StageSpec("a", 20, 5), StageSpec("b", 10, 5)]
-    base = run_pipeline(chain(specs0), ["e"]).metrics.latency_cycles
+    base = chain(specs0, 1).latency_cycles
     specs1 = [StageSpec("a", 20, 5), StageSpec("b", 10, 5, start_offset_cycles=6)]
-    overlapped = run_pipeline(chain(specs1), ["e"]).metrics.latency_cycles
+    overlapped = chain(specs1, 1).latency_cycles
     assert base == 30
     assert overlapped == 16  # starts 6 cycles after the producer, not after it ends
 
 
 def test_default_trigger_chain_latency_figures():
-    events = gen_events(3, 6, "clustered", CFG)
-    runs = {}
-    for merge, clean in (("A", "A"), ("B", "B")):
-        pipe = build_trigger_pipeline(
-            CFG, default_stage_specs(merge, clean), merge_solution=merge, clean_solution=clean
-        )
-        runs[(merge, clean)] = run_pipeline(pipe, events).metrics
+    engine = EngineConfig()
+    runs = {
+        (merge, clean): trigger_timing(default_stage_specs(merge, clean), merge, engine, 6)
+        for merge, clean in (("A", "A"), ("B", "B"))
+    }
     assert runs[("A", "A")].latency_cycles == 203
     assert runs[("B", "B")].latency_cycles == 200
     assert runs[("A", "A")].ii_cycles == 44
@@ -224,77 +162,22 @@ def test_default_trigger_chain_latency_figures():
 
 def test_zero_handshake_ii_equals_max_stage_ii():
     engine = EngineConfig(hop_overheads=(0,) * 7)
-    pipe = build_trigger_pipeline(CFG, engine=engine)
-    events = gen_events(3, 6, "uniform", CFG)
-    metrics = run_pipeline(pipe, events).metrics
+    metrics = trigger_timing(default_stage_specs(), "B", engine, 6)
     assert metrics.ii_cycles == max(s.ii_cycles for s in default_stage_specs().values()) == 43
 
 
 def test_latency_monotone_in_stage_latency():
-    events = gen_events(9, 4, "clustered", CFG)
+    engine = EngineConfig()
     base_specs = default_stage_specs()
-    base = run_pipeline(build_trigger_pipeline(CFG, base_specs), events).metrics.latency_cycles
-    for name in base_specs:
+    base = trigger_timing(base_specs, "B", engine, 4).latency_cycles
+    for name in TRIGGER_STAGE_NAMES:
         specs = dict(base_specs)
         specs[name] = replace(specs[name], latency_cycles=specs[name].latency_cycles + 5)
-        bumped = run_pipeline(build_trigger_pipeline(CFG, specs), events).metrics.latency_cycles
-        assert bumped >= base
-
-
-def test_engine_is_deterministic():
-    events = gen_events(21, 10, "busy", CFG)
-    a = run_pipeline(build_trigger_pipeline(CFG), events)
-    b = run_pipeline(build_trigger_pipeline(CFG), events)
-    assert a.outputs == b.outputs
-    assert a.metrics == b.metrics
-
-
-def test_engine_outputs_equal_staged_functional_path():
-    events = gen_events(33, 25, "clustered", CFG)
-    for merge, clean in (("A", "B"), ("B", "A"), ("B", "B")):
-        pipe = build_trigger_pipeline(
-            CFG, default_stage_specs(merge, clean), merge_solution=merge, clean_solution=clean
-        )
-        run = run_pipeline(pipe, events)
-        for ev, got in zip(events, run.outputs):
-            assert got == run_stages(ev, CFG, merge, clean)
-
-
-def test_channels_never_exceed_capacity():
-    pipe = build_trigger_pipeline(CFG)
-    run_pipeline(pipe, gen_events(2, 12, "clustered", CFG))
-    for ch in pipe.channels:
-        if isinstance(ch, FifoChannel):
-            assert ch.max_occupancy <= ch.depth
-        else:
-            assert ch.max_occupancy <= 2
-
-
-def test_pipo_channel_used_for_merge_b_edge():
-    pipe_b = build_trigger_pipeline(CFG, merge_solution="B")
-    pipe_a = build_trigger_pipeline(CFG, default_stage_specs("A", "B"), merge_solution="A")
-    assert isinstance(pipe_b.channels[1], PipoChannel)
-    assert isinstance(pipe_a.channels[1], FifoChannel)
-
-
-def test_deadlock_detection_reports_blocked_stages():
-    src = Stage(StageSpec("src", 1, 1), lambda x: x)
-    mid = Stage(StageSpec("mid", 1, 1), lambda x: x)
-    starved = Stage(StageSpec("starved", 1, 1), lambda x: x)
-    ch = FifoChannel(4)
-    src.out_channel = ch
-    mid.in_channel = ch
-    mid.out_channel = FifoChannel(4)  # drains nowhere, which is fine for one event
-    starved.in_channel = FifoChannel(4)  # dangling: nobody ever writes it
-    pipeline = Pipeline([src, mid, starved])
-    with pytest.raises(DeadlockError) as err:
-        run_pipeline(pipeline, ["e0"])
-    assert err.value.blocked == ("starved",)
+        assert trigger_timing(specs, "B", engine, 4).latency_cycles >= base
 
 
 def test_apply_cdc():
-    run = run_pipeline(build_trigger_pipeline(CFG), gen_events(1, 3, "uniform", CFG))
-    m = run.metrics
+    m = trigger_timing(default_stage_specs(), "B", EngineConfig(), 3)
     shifted = apply_cdc(m, 10)
     assert shifted.latency_cycles == m.latency_cycles + 10
     assert shifted.ii_cycles == m.ii_cycles

@@ -183,8 +183,9 @@ def test_splitmix_reference_values():
 def test_empty_config_defaults():
     rc = load_config("")
     assert rc.merge_solution == "B" and rc.clean_solution == "B"
-    assert rc.stage_specs["merging"] == StageSpec("merging", 33, 33, start_offset_cycles=4)
-    assert rc.stage_specs["cleaning"] == StageSpec("cleaning", 15, 13)
+    specs = rc.specs_for(rc.merge_solution, rc.clean_solution)
+    assert specs["merging"] == StageSpec("merging", 33, 33, start_offset_cycles=4)
+    assert specs["cleaning"] == StageSpec("cleaning", 15, 13)
     assert rc.trigger == TriggerConfig()
     assert rc.cdc_overhead_cycles == 10
     assert rc.latency_budgets == {360: 275, 300: 220}
@@ -192,10 +193,11 @@ def test_empty_config_defaults():
 
 def test_config_solution_a_tables():
     rc = load_config("merge_solution = A\nclean_solution = A\n")
-    assert rc.stage_specs["merging"].latency_cycles == 38
-    assert rc.stage_specs["merging"].ii_cycles == 34
-    assert rc.stage_specs["cleaning"].latency_cycles == 13
-    assert rc.stage_specs["cleaning"].ii_cycles == 13
+    specs = rc.specs_for(rc.merge_solution, rc.clean_solution)
+    assert specs["merging"].latency_cycles == 38
+    assert specs["merging"].ii_cycles == 34
+    assert specs["cleaning"].latency_cycles == 13
+    assert specs["cleaning"].ii_cycles == 13
 
 
 def test_config_unknown_key():
@@ -210,7 +212,8 @@ def test_config_violated_invariant_is_quoted():
 
 def test_config_stage_override():
     rc = load_config("stage.seeding.latency = 50\nstage.seeding.ii = 47\n")
-    assert rc.stage_specs["seeding"] == StageSpec("seeding", 50, 47)
+    specs = rc.specs_for(rc.merge_solution, rc.clean_solution)
+    assert specs["seeding"] == StageSpec("seeding", 50, 47)
 
 
 def test_config_bad_stage_key():
@@ -257,14 +260,15 @@ def test_config_budget_keys():
 
 def test_report_roundtrip_bytes():
     from taupipe.budget import TimingBudget, evaluate_feasibility
-    from taupipe.dataflow import build_trigger_pipeline, run_pipeline
+    from taupipe.dataflow import EngineConfig, default_stage_specs, trigger_timing
     from taupipe.eventio import build_report
+    from taupipe.stages import run_stages
 
     events = gen_events(2, 5, "clustered", CFG)
-    run = run_pipeline(build_trigger_pipeline(CFG), events)
-    feas = evaluate_feasibility(run.metrics, TimingBudget.for_frequency(360))
+    metrics = trigger_timing(default_stage_specs(), "B", EngineConfig(), len(events))
+    feas = evaluate_feasibility(metrics, TimingBudget.for_frequency(360))
     records = build_report(
-        [ev.event_id for ev in events], list(run.outputs), run.metrics, feas
+        [ev.event_id for ev in events], [run_stages(ev, CFG) for ev in events], metrics, feas
     )
     text = serialize_report(records)
     assert serialize_report(parse_report(text)) == text

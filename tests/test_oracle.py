@@ -52,3 +52,20 @@ def test_at_most_eight_taus_and_min_pt():
 def test_neutral_only_event_has_no_seeds():
     particles = [make_particle(500, i * 10, 0, Species.PHOTON) for i in range(30)]
     assert oracle_trigger(make_event(0, particles), CFG) == ()
+
+
+def test_staged_path_matches_oracle_on_cone_overflow():
+    # whole-plane cones: every seed's cone overflows the candidate cap, and
+    # each merge solution's choice matches the oracle's cap order for it
+    cfg = TriggerConfig(
+        filter_cone_r2=400_000_000, signal_cone_r2_max=400_000_000, signal_cone_k=2_000_000_000
+    )
+    events = gen_events(3, 20, "busy", cfg)
+    differ = 0
+    for ev in events:
+        want = {merge: oracle_trigger(ev, cfg, merge) for merge in "AB"}
+        differ += want["A"] != want["B"]
+        for merge in "AB":
+            for clean in "AB":
+                assert run_stages(ev, cfg, merge, clean) == want[merge]
+    assert differ > 0  # the two cap orders genuinely disagree on these events
