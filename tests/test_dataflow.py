@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import tick_reference
+from taupipe.cli import _simulate
 from taupipe.dataflow import (
     TRIGGER_STAGE_NAMES,
     EngineConfig,
@@ -14,6 +15,10 @@ from taupipe.dataflow import (
     run_pipeline,
     trigger_timing,
 )
+from taupipe.eventio import RunConfig, gen_events
+from taupipe.stages import TriggerConfig, run_stages
+
+CFG = TriggerConfig()
 
 
 def chain(specs, n, hops=None, depths=None, feed_period=0):
@@ -54,12 +59,52 @@ def test_fifo_pop_empty_is_stall():
     assert consumer.output_stall_cycles == 0
 
 
+def test_fifo_order():
+    # iterations leave every buffer in the order they entered it
+    specs = [StageSpec("a", 1, 1), StageSpec("b", 7, 3), StageSpec("c", 2, 5)]
+    sinks = chain(specs, 8, depths=[4, 4]).sink_times
+    assert list(sinks) == sorted(sinks)
+    assert len(set(sinks)) == len(sinks)
+
+
 def test_channel_depths():
     engine = EngineConfig(fifo_depth=5)
     assert channel_depths("A", engine) == (5,) * 6
-    # the filtering-to-merging ping-pong buffer holds two iterations
-    assert channel_depths("B", engine) == (5, 2, 5, 5, 5, 5)
-    assert channel_depths("B", EngineConfig(fifo_depth=1))[1] == 2
+    assert channel_depths("A", EngineConfig(fifo_depth=1)) == (1,) * 6
+
+
+def test_pipo_channel_used_for_merge_b_edge():
+    # the filtering-to-merging ping-pong buffer holds two iterations under
+    # merge B, whatever the FIFO depth; under merge A that hop is a FIFO
+    for depth in (1, 5, 32):
+        engine = EngineConfig(fifo_depth=depth)
+        assert channel_depths("B", engine) == (depth, 2) + (depth,) * 4
+        assert channel_depths("A", engine)[1] == depth
+
+
+def _buffer_occupancies(specs, hops, depth, n):
+    """Occupancy of the buffer of a two-stage chain each time the producer
+    begins an iteration, counted before the consumer acts in that cycle."""
+    metrics = run_pipeline(specs, hops, [depth], n)
+    producer = [
+        snk - lat + hops[0] for snk, lat in zip(metrics.sink_times, metrics.per_event_latency)
+    ]
+    consumer = [snk - specs[1].latency_cycles for snk in metrics.sink_times]
+    return [
+        sum(p <= t for p in producer) - sum(c < t for c in consumer) for t in producer
+    ]
+
+
+def test_channels_never_exceed_capacity():
+    fast_slow = [StageSpec("fast", 1, 1), StageSpec("slow", 9, 7)]
+    for depth in (1, 2, 3, 4):
+        occupancy = _buffer_occupancies(fast_slow, [0, 1], depth, 12)
+        assert max(occupancy) == depth  # the producer runs ahead until the buffer is full
+    # filtering into merging under merge B, with the ping-pong depth
+    specs = default_stage_specs("B", "B")
+    pair = [specs["filtering"], specs["merging"]]
+    depth_b = channel_depths("B", EngineConfig())[1]
+    assert max(_buffer_occupancies(pair, [1, 1], depth_b, 12)) <= depth_b
 
 
 def test_run_pipeline_validation():
@@ -146,6 +191,22 @@ def test_streaming_offset_shortens_latency():
     overlapped = chain(specs1, 1).latency_cycles
     assert base == 30
     assert overlapped == 16  # starts 6 cycles after the producer, not after it ends
+
+
+def test_engine_is_deterministic():
+    events = gen_events(21, 10, "busy", CFG)
+    run_cfg = RunConfig()
+    assert _simulate(run_cfg, events, "B", "B") == _simulate(run_cfg, events, "B", "B")
+
+
+def test_engine_outputs_equal_staged_functional_path():
+    events = gen_events(33, 25, "clustered", CFG)
+    run_cfg = RunConfig()
+    for merge, clean in (("A", "B"), ("B", "A"), ("B", "B")):
+        outputs, metrics = _simulate(run_cfg, events, merge, clean)
+        assert len(outputs) == len(metrics.sink_times) == len(events)
+        for ev, got in zip(events, outputs):
+            assert got == run_stages(ev, CFG, merge, clean)
 
 
 def test_default_trigger_chain_latency_figures():
