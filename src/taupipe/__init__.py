@@ -16,10 +16,8 @@ from .core import (
 )
 from .stages import (
     CandidateList,
-    CleaningMatrix,
     MergeResult,
     Seed,
-    StageCost,
     Tau,
     TauParams,
     TriggerConfig,
@@ -35,7 +33,6 @@ from .stages import (
     run_stages,
     select_seeds,
     select_signal_candidates,
-    stage_cost_report,
 )
 from .dataflow import (
     EngineConfig,

@@ -9,6 +9,7 @@ other frequency falls back to the 760 ns processing window.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping
 
 from .dataflow import PipelineMetrics
 
@@ -35,11 +36,9 @@ class TimingBudget:
     frequency_mhz: int
     latency_budget_cycles: int
     ii_budget_cycles: int
-    ii_budget_ns: int = II_BUDGET_NS
 
     def __post_init__(self) -> None:
-        if min(self.frequency_mhz, self.latency_budget_cycles,
-               self.ii_budget_cycles, self.ii_budget_ns) <= 0:
+        if min(self.frequency_mhz, self.latency_budget_cycles, self.ii_budget_cycles) <= 0:
             raise ValueError("all budget figures must be strictly positive")
 
     @classmethod
@@ -48,20 +47,20 @@ class TimingBudget:
         freq_mhz: int,
         *,
         ii_budget_ns: int = II_BUDGET_NS,
-        latency_overrides: dict[int, int] | None = None,
+        latency_table: Mapping[int, int] = LATENCY_BUDGET_CYCLES,
     ) -> "TimingBudget":
-        """Budget at a frequency: table latency allowance, derived II allowance."""
-        table = dict(LATENCY_BUDGET_CYCLES)
-        if latency_overrides:
-            table.update(latency_overrides)
-        latency = table.get(freq_mhz)
+        """Budget at a frequency: table latency allowance, derived II allowance.
+
+        A frequency missing from ``latency_table`` gets the cycles of the
+        760 ns processing window.
+        """
+        latency = latency_table.get(freq_mhz)
         if latency is None:
             latency = cycle_budget(LATENCY_BUDGET_NS, freq_mhz)
         return cls(
             frequency_mhz=freq_mhz,
             latency_budget_cycles=latency,
             ii_budget_cycles=cycle_budget(ii_budget_ns, freq_mhz),
-            ii_budget_ns=ii_budget_ns,
         )
 
 
@@ -70,30 +69,18 @@ class FeasibilityReport:
     """Achieved metrics against a budget; feasible iff both slacks are >= 0."""
 
     budget: TimingBudget
-    achieved_latency_cycles: int
-    achieved_ii_cycles: int
     latency_slack_cycles: int
     ii_slack_cycles: int
 
     @property
-    def latency_ok(self) -> bool:
-        return self.latency_slack_cycles >= 0
-
-    @property
-    def ii_ok(self) -> bool:
-        return self.ii_slack_cycles >= 0
-
-    @property
     def feasible(self) -> bool:
-        return self.latency_ok and self.ii_ok
+        return self.latency_slack_cycles >= 0 and self.ii_slack_cycles >= 0
 
 
 def evaluate_feasibility(metrics: PipelineMetrics, budget: TimingBudget) -> FeasibilityReport:
     """Judge measured latency and II against the cycle budgets."""
     return FeasibilityReport(
         budget=budget,
-        achieved_latency_cycles=metrics.latency_cycles,
-        achieved_ii_cycles=metrics.ii_cycles,
         latency_slack_cycles=budget.latency_budget_cycles - metrics.latency_cycles,
         ii_slack_cycles=budget.ii_budget_cycles - metrics.ii_cycles,
     )

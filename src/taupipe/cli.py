@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .budget import TimingBudget, evaluate_feasibility
-from .core import Event
+from .core import PAD_PARTICLE, Event
 from .dataflow import PipelineMetrics, apply_cdc, trigger_timing
 from .eventio import (
     ConfigError,
@@ -123,7 +123,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if args.report:
         records = build_report([ev.event_id for ev in events], outputs, metrics, report)
-        Path(args.report).write_text(serialize_report(records))
+        try:
+            Path(args.report).write_text(serialize_report(records))
+        except OSError as exc:
+            raise InputError(f"cannot write report {args.report}: {exc}")
 
     print(f"events: {len(events)} ({source_desc})")
     print(f"variants: merge {merge}, clean {clean}")
@@ -153,8 +156,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def _minimize_divergent_event(event: Event, diverges) -> Event:
     """Greedy shrink: drop valid particles while the divergence persists."""
-    from .core import PAD_PARTICLE
-
     current = event
     improved = True
     while improved:

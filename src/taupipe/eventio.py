@@ -24,6 +24,7 @@ from .core import (
     Event,
     Particle,
     Species,
+    event_from_slots,
     make_event,
     make_particle,
     wrap_phi,
@@ -52,7 +53,7 @@ class EventFileError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Malformed or inconsistent config file."""
+    """Malformed or inconsistent config file; the message names the offending line."""
 
 
 # ---------------------------------------------------------------------------
@@ -119,18 +120,10 @@ def parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
         if slot in slots:
             raise EventFileError(f"line {lineno}: duplicate slot {slot} in event {event_id}")
         slots[slot] = make_particle(pt, eta, phi, species)
-    events = []
-    for event_id, slots in slots_by_event.items():
-        particles = [slots.get(i) for i in range(cfg.n_input)]
-        from .core import PAD_PARTICLE
-
-        events.append(
-            Event(
-                event_id=event_id,
-                particles=tuple(p if p is not None else PAD_PARTICLE for p in particles),
-            )
-        )
-    return events
+    return [
+        event_from_slots(event_id, slots, n_input=cfg.n_input)
+        for event_id, slots in slots_by_event.items()
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +306,7 @@ class RunConfig:
         return TimingBudget.for_frequency(
             freq_mhz,
             ii_budget_ns=self.ii_budget_ns,
-            latency_overrides=dict(self.latency_budgets),
+            latency_table=self.latency_budgets,
         )
 
 
@@ -371,7 +364,7 @@ def load_config(text: str) -> RunConfig:
     """Parse a ``key = value`` config; missing keys take the documented defaults.
 
     Unknown keys and values violating a structural invariant are errors; the
-    raised message quotes the violated constraint.
+    raised message names the line and quotes the violated constraint.
     """
     entries = _parse_kv_lines(text)
 
@@ -380,13 +373,15 @@ def load_config(text: str) -> RunConfig:
 
     got = take("format_version")
     if got is not None and _to_int("format_version", *got) != CONFIG_FORMAT_VERSION:
-        raise ConfigError(f"unsupported config format_version {got[1]}")
+        raise ConfigError(f"line {got[0]}: unsupported config format_version {got[1]}")
 
     trigger_kwargs: dict[str, object] = {}
+    trigger_lines: dict[str, int] = {}
     for key in _TRIGGER_INT_KEYS:
         got = take(key)
         if got is not None:
             trigger_kwargs[key] = _to_int(key, *got)
+            trigger_lines[key] = got[0]
     got = take("allowed_signal_species")
     if got is not None:
         lineno, value = got
@@ -398,7 +393,12 @@ def load_config(text: str) -> RunConfig:
     try:
         trigger = TriggerConfig(**trigger_kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        # The defaults are consistent, so a set key is at fault: blame the
+        # last line among the set keys that the message names, or else among
+        # all the set keys.
+        named = [n for k, n in trigger_lines.items() if k in str(exc)]
+        lineno = max(named or trigger_lines.values())
+        raise ConfigError(f"line {lineno}: {exc}") from exc
 
     merge_solution = "B"
     clean_solution = "B"

@@ -82,13 +82,15 @@ class TriggerConfig:
                 f"(got {self.signal_cone_r2_min} > {self.signal_cone_r2_max})"
             )
         if not 1 <= self.n_seeds <= self.n_input:
-            raise ValueError(f"n_seeds must be in 1..{self.n_input}, got {self.n_seeds}")
+            raise ValueError(f"n_seeds must be in 1..n_input={self.n_input}, got {self.n_seeds}")
         if not 1 <= self.max_taus <= self.n_seeds:
             raise ValueError(
                 f"max_taus must be in 1..n_seeds={self.n_seeds}, got {self.max_taus}"
             )
         if not 1 <= self.max_candidates <= self.n_input:
-            raise ValueError(f"max_candidates must be positive, got {self.max_candidates}")
+            raise ValueError(
+                f"max_candidates must be in 1..n_input={self.n_input}, got {self.max_candidates}"
+            )
         for name in ("filter_cone_r2", "signal_cone_k", "proximity_r2", "min_seed_pt",
                      "min_tau_pt", "signal_cone_r2_min"):
             if getattr(self, name) < 0:
@@ -151,53 +153,19 @@ INVALID_TAU = Tau(0, AngularCoord(0, 0), False)
 
 
 @dataclass(frozen=True)
-class CleaningMatrix:
-    """Pairwise domination grid over the 16 tau slots; diagonal unused."""
-
-    rows: tuple[tuple[bool, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
-
-    def ones(self) -> set[tuple[int, int]]:
-        """Set of (row, col) positions holding True, 0-based."""
-        return {
-            (i, j)
-            for i, row in enumerate(self.rows)
-            for j, v in enumerate(row)
-            if v
-        }
-
-    def row_any(self, i: int) -> bool:
-        return any(self.rows[i])
-
-
-@dataclass(frozen=True)
 class MergeResult:
     """Outcome of a four-to-one merge.
 
-    ``emit_steps`` counts items moved into the target list.  ``modeled_cycles``
-    is the variant's cycle estimate: for solution A the parallel trimming
-    phase (max source size, at most one read per source per cycle), for
-    solution B the state-machine setup plus one cycle per emitted item.
+    ``items`` is the target list and ``discarded`` the items left out of it,
+    source by source.  ``modeled_cycles`` is the variant's cycle estimate:
+    for solution A the parallel trimming phase (max source size, at most one
+    read per source per cycle), for solution B the state-machine setup plus
+    one cycle per emitted item.
     """
 
     items: tuple[Particle, ...]
     discarded: tuple[Particle, ...]
-    emit_steps: int
     modeled_cycles: int
-
-
-@dataclass(frozen=True)
-class StageCost:
-    """Measured per-unit datapath cost of one pipeline stage."""
-
-    stage: str
-    unit: str
-    multiplications: int
-    divisions: int
-    comparisons: int
 
 
 def select_seeds(event: Event, cfg: TriggerConfig, ops: OpCounter | None = None) -> tuple[Seed, ...]:
@@ -300,7 +268,6 @@ def merge_solution_a(
     return MergeResult(
         items=tuple(items),
         discarded=tuple(discarded),
-        emit_steps=sum(takes),
         modeled_cycles=max(sizes, default=0),
     )
 
@@ -325,37 +292,26 @@ def merge_solution_b(
         if s > cfg.block_size:
             raise ValueError(f"source list of {s} items exceeds block size {cfg.block_size}")
     items: list[Particle] = []
-    taken: list[list[bool]] = [[False] * s for s in sizes]
-    count = 0
-    emit_steps = 0
+    # Items taken per source.  Each source is read in index order, so what it
+    # loses to a full target is always a suffix.
+    taken = [0] * len(sizes)
     index = 0
     max_size = max(sizes, default=0)
-    while index < max_size and count < cap:
-        avail = [index < s for s in sizes]
+    while index < max_size and len(items) < cap:
         if ops is not None:
             ops.comparisons += len(sizes)
-        while count < cap:
-            try:
-                src = avail.index(True)
-            except ValueError:
+        for src, size in enumerate(sizes):
+            if len(items) == cap:
                 break
-            items.append(lists[src][index])
-            taken[src][index] = True
-            avail[src] = False
-            count += 1
-            emit_steps += 1
+            if index < size:
+                items.append(lists[src][index])
+                taken[src] += 1
         index += 1
-    discarded = tuple(
-        lst[pos]
-        for src, lst in enumerate(lists)
-        for pos in range(sizes[src])
-        if not taken[src][pos]
-    )
+    discarded = tuple(p for lst, t in zip(lists, taken) for p in lst[t:])
     return MergeResult(
         items=tuple(items),
         discarded=discarded,
-        emit_steps=emit_steps,
-        modeled_cycles=MERGE_B_SETUP_CYCLES + emit_steps,
+        modeled_cycles=MERGE_B_SETUP_CYCLES + len(items),
     )
 
 
@@ -492,17 +448,17 @@ def build_cleaning_matrix(
     taus: Sequence[Tau],
     cfg: TriggerConfig,
     ops: OpCounter | None = None,
-) -> CleaningMatrix:
-    """Pairwise grid m[i][j] = NearBy(i, j) AND LessPt(i, j).
+) -> frozenset[tuple[int, int]]:
+    """True cells (i, j) of the pairwise grid m[i][j] = NearBy(i, j) AND LessPt(i, j).
 
     NearBy is the inclusive proximity test on squared distance; LessPt is the
-    strict domination order including the lower-index tie-break.  Rows and
-    columns of invalid taus stay all False; the diagonal is unused.
+    strict domination order including the lower-index tie-break.  Slots are
+    0-based; no cell involves an invalid tau, and the diagonal is never set.
     """
     n = len(taus)
     if n != cfg.n_seeds:
         raise ValueError(f"cleaning expects exactly {cfg.n_seeds} tau slots, got {n}")
-    rows = [[False] * n for _ in range(n)]
+    cells: set[tuple[int, int]] = set()
     for i in range(n):
         if not taus[i].valid:
             continue
@@ -514,11 +470,8 @@ def build_cleaning_matrix(
                 ops.comparisons += 2
             if d > cfg.proximity_r2:
                 continue
-            if _less_pt(taus, i, j):
-                rows[i][j] = True
-            else:
-                rows[j][i] = True
-    return CleaningMatrix(rows=tuple(tuple(r) for r in rows))
+            cells.add((i, j) if _less_pt(taus, i, j) else (j, i))
+    return frozenset(cells)
 
 
 def _cap_to_max_taus(
@@ -539,10 +492,8 @@ def clean_solution_b(
     ops: OpCounter | None = None,
 ) -> tuple[Tau, ...]:
     """Matrix cleaning: drop every tau whose matrix row holds any True."""
-    matrix = build_cleaning_matrix(taus, cfg, ops)
-    survivors = [
-        i for i, tau in enumerate(taus) if tau.valid and not matrix.row_any(i)
-    ]
+    dominated = {i for i, _ in build_cleaning_matrix(taus, cfg, ops)}
+    survivors = [i for i, tau in enumerate(taus) if tau.valid and i not in dominated]
     return _cap_to_max_taus(survivors, taus, cfg)
 
 
@@ -617,54 +568,3 @@ def run_stages(
         taus[si] = reconstruct_tau(params, cfg, ops)
     return clean(tuple(taus), cfg, ops)
 
-
-def stage_cost_report(cfg: TriggerConfig) -> tuple[StageCost, ...]:
-    """Measure per-unit operation counts of every stage on canonical probes.
-
-    The numbers come from instrumented counters in the stage functions, not
-    from estimates.  Grading-network comparisons inside the seeding sort are
-    not modeled (the sorting network is outside this model's scope); seeding
-    reports only its threshold comparisons.
-    """
-    from .core import make_event, make_particle
-
-    seed_particle = make_particle(50, 0, 0)
-    seed = Seed(seed_particle, 0)
-    near = make_particle(10, 3, 4)
-
-    rows: list[StageCost] = []
-
-    ops = OpCounter()
-    event = make_event(0, [seed_particle], n_input=cfg.n_input)
-    select_seeds(event, cfg, ops)
-    rows.append(StageCost("seeding", "qualifying particle", *ops.snapshot()))
-
-    ops = OpCounter()
-    filter_block([near], seed, cfg, ops)
-    rows.append(StageCost("filtering", "particle-seed pair", *ops.snapshot()))
-
-    ops = OpCounter()
-    merge_solution_b([[near], [], [], []], cfg, ops)
-    rows.append(StageCost("merging", "merge invocation", *ops.snapshot()))
-
-    ops = OpCounter()
-    one = CandidateList(seed, (near,), compute_total_pt((near,), cfg))
-    select_signal_candidates(one, cfg, ops)
-    rows.append(StageCost("signal_selection", "candidate", *ops.snapshot()))
-
-    ops = OpCounter()
-    compute_tau_params(one, cfg, ops)
-    rows.append(StageCost("tau_parameters", "candidate group", *ops.snapshot()))
-
-    ops = OpCounter()
-    reconstruct_tau(TauParams(50, 0, 0, True), cfg, ops)
-    rows.append(StageCost("tau_reconstruction", "tau", *ops.snapshot()))
-
-    ops = OpCounter()
-    taus = [INVALID_TAU] * cfg.n_seeds
-    taus[0] = Tau(30, AngularCoord(0, 0), True)
-    taus[1] = Tau(20, AngularCoord(3, 4), True)
-    build_cleaning_matrix(taus, cfg, ops)
-    rows.append(StageCost("cleaning", "valid tau pair", *ops.snapshot()))
-
-    return tuple(rows)

@@ -2,10 +2,25 @@
 
 from __future__ import annotations
 
-from taupipe.core import AngularCoord
+from taupipe.core import AngularCoord, OpCounter, make_event, make_particle
 from taupipe.dataflow import PipelineMetrics, StageStats
 from taupipe.eventio import SplitMix64
-from taupipe.stages import INVALID_TAU, Tau, TriggerConfig
+from taupipe.stages import (
+    INVALID_TAU,
+    CandidateList,
+    Seed,
+    Tau,
+    TauParams,
+    TriggerConfig,
+    clean_solution_b,
+    compute_tau_params,
+    compute_total_pt,
+    filter_block,
+    merge_solution_b,
+    reconstruct_tau,
+    select_seeds,
+    select_signal_candidates,
+)
 
 
 def tau(pt: int, eta: int, phi: int) -> Tau:
@@ -65,6 +80,34 @@ def chain_taus(cfg: TriggerConfig) -> tuple[Tau, ...]:
     taus[1] = tau(50, 150, 0)
     taus[2] = tau(30, 300, 0)
     return tuple(taus)
+
+
+def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
+    """Op counts of each stage function on one small probe: a seed of pt 50
+    at (0, 0) and a near particle of pt 10 at (3, 4)."""
+    seed_particle = make_particle(50, 0, 0)
+    seed = Seed(seed_particle, 0)
+    near = make_particle(10, 3, 4)
+    one = CandidateList(seed, (near,), compute_total_pt((near,), cfg))
+    taus = [INVALID_TAU] * cfg.n_seeds
+    taus[0] = tau(30, 0, 0)
+    taus[1] = tau(20, 3, 4)
+    probes = {
+        "seeding": lambda ops: select_seeds(
+            make_event(0, [seed_particle], n_input=cfg.n_input), cfg, ops
+        ),
+        "filtering": lambda ops: filter_block([near], seed, cfg, ops),
+        "merging": lambda ops: merge_solution_b([[near], [], [], []], cfg, ops),
+        "signal_selection": lambda ops: select_signal_candidates(one, cfg, ops),
+        "tau_parameters": lambda ops: compute_tau_params(one, cfg, ops),
+        "tau_reconstruction": lambda ops: reconstruct_tau(TauParams(50, 0, 0, True), cfg, ops),
+        "cleaning": lambda ops: clean_solution_b(tuple(taus), cfg, ops),
+    }
+    counts = {}
+    for stage, probe in probes.items():
+        counts[stage] = OpCounter()
+        probe(counts[stage])
+    return counts
 
 
 def tick_reference(specs, hops, depths, n_events, feed_period=0) -> PipelineMetrics:

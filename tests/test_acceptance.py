@@ -7,7 +7,7 @@ integer equality unless noted) and the stated wall-clock ceiling.
 
 import time
 
-from helpers import fig5_taus, random_merge_lists, random_tau_slots
+from helpers import fig5_taus, random_merge_lists, random_tau_slots, stage_op_counts
 from taupipe.budget import TimingBudget, cycle_budget, evaluate_feasibility
 from taupipe.core import AngularCoord, OpCounter, delta_r2
 from taupipe.dataflow import EngineConfig, apply_cdc, default_stage_specs, trigger_timing
@@ -28,7 +28,6 @@ from taupipe.stages import (
     run_stages,
     select_seeds,
     select_signal_candidates,
-    stage_cost_report,
 )
 
 CFG = TriggerConfig()
@@ -42,7 +41,7 @@ def test_c1_fig5_golden_cleaning():
     t0 = time.perf_counter()
     taus = fig5_taus()
     matrix = build_cleaning_matrix(taus, CFG)
-    ones_1based = sorted((i + 1, j + 1) for i, j in matrix.ones())
+    ones_1based = sorted((i + 1, j + 1) for i, j in matrix)
     assert ones_1based == [(2, 6), (3, 1), (4, 2), (4, 6)]
     want = (taus[0], taus[4], taus[5])  # slots {1, 5, 6}
     assert clean_solution_a(taus, CFG) == want
@@ -179,7 +178,7 @@ def test_c8_cost_accounting():
     delta_r2(AngularCoord(5, 6), AngularCoord(7, 8), ops=ops)
     assert ops.multiplications == 2
 
-    rows = {r.stage: r for r in stage_cost_report(CFG)}
+    rows = stage_op_counts(CFG)
     assert rows["filtering"].multiplications == 2
     assert rows["tau_parameters"].divisions == 2
     assert all(r.divisions == 0 for name, r in rows.items() if name != "tau_parameters")

@@ -57,8 +57,11 @@ def test_budget_fallback_for_unlisted_frequency():
 
 
 def test_budget_overrides():
-    b = TimingBudget.for_frequency(300, latency_overrides={300: 999})
-    assert b.latency_budget_cycles == 999
+    table = {**LATENCY_BUDGET_CYCLES, 300: 999}
+    assert TimingBudget.for_frequency(300, latency_table=table).latency_budget_cycles == 999
+    assert TimingBudget.for_frequency(360, latency_table=table).latency_budget_cycles == 275
+    # a frequency the table lacks falls back to the 760 ns window
+    assert TimingBudget.for_frequency(300, latency_table={}).latency_budget_cycles == 228
     assert LATENCY_BUDGET_CYCLES[300] == 220  # table untouched
 
 
@@ -77,8 +80,8 @@ def test_feasibility_initial_point():
 def test_feasibility_boundary_plus_one():
     report = evaluate_feasibility(metrics(221, 45), TimingBudget.for_frequency(300))
     assert not report.feasible
-    assert not report.latency_ok
-    assert report.ii_ok
+    assert report.latency_slack_cycles == -1
+    assert report.ii_slack_cycles == 0
 
 
 @given(st.integers(0, 400), st.integers(0, 100))

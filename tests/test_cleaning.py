@@ -18,7 +18,7 @@ CFG = TriggerConfig()
 
 def test_fig5_matrix_positions():
     m = build_cleaning_matrix(fig5_taus(), CFG)
-    assert sorted((i + 1, j + 1) for i, j in m.ones()) == [(2, 6), (3, 1), (4, 2), (4, 6)]
+    assert sorted((i + 1, j + 1) for i, j in m) == [(2, 6), (3, 1), (4, 2), (4, 6)]
 
 
 def test_fig5_survivors_both_solutions():
@@ -33,7 +33,7 @@ def test_single_valid_tau_all_false_matrix():
     taus = [INVALID_TAU] * 16
     taus[5] = tau(40, 0, 0)
     m = build_cleaning_matrix(tuple(taus), CFG)
-    assert m.ones() == set()
+    assert m == set()
     assert clean_solution_b(tuple(taus), CFG) == (taus[5],)
 
 
@@ -42,7 +42,7 @@ def test_equal_pt_tie_break_lower_index_wins():
     taus[2] = tau(50, 0, 0)
     taus[9] = tau(50, 10, 10)
     m = build_cleaning_matrix(tuple(taus), CFG)
-    assert m.ones() == {(9, 2)}
+    assert m == {(9, 2)}
     for fn in (clean_solution_a, clean_solution_b):
         assert fn(tuple(taus), CFG) == (taus[2],)
 
@@ -107,17 +107,17 @@ def test_matrix_exactly_one_direction_for_nearby_pairs(taus):
     for i in range(16):
         for j in range(i + 1, 16):
             if not (taus[i].valid and taus[j].valid):
-                assert not m.rows[i][j] and not m.rows[j][i]
+                assert (i, j) not in m and (j, i) not in m
                 continue
             nearby = delta_r2(taus[i].pos, taus[j].pos) <= CFG.proximity_r2
-            assert (m.rows[i][j] or m.rows[j][i]) == nearby
-            assert not (m.rows[i][j] and m.rows[j][i])
+            assert ((i, j) in m or (j, i) in m) == nearby
+            assert not ((i, j) in m and (j, i) in m)
 
 
 @given(slots_st)
 def test_precap_survivors_are_the_undominated_set(taus):
     m = build_cleaning_matrix(taus, CFG)
-    from_matrix = {i for i in range(16) if taus[i].valid and not m.row_any(i)}
+    from_matrix = {i for i in range(16) if taus[i].valid and not any(r == i for r, _ in m)}
     dominated = {
         i
         for i in range(16)

@@ -215,3 +215,33 @@ def test_run_engine_and_stage_errors_name_the_line(tmp_path, capsys, setting, me
     err = capsys.readouterr().err
     assert "line 2: " in err
     assert message in err
+
+
+@pytest.mark.parametrize(
+    "setting, line, message",
+    [
+        ("format_version = 2", 2, "unsupported config format_version 2"),
+        ("n_filter_blocks = 5", 2, "n_filter_blocks * block_size must equal n_input"),
+        ("phi_range = 3", 2, "phi_range must be a positive even number"),
+        # a later key that the message does not name is not blamed
+        ("n_filter_blocks = 5\nmin_tau_pt = 20", 2, "n_filter_blocks * block_size"),
+        # among the keys the message names, the last one set is blamed
+        ("block_size = 16\nphi_range = 2048\nn_input = 100", 4, "(got 4*16 != 100)"),
+        ("max_taus = 9\nn_seeds = 8", 3, "max_taus must be in 1..n_seeds=8"),
+    ],
+    ids=["format-version", "block-math", "phi-range", "unnamed-later-key", "last-named-key",
+         "max-taus"],
+)
+def test_run_config_constraint_errors_name_the_line(tmp_path, capsys, setting, line, message):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(f"# trigger\n{setting}\n")
+    assert run_cli(["run", "--gen", "1:5:uniform", "--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: " in err
+    assert message in err
+
+
+def test_run_report_to_unwritable_path_exits_two(tmp_path, capsys):
+    report = tmp_path / "missing" / "r.jsonl"
+    assert run_cli(["run", "--gen", "1:3:busy", "--report", str(report)]) == 2
+    assert f"cannot write report {report}" in capsys.readouterr().err

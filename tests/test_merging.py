@@ -38,8 +38,8 @@ def test_merge_a_single_full_source():
 
 def test_merge_b_four_empty():
     r = merge_solution_b([[], [], [], []], CFG)
-    assert r.items == ()
-    assert r.emit_steps == 0
+    assert r.items == () and r.discarded == ()
+    assert r.modeled_cycles == MERGE_B_SETUP_CYCLES
 
 
 def test_merge_b_hand_executed_machine():
@@ -57,8 +57,14 @@ def test_merge_b_full_lists_round_robin():
     want.extend([lists[0][7], lists[1][7]])
     assert list(r.items) == want
     assert len(r.items) == 30
-    assert r.emit_steps == 30
     assert r.modeled_cycles == MERGE_B_SETUP_CYCLES + 30 == 33
+
+
+def test_merge_b_discards_each_sources_unread_suffix():
+    # 30 slots fill after eight reads of sources 0 and 1 and seven of 2 and 3
+    lists = [items(32, t) for t in range(4)]
+    r = merge_solution_b(lists, CFG)
+    assert list(r.discarded) == lists[0][8:] + lists[1][8:] + lists[2][7:] + lists[3][7:]
 
 
 def test_merge_rejects_oversize_source():

@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import stage_op_counts
 from taupipe.core import (
     ETA_MAX,
     PAD_PARTICLE,
@@ -26,7 +27,6 @@ from taupipe.stages import (
     select_seeds,
     select_signal_candidates,
     signal_cone_r2,
-    stage_cost_report,
 )
 
 CFG = TriggerConfig()
@@ -329,11 +329,11 @@ def test_reconstruct_threshold_boundary():
     assert got.valid and got.pt == CFG.min_tau_pt and got.pos == AngularCoord(5, 6)
 
 
-# --- cost report --------------------------------------------------------------
+# --- op costs -------------------------------------------------------------------
 
 
-def test_stage_cost_report_pins():
-    rows = {r.stage: r for r in stage_cost_report(CFG)}
+def test_stage_op_costs_on_probes():
+    rows = stage_op_counts(CFG)
     assert rows["filtering"].multiplications == 2
     assert rows["filtering"].divisions == 0
     assert rows["tau_parameters"].divisions == 2
