@@ -21,6 +21,10 @@ LATENCY_BUDGET_NS = 760
 # is 275 (the nanosecond window is approximate, the cycle count is binding).
 LATENCY_BUDGET_CYCLES = {360: 275, 300: 220}
 
+# The clock the stage timing rows were measured at; any other clock pays the
+# clock-domain-crossing allowance on latency.
+NOMINAL_FREQ_MHZ = 360
+
 
 def cycle_budget(time_ns: int, freq_mhz: int) -> int:
     """Cycles available within ``time_ns`` at ``freq_mhz``, exact integer floor."""

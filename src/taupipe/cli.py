@@ -11,9 +11,9 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .budget import TimingBudget, evaluate_feasibility
+from .budget import LATENCY_BUDGET_CYCLES, NOMINAL_FREQ_MHZ, evaluate_feasibility
 from .core import PAD_PARTICLE, Event
-from .dataflow import PipelineMetrics, apply_cdc, trigger_timing
+from .dataflow import PipelineMetrics, trigger_timing
 from .eventio import (
     ConfigError,
     EventFileError,
@@ -27,22 +27,30 @@ from .eventio import (
     write_events,
 )
 from .reference import oracle_trigger
-from .stages import run_stages
-
-NOMINAL_FREQ_MHZ = 360
+from .stages import CLEAN_SOLUTIONS, MERGE_SOLUTIONS, run_stages
 
 
 class InputError(Exception):
     """User-facing input problem; maps to exit code 2."""
 
 
+def _read_text(path: str, what: str) -> str:
+    """The file's text, decoded as UTF-8 whatever the locale."""
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}")
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{what} {path}: line {lineno}: not valid UTF-8")
+
+
 def _load_run_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
-    try:
-        text = Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}")
+    text = _read_text(path, "config")
     try:
         return load_config(text)
     except ConfigError as exc:
@@ -53,10 +61,7 @@ def _load_events(args: argparse.Namespace, run_cfg: RunConfig) -> tuple[list[Eve
     if bool(args.events) == bool(args.gen):
         raise InputError("exactly one of --events FILE or --gen SEED:COUNT:PROFILE is required")
     if args.events:
-        try:
-            text = Path(args.events).read_text()
-        except OSError as exc:
-            raise InputError(f"cannot read events {args.events}: {exc}")
+        text = _read_text(args.events, "events")
         try:
             events = parse_events(text, run_cfg.trigger)
         except EventFileError as exc:
@@ -95,16 +100,6 @@ def _simulate(run_cfg: RunConfig, events: Sequence[Event], merge: str, clean: st
     return outputs, _timing(run_cfg, len(events), merge, clean)
 
 
-def _operating_point(
-    run_cfg: RunConfig, metrics: PipelineMetrics, freq_mhz: int
-) -> tuple[PipelineMetrics, TimingBudget]:
-    """Metrics and budget at ``freq_mhz``; off the nominal clock the
-    clock-domain-crossing allowance is added to latency."""
-    if freq_mhz != NOMINAL_FREQ_MHZ:
-        metrics = apply_cdc(metrics, run_cfg.cdc_overhead_cycles)
-    return metrics, run_cfg.budget_for(freq_mhz)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     run_cfg = _load_run_config(args.config)
     events, source_desc = _load_events(args, run_cfg)
@@ -118,7 +113,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 divergent = ev.event_id
                 break
 
-    metrics, budget = _operating_point(run_cfg, metrics, args.freq)
+    metrics, budget = run_cfg.operating_point(metrics, args.freq)
     report = evaluate_feasibility(metrics, budget)
 
     if args.report:
@@ -232,15 +227,16 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
     if args.events or args.gen:
         events, source_desc = _load_events(args, run_cfg)
+        n_events = len(events)
     else:
-        events = gen_events(1, 50, "clustered", run_cfg.trigger)
-        source_desc = "gen 1:50:clustered"
+        # timing depends on the event count only, so the events need not exist
+        n_events, source_desc = 50, "gen 1:50:clustered"
     merge, clean = run_cfg.merge_solution, run_cfg.clean_solution
-    base = _timing(run_cfg, len(events), merge, clean)
+    base = _timing(run_cfg, n_events, merge, clean)
 
     columns = []
     for freq in freq_values:
-        metrics, budget = _operating_point(run_cfg, base, freq)
+        metrics, budget = run_cfg.operating_point(base, freq)
         columns.append((freq, metrics, evaluate_feasibility(metrics, budget)))
 
     print(f"operating point exploration ({source_desc}, merge {merge}, clean {clean})")
@@ -273,10 +269,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="run the pipeline and report metrics")
     add_source(p_run)
-    p_run.add_argument("--merge", choices=("A", "B"), help="merge solution override")
-    p_run.add_argument("--clean", choices=("A", "B"), help="clean solution override")
-    p_run.add_argument("--freq", type=int, choices=(360, 300), default=360,
-                       help="operating frequency in MHz")
+    p_run.add_argument("--merge", choices=MERGE_SOLUTIONS, help="merge solution override")
+    p_run.add_argument("--clean", choices=CLEAN_SOLUTIONS, help="clean solution override")
+    p_run.add_argument("--freq", type=int, choices=tuple(LATENCY_BUDGET_CYCLES),
+                       default=NOMINAL_FREQ_MHZ, help="operating frequency in MHz")
     p_run.add_argument("--report", metavar="FILE", help="write the machine-readable report")
     p_run.add_argument("--no-oracle-check", action="store_true",
                        help="skip the per-event reference cross-check")

@@ -108,14 +108,9 @@ def make_particle(
     eta: int,
     phi: int,
     species: Species = Species.CHARGED_HADRON,
-    charge: int | None = None,
 ) -> Particle:
     """Convenience constructor for a valid particle."""
-    if charge is None:
-        kind = ParticleKind.of(species)
-    else:
-        kind = ParticleKind(species, charge)
-    return Particle(pt=pt, pos=AngularCoord(eta, phi), kind=kind, valid=True)
+    return Particle(pt=pt, pos=AngularCoord(eta, phi), kind=ParticleKind.of(species), valid=True)
 
 
 @dataclass(frozen=True)

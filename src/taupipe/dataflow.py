@@ -245,7 +245,7 @@ class EngineConfig:
                 f"got {len(self.hop_overheads)}"
             )
         if any(h < 0 for h in self.hop_overheads):
-            raise ValueError("hop overheads must be non-negative")
+            raise ValueError("hop_overheads must be non-negative")
         if self.feed_period < 0:
             raise ValueError("feed_period must be non-negative")
 

@@ -17,7 +17,7 @@ any platform.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
@@ -32,11 +32,13 @@ from .core import (
 from .dataflow import (
     DEFAULT_CDC_OVERHEAD_CYCLES,
     EngineConfig,
+    PipelineMetrics,
     StageSpec,
     TRIGGER_STAGE_NAMES,
+    apply_cdc,
     default_stage_specs,
 )
-from .budget import II_BUDGET_NS, LATENCY_BUDGET_CYCLES, TimingBudget
+from .budget import II_BUDGET_NS, LATENCY_BUDGET_CYCLES, NOMINAL_FREQ_MHZ, TimingBudget
 from .stages import CLEAN_SOLUTIONS, MERGE_SOLUTIONS, TriggerConfig
 
 EVENT_FORMAT = "taupipe-events"
@@ -280,7 +282,11 @@ def _gen_busy(rng: SplitMix64, event_id: int, cfg: TriggerConfig) -> Event:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a batch run needs: algorithm, variants, timing, budgets."""
+    """Everything a batch run needs: algorithm, variants, timing, budgets.
+
+    The record checks its own fields, so a bad setting fails here, named,
+    whether it comes from a config file or from code.
+    """
 
     trigger: TriggerConfig = field(default_factory=TriggerConfig)
     merge_solution: str = "B"
@@ -295,39 +301,50 @@ class RunConfig:
         default_factory=lambda: dict(LATENCY_BUDGET_CYCLES)
     )
 
+    def __post_init__(self) -> None:
+        if self.merge_solution not in MERGE_SOLUTIONS:
+            raise ValueError(f"merge_solution must be one of {MERGE_SOLUTIONS}")
+        if self.clean_solution not in CLEAN_SOLUTIONS:
+            raise ValueError(f"clean_solution must be one of {CLEAN_SOLUTIONS}")
+        if self.cdc_overhead_cycles < 0:
+            raise ValueError("cdc_overhead_cycles must be non-negative")
+        if self.ii_budget_ns <= 0:
+            raise ValueError("ii_budget_ns must be positive")
+        for freq, cycles in sorted(self.latency_budgets.items()):
+            if cycles <= 0:
+                raise ValueError(f"latency_budget_{freq} must be positive, got {cycles}")
+        # StageSpec checks each field on its own, so overrides that fit these
+        # rows fit every solution's rows.
+        self.specs_for(self.merge_solution, self.clean_solution)
+
     def specs_for(self, merge_solution: str, clean_solution: str) -> dict[str, StageSpec]:
         """Stage timing of the given solutions, with the config's overrides."""
         specs = default_stage_specs(merge_solution, clean_solution)
-        for name, fields in self.stage_overrides.items():
-            specs[name] = replace(specs[name], **fields)
+        for name, settings in self.stage_overrides.items():
+            if name not in specs:
+                raise ValueError(f"unknown stage {name!r}, expected one of {TRIGGER_STAGE_NAMES}")
+            specs[name] = replace(specs[name], **settings)
         return specs
 
-    def budget_for(self, freq_mhz: int) -> TimingBudget:
-        return TimingBudget.for_frequency(
-            freq_mhz,
-            ii_budget_ns=self.ii_budget_ns,
-            latency_table=self.latency_budgets,
+    def operating_point(
+        self, metrics: PipelineMetrics, freq_mhz: int
+    ) -> tuple[PipelineMetrics, TimingBudget]:
+        """Metrics and budget at ``freq_mhz``; off the nominal clock the
+        clock-domain-crossing allowance is added to latency."""
+        if freq_mhz != NOMINAL_FREQ_MHZ:
+            metrics = apply_cdc(metrics, self.cdc_overhead_cycles)
+        budget = TimingBudget.for_frequency(
+            freq_mhz, ii_budget_ns=self.ii_budget_ns, latency_table=self.latency_budgets
         )
+        return metrics, budget
 
 
-_TRIGGER_INT_KEYS = (
-    "n_input",
-    "n_seeds",
-    "n_filter_blocks",
-    "block_size",
-    "max_candidates",
-    "max_taus",
-    "filter_cone_r2",
-    "signal_cone_k",
-    "signal_cone_r2_min",
-    "signal_cone_r2_max",
-    "proximity_r2",
-    "min_seed_pt",
-    "min_tau_pt",
-    "pt_max",
-    "phi_range",
-    "eta_max",
-)
+# Config keys of each record; ``latency_budget_<MHz>`` keys set rows of the
+# latency budget table and ``stage.<name>.<field>`` keys stage overrides.
+_TRIGGER_KEYS = frozenset(f.name for f in fields(TriggerConfig))
+_ENGINE_KEYS = frozenset(f.name for f in fields(EngineConfig))
+_RUN_KEYS = frozenset(("merge_solution", "clean_solution", "cdc_overhead_cycles", "ii_budget_ns"))
+_BUDGET_KEYS = {f"latency_budget_{freq}": freq for freq in LATENCY_BUDGET_CYCLES}
 
 _STAGE_FIELD_BY_KEY = {
     "latency": "latency_cycles",
@@ -336,158 +353,106 @@ _STAGE_FIELD_BY_KEY = {
 }
 
 
-def _parse_kv_lines(text: str) -> dict[str, tuple[int, str]]:
-    entries: dict[str, tuple[int, str]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key in entries:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        entries[key] = (lineno, value)
-    return entries
-
-
-def _to_int(key: str, lineno: int, value: str) -> int:
+def _parse_value(key: str, value: str) -> object:
+    """The typed value of a config key; every key not listed here is an integer."""
+    if key == "allowed_signal_species":
+        return frozenset(Species(v.strip()) for v in value.split(",") if v.strip())
+    if key == "hop_overheads":
+        try:
+            return tuple(int(v.strip()) for v in value.split(",") if v.strip())
+        except ValueError:
+            raise ValueError("hop_overheads needs comma-separated integers") from None
+    if key in ("merge_solution", "clean_solution"):
+        return value.upper()
     try:
         return int(value)
     except ValueError:
-        raise ConfigError(f"line {lineno}: key {key!r} needs an integer, got {value!r}")
+        raise ValueError(f"key {key!r} needs an integer, got {value!r}") from None
+
+
+def _stage_setting(key: str, value: str) -> tuple[str, dict[str, int]]:
+    """Stage name and StageSpec field setting of a ``stage.<name>.<field>`` key."""
+    parts = key.split(".")
+    if len(parts) != 3 or parts[1] not in TRIGGER_STAGE_NAMES or parts[2] not in _STAGE_FIELD_BY_KEY:
+        raise ValueError(
+            f"unknown stage key {key!r}; expected "
+            f"stage.<{'|'.join(TRIGGER_STAGE_NAMES)}>.<latency|ii|start_offset>"
+        )
+    return parts[1], {_STAGE_FIELD_BY_KEY[parts[2]]: _parse_value(key, value)}
+
+
+def _build(record, kwargs: Mapping[str, object], lines: Mapping[str, int]):
+    """``record(**kwargs)``, where ``lines`` gives the line of each config key
+    set for the record.
+
+    The defaults are consistent, so a set key is at fault: a ValueError blames
+    the last line among the set keys that its message names, or else among
+    all the set keys.
+    """
+    try:
+        return record(**kwargs)
+    except ValueError as exc:
+        named = [n for k, n in lines.items() if k in str(exc)]
+        raise ConfigError(f"line {max(named or lines.values())}: {exc}") from exc
 
 
 def load_config(text: str) -> RunConfig:
     """Parse a ``key = value`` config; missing keys take the documented defaults.
 
-    Unknown keys and values violating a structural invariant are errors; the
-    raised message names the line and quotes the violated constraint.
+    One pass in file order parses each value and files it under its record;
+    then each record is built once and checks itself.  Unknown keys and
+    values violating a structural invariant are errors; the raised message
+    names the line and quotes the violated constraint.
     """
-    entries = _parse_kv_lines(text)
-
-    def take(key: str) -> tuple[int, str] | None:
-        return entries.pop(key, None)
-
-    got = take("format_version")
-    if got is not None and _to_int("format_version", *got) != CONFIG_FORMAT_VERSION:
-        raise ConfigError(f"line {got[0]}: unsupported config format_version {got[1]}")
-
-    trigger_kwargs: dict[str, object] = {}
-    trigger_lines: dict[str, int] = {}
-    for key in _TRIGGER_INT_KEYS:
-        got = take(key)
-        if got is not None:
-            trigger_kwargs[key] = _to_int(key, *got)
-            trigger_lines[key] = got[0]
-    got = take("allowed_signal_species")
-    if got is not None:
-        lineno, value = got
-        names = [v.strip() for v in value.split(",") if v.strip()]
-        try:
-            trigger_kwargs["allowed_signal_species"] = frozenset(Species(n) for n in names)
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}")
-    try:
-        trigger = TriggerConfig(**trigger_kwargs)
-    except ValueError as exc:
-        # The defaults are consistent, so a set key is at fault: blame the
-        # last line among the set keys that the message names, or else among
-        # all the set keys.
-        named = [n for k, n in trigger_lines.items() if k in str(exc)]
-        lineno = max(named or trigger_lines.values())
-        raise ConfigError(f"line {lineno}: {exc}") from exc
-
-    merge_solution = "B"
-    clean_solution = "B"
-    got = take("merge_solution")
-    if got is not None:
-        merge_solution = got[1].upper()
-        if merge_solution not in MERGE_SOLUTIONS:
-            raise ConfigError(f"line {got[0]}: merge_solution must be one of {MERGE_SOLUTIONS}")
-    got = take("clean_solution")
-    if got is not None:
-        clean_solution = got[1].upper()
-        if clean_solution not in CLEAN_SOLUTIONS:
-            raise ConfigError(f"line {got[0]}: clean_solution must be one of {CLEAN_SOLUTIONS}")
-
-    engine = EngineConfig()
-    for key in ("fifo_depth", "feed_period", "hop_overheads"):
-        got = take(key)
-        if got is None:
-            continue
-        lineno, value = got
-        if key == "hop_overheads":
-            try:
-                parsed: object = tuple(int(v.strip()) for v in value.split(",") if v.strip())
-            except ValueError:
-                raise ConfigError(f"line {lineno}: hop_overheads needs comma-separated integers")
-        else:
-            parsed = _to_int(key, lineno, value)
-        try:
-            engine = replace(engine, **{key: parsed})
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from exc
-
-    cdc = DEFAULT_CDC_OVERHEAD_CYCLES
-    got = take("cdc_overhead_cycles")
-    if got is not None:
-        cdc = _to_int("cdc_overhead_cycles", *got)
-        if cdc < 0:
-            raise ConfigError(f"line {got[0]}: cdc_overhead_cycles must be non-negative")
-
-    ii_budget_ns = II_BUDGET_NS
-    got = take("ii_budget_ns")
-    if got is not None:
-        ii_budget_ns = _to_int("ii_budget_ns", *got)
-        if ii_budget_ns <= 0:
-            raise ConfigError(f"line {got[0]}: ii_budget_ns must be positive")
-    latency_budgets = dict(LATENCY_BUDGET_CYCLES)
-    for freq in sorted(latency_budgets):
-        key = f"latency_budget_{freq}"
-        got = take(key)
-        if got is not None:
-            cycles = _to_int(key, *got)
-            if cycles <= 0:
-                raise ConfigError(f"line {got[0]}: {key} must be positive, got {cycles}")
-            latency_budgets[freq] = cycles
-
-    # StageSpec checks each field on its own, so checking the overrides
-    # against this table checks them for every solution's rows.
-    specs = default_stage_specs(merge_solution, clean_solution)
+    trigger: dict[str, object] = {}
+    engine: dict[str, object] = {}
+    run: dict[str, object] = {}
+    budgets = dict(LATENCY_BUDGET_CYCLES)
     overrides: dict[str, dict[str, int]] = {}
-    stage_keys = [k for k in entries if k.startswith("stage.")]
-    for key in stage_keys:
-        lineno, value = entries.pop(key)
-        parts = key.split(".")
-        if len(parts) != 3 or parts[1] not in TRIGGER_STAGE_NAMES or parts[2] not in _STAGE_FIELD_BY_KEY:
-            raise ConfigError(
-                f"line {lineno}: unknown stage key {key!r}; expected "
-                f"stage.<{'|'.join(TRIGGER_STAGE_NAMES)}>.<latency|ii|start_offset>"
-            )
-        _, stage_name, fld = parts
-        setting = {_STAGE_FIELD_BY_KEY[fld]: _to_int(key, lineno, value)}
+    lines: dict[str, int] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = line.partition("=")
+        key, value = key.strip(), value.strip()
         try:
-            specs[stage_name] = replace(specs[stage_name], **setting)
+            if not eq:
+                raise ValueError(f"expected 'key = value', got {line!r}")
+            if key in lines:
+                raise ValueError(f"duplicate key {key!r}")
+            lines[key] = lineno
+            if key.startswith("stage."):
+                stage, setting = _stage_setting(key, value)
+                RunConfig(stage_overrides={stage: setting})  # checks the key on its own line
+                overrides.setdefault(stage, {}).update(setting)
+            elif key == "format_version":
+                if _parse_value(key, value) != CONFIG_FORMAT_VERSION:
+                    raise ValueError(f"unsupported config format_version {value}")
+            elif key in _TRIGGER_KEYS:
+                trigger[key] = _parse_value(key, value)
+            elif key in _ENGINE_KEYS:
+                engine[key] = _parse_value(key, value)
+            elif key in _RUN_KEYS:
+                run[key] = _parse_value(key, value)
+            elif key in _BUDGET_KEYS:
+                budgets[_BUDGET_KEYS[key]] = _parse_value(key, value)
+            else:
+                raise ValueError(f"unknown config key {key!r}")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-        overrides.setdefault(stage_name, {}).update(setting)
 
-    if entries:
-        key, (lineno, _) = next(iter(entries.items()))
-        raise ConfigError(f"line {lineno}: unknown config key {key!r}")
-
-    return RunConfig(
-        trigger=trigger,
-        merge_solution=merge_solution,
-        clean_solution=clean_solution,
-        stage_overrides=overrides,
-        engine=engine,
-        cdc_overhead_cycles=cdc,
-        ii_budget_ns=ii_budget_ns,
-        latency_budgets=latency_budgets,
+    run_keys = lines.keys() - trigger.keys() - engine.keys() - {"format_version"}
+    return _build(
+        RunConfig,
+        dict(
+            run,
+            trigger=_build(TriggerConfig, trigger, {k: lines[k] for k in trigger}),
+            engine=_build(EngineConfig, engine, {k: lines[k] for k in engine}),
+            latency_budgets=budgets,
+            stage_overrides=overrides,
+        ),
+        {k: lines[k] for k in run_keys},
     )
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+import taupipe.cli as cli
 from taupipe.cli import main
 from taupipe.core import make_event, make_particle
 from taupipe.eventio import parse_report, write_events
@@ -127,6 +128,29 @@ def test_explore_known_operating_points(capsys):
     assert achieved[1] == achieved[0] + 10
 
 
+EXPLORE_360_300 = """\
+operating point exploration (gen 1:50:clustered, merge B, clean B)
+                                     360 MHz     300 MHz
+latency budget, cycles                   275         220
+ii budget, cycles                         54          45
+achieved latency, cycles                 200         210
+achieved ii, cycles                       44          44
+cdc overhead, cycles                       0          10
+feasible                                 yes         yes
+"""
+
+
+def test_explore_without_a_source_generates_no_events(monkeypatch, capsys):
+    # timing depends on the event count only, so the default 50 events are
+    # never built
+    def no_events(*args, **kwargs):
+        raise AssertionError("explore generated events")
+
+    monkeypatch.setattr(cli, "gen_events", no_events)
+    assert run_cli(["explore", "--freqs", "360,300"]) == 0
+    assert capsys.readouterr().out == EXPLORE_360_300
+
+
 def test_explore_empty_freqs(capsys):
     assert run_cli(["explore", "--freqs", ""]) == 2
     assert "non-empty" in capsys.readouterr().err
@@ -206,6 +230,9 @@ def test_run_merge_b_checks_its_own_cap_order_on_cone_overflow(tmp_path, capsys)
         ("hop_overheads = 1,1", "hop_overheads needs 7 entries"),
         ("stage.merging.ii = 0", "ii_cycles must be >= 1"),
         ("stage.merging.latency = -3", "cycle counts must be non-negative"),
+        # a later valid key of the same record is not blamed
+        ("hop_overheads = 1,-1,1,1,1,1,1\nfifo_depth = 4", "hop_overheads must be non-negative"),
+        ("stage.merging.ii = 0\nstage.merging.latency = 5", "ii_cycles must be >= 1"),
     ],
 )
 def test_run_engine_and_stage_errors_name_the_line(tmp_path, capsys, setting, message):
@@ -228,9 +255,10 @@ def test_run_engine_and_stage_errors_name_the_line(tmp_path, capsys, setting, me
         # among the keys the message names, the last one set is blamed
         ("block_size = 16\nphi_range = 2048\nn_input = 100", 4, "(got 4*16 != 100)"),
         ("max_taus = 9\nn_seeds = 8", 3, "max_taus must be in 1..n_seeds=8"),
+        ("merge_solution = C\ncdc_overhead_cycles = 3", 2, "merge_solution must be one of"),
     ],
     ids=["format-version", "block-math", "phi-range", "unnamed-later-key", "last-named-key",
-         "max-taus"],
+         "max-taus", "run-config-later-key"],
 )
 def test_run_config_constraint_errors_name_the_line(tmp_path, capsys, setting, line, message):
     cfgfile = tmp_path / "bad.cfg"
@@ -245,3 +273,17 @@ def test_run_report_to_unwritable_path_exits_two(tmp_path, capsys):
     report = tmp_path / "missing" / "r.jsonl"
     assert run_cli(["run", "--gen", "1:3:busy", "--report", str(report)]) == 2
     assert f"cannot write report {report}" in capsys.readouterr().err
+
+
+def test_run_events_file_with_bad_utf8_names_the_line(tmp_path, capsys):
+    path = tmp_path / "events.txt"
+    path.write_bytes(b"taupipe-events 1\n0 0 50 0 0 charged_hadron\n0 1 50 0 0 \xff\xfe\n")
+    assert run_cli(["run", "--events", str(path)]) == 2
+    assert f"events {path}: line 3: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_run_config_with_bad_utf8_names_the_line(tmp_path, capsys):
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_bytes(b"n_input = \xff\nfifo_depth = 8\n")
+    assert run_cli(["run", "--gen", "1:2:busy", "--config", str(cfgfile)]) == 2
+    assert f"config {cfgfile}: line 1: not valid UTF-8" in capsys.readouterr().err

@@ -201,8 +201,10 @@ def test_config_solution_a_tables():
 
 
 def test_config_unknown_key():
-    with pytest.raises(ConfigError, match="unknown config key 'fizz'"):
-        load_config("fizz = 3\n")
+    # budget keys match the budget table's frequencies, not any digits
+    for key in ("fizz", "latency_budget_240", "latency_budget_¹"):
+        with pytest.raises(ConfigError, match=f"line 1: unknown config key '{key}'"):
+            load_config(f"{key} = 3\n")
 
 
 def test_config_violated_invariant_is_quoted():
@@ -243,6 +245,24 @@ def test_config_bad_solution():
         load_config("merge_solution = C\n")
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"merge_solution": "C"}, "merge_solution must be one of"),
+        ({"clean_solution": "C"}, "clean_solution must be one of"),
+        ({"cdc_overhead_cycles": -1}, "cdc_overhead_cycles must be non-negative"),
+        ({"ii_budget_ns": 0}, "ii_budget_ns must be positive"),
+        ({"latency_budgets": {360: 275, 300: 0}}, "latency_budget_300 must be positive, got 0"),
+        ({"stage_overrides": {"merging": {"ii_cycles": 0}}}, "ii_cycles must be >= 1"),
+        ({"stage_overrides": {"nowhere": {"ii_cycles": 2}}}, "unknown stage 'nowhere'"),
+    ],
+    ids=["merge", "clean", "cdc", "ii-budget", "latency-budget", "stage-field", "unknown-stage"],
+)
+def test_run_config_built_in_code_checks_its_fields(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        RunConfig(**kwargs)
+
+
 def test_config_format_version():
     assert load_config("format_version = 1\n") == RunConfig()
     with pytest.raises(ConfigError, match="format_version"):
@@ -250,9 +270,13 @@ def test_config_format_version():
 
 
 def test_config_budget_keys():
+    from taupipe.dataflow import trigger_timing
+
     rc = load_config("latency_budget_300 = 230\nii_budget_ns = 120\n")
-    assert rc.budget_for(300).latency_budget_cycles == 230
-    assert rc.budget_for(300).ii_budget_cycles == 36  # 120 ns at 300 MHz
+    metrics = trigger_timing(rc.specs_for("B", "B"), "B", rc.engine, 2)
+    _, budget = rc.operating_point(metrics, 300)
+    assert budget.latency_budget_cycles == 230
+    assert budget.ii_budget_cycles == 36  # 120 ns at 300 MHz
 
 
 # --- reports --------------------------------------------------------------------

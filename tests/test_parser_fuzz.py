@@ -37,6 +37,8 @@ CONFIG_KEYS = [
     "ii_budget_ns",
     "latency_budget_360",
     "latency_budget_300",
+    "latency_budget_240",
+    "latency_budget_¹",
     "stage.merging.latency",
     "stage.cleaning.ii",
     "stage.seeding.start_offset",
