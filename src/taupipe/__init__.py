@@ -39,7 +39,6 @@ from .dataflow import (
     PipelineMetrics,
     StageSpec,
     StageStats,
-    apply_cdc,
     channel_depths,
     default_stage_specs,
     run_pipeline,

@@ -236,7 +236,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
 
     columns = []
     for freq in freq_values:
-        metrics, budget = run_cfg.operating_point(base, freq)
+        try:
+            metrics, budget = run_cfg.operating_point(base, freq)
+        except ValueError as exc:  # a clock too slow for one cycle of a budget
+            raise InputError(f"--freqs {freq}: {exc}")
         columns.append((freq, metrics, evaluate_feasibility(metrics, budget)))
 
     print(f"operating point exploration ({source_desc}, merge {merge}, clean {clean})")

@@ -161,9 +161,6 @@ class OpCounter:
     divisions: int = 0
     comparisons: int = 0
 
-    def snapshot(self) -> tuple[int, int, int]:
-        return (self.multiplications, self.divisions, self.comparisons)
-
 
 def wrap_phi(phi: int, phi_range: int = PHI_RANGE) -> int:
     """Wrap an azimuth value into the canonical interval [-half, half)."""

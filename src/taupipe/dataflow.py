@@ -37,7 +37,7 @@ is not ready, and as output stalls after that.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 TRIGGER_STAGE_NAMES = (
@@ -81,8 +81,6 @@ class StageSpec:
 @dataclass(frozen=True)
 class StageStats:
     name: str
-    fires: int
-    busy_cycles: int
     input_stall_cycles: int
     output_stall_cycles: int
 
@@ -91,32 +89,19 @@ class StageStats:
 class PipelineMetrics:
     """Measured end-to-end timing of one simulation run.
 
+    ``start[s][k]`` is the cycle at which stage ``s`` begins iteration ``k``,
+    the recurrence's own matrix; latency and II are derived from it.
     ``latency_cycles`` is the worst per-event latency; ``ii_cycles`` is the
     steady-state spacing of sink completions (0 when fewer than two events
     were processed).  ``cdc_overhead_cycles`` records any clock-domain
-    crossing allowance already folded into the latency figures.
+    crossing allowance already folded into ``latency_cycles``.
     """
 
     latency_cycles: int
     ii_cycles: int
-    per_event_latency: tuple[int, ...]
-    sink_times: tuple[int, ...]
     stage_stats: tuple[StageStats, ...]
+    start: tuple[tuple[int, ...], ...]
     cdc_overhead_cycles: int = 0
-
-
-def apply_cdc(
-    metrics: PipelineMetrics, overhead_cycles: int = DEFAULT_CDC_OVERHEAD_CYCLES
-) -> PipelineMetrics:
-    """Add a clock-domain-crossing allowance to latency; II is unchanged."""
-    if overhead_cycles < 0:
-        raise ValueError("cdc overhead must be non-negative")
-    return replace(
-        metrics,
-        latency_cycles=metrics.latency_cycles + overhead_cycles,
-        per_event_latency=tuple(x + overhead_cycles for x in metrics.per_event_latency),
-        cdc_overhead_cycles=metrics.cdc_overhead_cycles + overhead_cycles,
-    )
 
 
 def run_pipeline(
@@ -176,25 +161,20 @@ def run_pipeline(
             in_stall[s] += ready - spacing
             out_stall[s] += t - ready
 
-    source_times = [t - hops[0] for t in start[0]]
+    # Event k enters stage 0 hops[0] cycles after its transfer begins and
+    # leaves the sink sink_latency cycles after the sink begins it.
     sink_latency = specs[last].latency_cycles
-    sink_times = tuple(t + sink_latency for t in start[last])
-    per_event = tuple(snk - src for snk, src in zip(sink_times, source_times))
+    latency = max(
+        (snk + sink_latency - (src - hops[0]) for snk, src in zip(start[last], start[0])),
+        default=0,
+    )
     return PipelineMetrics(
-        latency_cycles=max(per_event, default=0),
-        ii_cycles=sink_times[-1] - sink_times[-2] if n_events > 1 else 0,
-        per_event_latency=per_event,
-        sink_times=sink_times,
+        latency_cycles=latency,
+        ii_cycles=start[last][-1] - start[last][-2] if n_events > 1 else 0,
         stage_stats=tuple(
-            StageStats(
-                name=spec.name,
-                fires=n_events,
-                busy_cycles=n_events * spec.latency_cycles,
-                input_stall_cycles=in_stall[s],
-                output_stall_cycles=out_stall[s],
-            )
-            for s, spec in enumerate(specs)
+            StageStats(spec.name, in_stall[s], out_stall[s]) for s, spec in enumerate(specs)
         ),
+        start=tuple(map(tuple, start)),
     )
 
 

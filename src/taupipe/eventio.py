@@ -35,16 +35,15 @@ from .dataflow import (
     PipelineMetrics,
     StageSpec,
     TRIGGER_STAGE_NAMES,
-    apply_cdc,
     default_stage_specs,
 )
-from .budget import II_BUDGET_NS, LATENCY_BUDGET_CYCLES, NOMINAL_FREQ_MHZ, TimingBudget
+from .budget import II_BUDGET_NS, LATENCY_BUDGET_CYCLES, NOMINAL_FREQ_MHZ, TimingBudget, cycle_budget
 from .stages import CLEAN_SOLUTIONS, MERGE_SOLUTIONS, TriggerConfig
 
 EVENT_FORMAT = "taupipe-events"
 EVENT_FORMAT_VERSION = 1
 REPORT_FORMAT = "taupipe-report"
-REPORT_FORMAT_VERSION = 1
+REPORT_FORMAT_VERSION = 2
 CONFIG_FORMAT_VERSION = 1
 
 GEN_PROFILES = ("uniform", "clustered", "busy")
@@ -89,8 +88,8 @@ def parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
     """
     cfg = cfg or TriggerConfig()
     half = cfg.phi_range // 2
-    lines = text.splitlines()
-    if not lines or lines[0].split() != [EVENT_FORMAT, str(EVENT_FORMAT_VERSION)]:
+    lines = text.split("\n")
+    if lines[0].split() != [EVENT_FORMAT, str(EVENT_FORMAT_VERSION)]:
         raise EventFileError(
             f"line 1: expected header '{EVENT_FORMAT} {EVENT_FORMAT_VERSION}'"
         )
@@ -313,6 +312,10 @@ class RunConfig:
         for freq, cycles in sorted(self.latency_budgets.items()):
             if cycles <= 0:
                 raise ValueError(f"latency_budget_{freq} must be positive, got {cycles}")
+            if cycle_budget(self.ii_budget_ns, freq) < 1:
+                raise ValueError(
+                    f"ii_budget_ns {self.ii_budget_ns} is less than one cycle at {freq} MHz"
+                )
         # StageSpec checks each field on its own, so overrides that fit these
         # rows fit every solution's rows.
         self.specs_for(self.merge_solution, self.clean_solution)
@@ -332,7 +335,11 @@ class RunConfig:
         """Metrics and budget at ``freq_mhz``; off the nominal clock the
         clock-domain-crossing allowance is added to latency."""
         if freq_mhz != NOMINAL_FREQ_MHZ:
-            metrics = apply_cdc(metrics, self.cdc_overhead_cycles)
+            metrics = replace(
+                metrics,
+                latency_cycles=metrics.latency_cycles + self.cdc_overhead_cycles,
+                cdc_overhead_cycles=metrics.cdc_overhead_cycles + self.cdc_overhead_cycles,
+            )
         budget = TimingBudget.for_frequency(
             freq_mhz, ii_budget_ns=self.ii_budget_ns, latency_table=self.latency_budgets
         )
@@ -410,7 +417,7 @@ def load_config(text: str) -> RunConfig:
     budgets = dict(LATENCY_BUDGET_CYCLES)
     overrides: dict[str, dict[str, int]] = {}
     lines: dict[str, int] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -490,8 +497,6 @@ def build_report(
         "stage_stats": [
             {
                 "name": s.name,
-                "fires": s.fires,
-                "busy_cycles": s.busy_cycles,
                 "input_stall_cycles": s.input_stall_cycles,
                 "output_stall_cycles": s.output_stall_cycles,
             }

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from taupipe.core import AngularCoord, OpCounter, make_event, make_particle
-from taupipe.dataflow import PipelineMetrics, StageStats
+from taupipe.dataflow import StageStats
 from taupipe.eventio import SplitMix64
 from taupipe.stages import (
     INVALID_TAU,
@@ -110,8 +110,9 @@ def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
     return counts
 
 
-def tick_reference(specs, hops, depths, n_events, feed_period=0) -> PipelineMetrics:
-    """Cycle-stepping reference of the dataflow firing contract.
+def tick_reference(specs, hops, depths, n_events, feed_period=0):
+    """Cycle-stepping reference of the dataflow firing contract: the start
+    cycle of every stage and iteration, and the stall counts of each stage.
 
     Every cycle visits the stages in chain order, so a consumer sees an
     iteration its producer began in the same cycle, and a producer sees the
@@ -149,15 +150,6 @@ def tick_reference(specs, hops, depths, n_events, feed_period=0) -> PipelineMetr
                 if s < n_stages - 1:
                     occupancy[s] += 1
                 starts[s].append(t)
-    sinks = tuple(t + specs[-1].latency_cycles for t in starts[-1])
-    per_event = tuple(snk - (src - hops[0]) for snk, src in zip(sinks, starts[0]))
-    return PipelineMetrics(
-        latency_cycles=max(per_event, default=0),
-        ii_cycles=sinks[-1] - sinks[-2] if len(sinks) > 1 else 0,
-        per_event_latency=per_event,
-        sink_times=sinks,
-        stage_stats=tuple(
-            StageStats(spec.name, n_events, n_events * spec.latency_cycles, i, o)
-            for spec, i, o in zip(specs, in_stall, out_stall)
-        ),
+    return tuple(map(tuple, starts)), tuple(
+        StageStats(spec.name, i, o) for spec, i, o in zip(specs, in_stall, out_stall)
     )

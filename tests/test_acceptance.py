@@ -10,9 +10,17 @@ import time
 from helpers import fig5_taus, random_merge_lists, random_tau_slots, stage_op_counts
 from taupipe.budget import TimingBudget, cycle_budget, evaluate_feasibility
 from taupipe.core import AngularCoord, OpCounter, delta_r2
-from taupipe.dataflow import EngineConfig, apply_cdc, default_stage_specs, trigger_timing
+from taupipe.dataflow import EngineConfig, default_stage_specs, trigger_timing
 from taupipe.cli import main as cli_main
-from taupipe.eventio import SplitMix64, gen_events, parse_events, parse_report, serialize_report, write_events
+from taupipe.eventio import (
+    RunConfig,
+    SplitMix64,
+    gen_events,
+    parse_events,
+    parse_report,
+    serialize_report,
+    write_events,
+)
 from taupipe.reference import oracle_clean, oracle_merge, oracle_trigger
 from taupipe.stages import (
     CandidateList,
@@ -129,10 +137,10 @@ def test_c6_frequency_tradeoff_reproduction():
     assert feas_360.budget.ii_budget_cycles == 54
     assert feas_360.feasible
 
-    metrics_300 = apply_cdc(metrics_360, 10)
+    metrics_300, budget_300 = RunConfig().operating_point(metrics_360, 300)
     assert metrics_300.latency_cycles == metrics_360.latency_cycles + 10
     assert metrics_300.ii_cycles == metrics_360.ii_cycles
-    feas_300 = evaluate_feasibility(metrics_300, TimingBudget.for_frequency(300))
+    feas_300 = evaluate_feasibility(metrics_300, budget_300)
     assert feas_300.budget.latency_budget_cycles == 220
     assert feas_300.budget.ii_budget_cycles == 45
     assert feas_300.feasible

@@ -14,9 +14,8 @@ def metrics(latency, ii):
     return PipelineMetrics(
         latency_cycles=latency,
         ii_cycles=ii,
-        per_event_latency=(latency,),
-        sink_times=(latency,),
         stage_stats=(),
+        start=(),
     )
 
 

@@ -156,9 +156,12 @@ def test_explore_empty_freqs(capsys):
     assert "non-empty" in capsys.readouterr().err
 
 
-def test_explore_bad_freqs():
+def test_explore_bad_freqs(capsys):
     assert run_cli(["explore", "--freqs", "abc"]) == 2
     assert run_cli(["explore", "--freqs", "-5"]) == 2
+    # 150 ns at 6 MHz is less than one cycle
+    assert run_cli(["explore", "--freqs", "360,6"]) == 2
+    assert "--freqs 6: all budget figures must be strictly positive" in capsys.readouterr().err
 
 
 def test_run_from_event_file(tmp_path, capsys):
@@ -256,9 +259,10 @@ def test_run_engine_and_stage_errors_name_the_line(tmp_path, capsys, setting, me
         ("block_size = 16\nphi_range = 2048\nn_input = 100", 4, "(got 4*16 != 100)"),
         ("max_taus = 9\nn_seeds = 8", 3, "max_taus must be in 1..n_seeds=8"),
         ("merge_solution = C\ncdc_overhead_cycles = 3", 2, "merge_solution must be one of"),
+        ("ii_budget_ns = 3\nlatency_budget_300 = 200", 2, "less than one cycle at 300 MHz"),
     ],
     ids=["format-version", "block-math", "phi-range", "unnamed-later-key", "last-named-key",
-         "max-taus", "run-config-later-key"],
+         "max-taus", "run-config-later-key", "ii-budget-cycles"],
 )
 def test_run_config_constraint_errors_name_the_line(tmp_path, capsys, setting, line, message):
     cfgfile = tmp_path / "bad.cfg"

@@ -252,11 +252,13 @@ def test_config_bad_solution():
         ({"clean_solution": "C"}, "clean_solution must be one of"),
         ({"cdc_overhead_cycles": -1}, "cdc_overhead_cycles must be non-negative"),
         ({"ii_budget_ns": 0}, "ii_budget_ns must be positive"),
+        ({"ii_budget_ns": 3}, "ii_budget_ns 3 is less than one cycle at 300 MHz"),
         ({"latency_budgets": {360: 275, 300: 0}}, "latency_budget_300 must be positive, got 0"),
         ({"stage_overrides": {"merging": {"ii_cycles": 0}}}, "ii_cycles must be >= 1"),
         ({"stage_overrides": {"nowhere": {"ii_cycles": 2}}}, "unknown stage 'nowhere'"),
     ],
-    ids=["merge", "clean", "cdc", "ii-budget", "latency-budget", "stage-field", "unknown-stage"],
+    ids=["merge", "clean", "cdc", "ii-budget", "ii-budget-cycles", "latency-budget",
+         "stage-field", "unknown-stage"],
 )
 def test_run_config_built_in_code_checks_its_fields(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -279,6 +281,29 @@ def test_config_budget_keys():
     assert budget.ii_budget_cycles == 36  # 120 ns at 300 MHz
 
 
+# --- line numbers -----------------------------------------------------------------
+
+# Characters that str.splitlines() breaks at although they end no line.
+NOT_NEWLINES = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("char", NOT_NEWLINES, ids=[f"U+{ord(c):04X}" for c in NOT_NEWLINES])
+def test_parsers_name_the_physical_line(char):
+    with pytest.raises(EventFileError, match=r"^line 3: unknown species 'bogus'"):
+        parse_events(f"{HEADER}0 0 50 0 0 photon{char}\n0 1 50 0 0 bogus\n")
+    with pytest.raises(ConfigError, match=r"^line 1: key 'fifo_depth' needs an integer"):
+        load_config(f"fifo_depth = 8{char}fizz = 1\n")
+    with pytest.raises(ConfigError, match=r"^line 2: unknown config key 'fizz'"):
+        load_config(f"fifo_depth = 8{char}\nfizz = 1\n")
+
+
+def test_crlf_files_parse():
+    assert len(parse_events("taupipe-events 1\r\n7 3 50 10 -20 photon\r\n")) == 1
+    assert load_config("fifo_depth = 8\r\nfeed_period = 2\r\n").engine.fifo_depth == 8
+    with pytest.raises(ConfigError, match=r"^line 2: unknown config key 'fizz'"):
+        load_config("fifo_depth = 8\r\nfizz = 1\r\n")
+
+
 # --- reports --------------------------------------------------------------------
 
 
@@ -297,8 +322,11 @@ def test_report_roundtrip_bytes():
     text = serialize_report(records)
     assert serialize_report(parse_report(text)) == text
     parsed = parse_report(text)
-    assert parsed[0]["format"] == "taupipe-report"
+    assert parsed[0] == {"format": "taupipe-report", "version": 2}
     assert parsed[-1]["type"] == "metrics"
+    assert {tuple(sorted(s)) for s in parsed[-1]["stage_stats"]} == {
+        ("input_stall_cycles", "name", "output_stall_cycles")
+    }
     assert len([r for r in parsed if r.get("type") == "event"]) == 5
 
 

@@ -7,7 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from taupipe.core import Species
 from taupipe.eventio import ConfigError, EventFileError, load_config, parse_events
 
-LINE_PREFIX = re.compile(r"^line \d+: ")
+LINE_PREFIX = re.compile(r"^line (\d+): ")
 
 CONFIG_KEYS = [
     "format_version",
@@ -45,7 +45,9 @@ CONFIG_KEYS = [
     "stage.nowhere.ii",
 ]
 
-small_text = st.text(max_size=8)
+# str.splitlines() breaks at these as well as at "\n"; the parsers must not.
+NOT_NEWLINES = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+small_text = st.text(st.one_of(st.characters(), st.sampled_from(NOT_NEWLINES)), max_size=8)
 config_value = st.one_of(
     st.integers(-3, 300).map(str),
     st.sampled_from(["A", "b", "1,2", "0,0,0,0,0,0,0", "1,1,1,1,1,1,-1", "h+,gamma", "charged_hadron,photon", "1e3", ""]),
@@ -74,24 +76,34 @@ event_line = st.one_of(
 )
 event_header = st.one_of(st.just("taupipe-events 1"), st.just("taupipe-events 2"), small_text)
 
+
+def assert_names_a_line(exc: Exception, text: str) -> None:
+    """The message starts with a line number that exists in ``text``."""
+    match = LINE_PREFIX.match(str(exc))
+    assert match, str(exc)
+    assert 1 <= int(match.group(1)) <= text.count("\n"), str(exc)
+
+
 fuzz = settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
 
 @fuzz
 @given(st.lists(config_line, max_size=8))
 def test_load_config_parses_or_names_the_line(lines):
+    text = "\n".join(lines) + "\n"
     try:
-        load_config("\n".join(lines) + "\n")
+        load_config(text)
     except ConfigError as exc:
-        assert LINE_PREFIX.match(str(exc)), str(exc)
+        assert_names_a_line(exc, text)
 
 
 @fuzz
 @given(event_header, st.lists(event_line, max_size=8))
 def test_parse_events_parses_or_names_the_line(header, lines):
+    text = "\n".join([header, *lines]) + "\n"
     try:
-        events = parse_events("\n".join([header, *lines]) + "\n")
+        events = parse_events(text)
     except EventFileError as exc:
-        assert LINE_PREFIX.match(str(exc)), str(exc)
+        assert_names_a_line(exc, text)
     else:
         assert all(len(ev.particles) == 128 for ev in events)

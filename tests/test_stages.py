@@ -167,7 +167,7 @@ def test_filter_block_matches_naive_definition(case):
     ops = OpCounter()
     assert filter_block(block, seed, cfg, ops) == want
     n_valid = sum(1 for p in block if p.valid)
-    assert ops.snapshot() == (2 * n_valid, 0, n_valid)
+    assert ops == OpCounter(2 * n_valid, 0, n_valid)
 
 
 # --- totals ----------------------------------------------------------------
