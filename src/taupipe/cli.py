@@ -57,6 +57,24 @@ def _load_run_config(path: str | None) -> RunConfig:
         raise InputError(f"config {path}: {exc}")
 
 
+def _gen_spec(spec: str) -> tuple[int, int, str]:
+    """Seed, count and profile of a ``--gen SEED:COUNT:PROFILE`` value."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise InputError("--gen expects SEED:COUNT:PROFILE")
+    try:
+        seed = int(parts[0])
+        count = int(parts[1])
+    except ValueError:
+        raise InputError(f"--gen seed and count must be integers, got {spec!r}")
+    profile = parts[2]
+    if profile not in GEN_PROFILES:
+        raise InputError(f"--gen profile must be one of {GEN_PROFILES}, got {profile!r}")
+    if count < 0:
+        raise InputError("--gen count must be non-negative")
+    return seed, count, profile
+
+
 def _load_events(args: argparse.Namespace, run_cfg: RunConfig) -> tuple[list[Event], str]:
     if bool(args.events) == bool(args.gen):
         raise InputError("exactly one of --events FILE or --gen SEED:COUNT:PROFILE is required")
@@ -67,20 +85,7 @@ def _load_events(args: argparse.Namespace, run_cfg: RunConfig) -> tuple[list[Eve
         except EventFileError as exc:
             raise InputError(f"events {args.events}: {exc}")
         return events, f"file {args.events}"
-    parts = args.gen.split(":")
-    if len(parts) != 3:
-        raise InputError("--gen expects SEED:COUNT:PROFILE")
-    try:
-        seed = int(parts[0])
-        count = int(parts[1])
-    except ValueError:
-        raise InputError(f"--gen seed and count must be integers, got {args.gen!r}")
-    profile = parts[2]
-    if profile not in GEN_PROFILES:
-        raise InputError(f"--gen profile must be one of {GEN_PROFILES}, got {profile!r}")
-    if count < 0:
-        raise InputError("--gen count must be non-negative")
-    return gen_events(seed, count, profile, run_cfg.trigger), f"gen {args.gen}"
+    return gen_events(*_gen_spec(args.gen), run_cfg.trigger), f"gen {args.gen}"
 
 
 def _variants(args: argparse.Namespace, run_cfg: RunConfig) -> tuple[str, str]:
@@ -225,12 +230,13 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if any(f <= 0 for f in freq_values):
         raise InputError("--freqs values must be positive")
 
-    if args.events or args.gen:
+    if args.events:
         events, source_desc = _load_events(args, run_cfg)
         n_events = len(events)
     else:
         # timing depends on the event count only, so the events need not exist
-        n_events, source_desc = 50, "gen 1:50:clustered"
+        spec = args.gen or "1:50:clustered"
+        n_events, source_desc = _gen_spec(spec)[1], f"gen {spec}"
     merge, clean = run_cfg.merge_solution, run_cfg.clean_solution
     base = _timing(run_cfg, n_events, merge, clean)
 

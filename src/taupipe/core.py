@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping
+from typing import Iterable
 
 PT_MAX = 65535
 PHI_RANGE = 2048
@@ -117,8 +117,8 @@ def make_particle(
 class Event:
     """One framing window of the detector input: exactly ``n_input`` slots.
 
-    Construct through :func:`make_event` / :func:`event_from_slots`, which pad
-    short inputs with invalid particles.
+    Construct through :func:`make_event`, which pads short inputs with
+    invalid particles, or from all ``n_input`` slots, padding included.
     """
 
     event_id: int
@@ -133,18 +133,6 @@ def make_event(
     if len(plist) > n_input:
         raise ValueError(f"event {event_id} has {len(plist)} particles, limit is {n_input}")
     plist.extend([PAD_PARTICLE] * (n_input - len(plist)))
-    return Event(event_id=event_id, particles=tuple(plist))
-
-
-def event_from_slots(
-    event_id: int, slots: Mapping[int, Particle], *, n_input: int = N_INPUT
-) -> Event:
-    """Build an event from a sparse slot -> particle mapping."""
-    plist = [PAD_PARTICLE] * n_input
-    for slot, particle in slots.items():
-        if not 0 <= slot < n_input:
-            raise ValueError(f"slot {slot} outside 0..{n_input - 1}")
-        plist[slot] = particle
     return Event(event_id=event_id, particles=tuple(plist))
 
 

@@ -21,10 +21,12 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
+    PAD_PARTICLE,
+    AngularCoord,
     Event,
     Particle,
+    ParticleKind,
     Species,
-    event_from_slots,
     make_event,
     make_particle,
     wrap_phi,
@@ -79,6 +81,10 @@ def write_events(events: Sequence[Event]) -> str:
     return "\n".join(lines) + "\n"
 
 
+# Species field of an event record -> the shared kind of that species.
+_KIND_BY_NAME = {s.value: ParticleKind.of(s) for s in Species}
+
+
 def parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
     """Parse an event file into normalized events (padded to ``n_input`` slots).
 
@@ -87,44 +93,42 @@ def parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
     sign.
     """
     cfg = cfg or TriggerConfig()
-    half = cfg.phi_range // 2
+    n_input, pt_max, eta_max, half = cfg.n_input, cfg.pt_max, cfg.eta_max, cfg.phi_range // 2
     lines = text.split("\n")
     if lines[0].split() != [EVENT_FORMAT, str(EVENT_FORMAT_VERSION)]:
         raise EventFileError(
             f"line 1: expected header '{EVENT_FORMAT} {EVENT_FORMAT_VERSION}'"
         )
-    slots_by_event: dict[int, dict[int, Particle]] = {}
+    # event id -> its n_input slots, PAD_PARTICLE where no record filled one
+    slots_by_event: dict[int, list[Particle]] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         if len(fields) != 6:
             raise EventFileError(f"line {lineno}: expected 6 fields, got {len(fields)}")
         try:
-            event_id, slot, pt, eta, phi = (int(x) for x in fields[:5])
+            event_id, slot, pt, eta, phi = map(int, fields[:5])
         except ValueError:
             raise EventFileError(f"line {lineno}: non-integer field in {fields[:5]}")
-        try:
-            species = Species(fields[5])
-        except ValueError:
+        kind = _KIND_BY_NAME.get(fields[5])
+        if kind is None:
             raise EventFileError(f"line {lineno}: unknown species {fields[5]!r}")
-        if not 0 <= slot < cfg.n_input:
-            raise EventFileError(f"line {lineno}: slot {slot} outside 0..{cfg.n_input - 1}")
-        if not 0 <= pt <= cfg.pt_max:
-            raise EventFileError(f"line {lineno}: pt {pt} outside 0..{cfg.pt_max}")
-        if abs(eta) > cfg.eta_max:
-            raise EventFileError(f"line {lineno}: |eta| {eta} exceeds {cfg.eta_max}")
+        if not 0 <= slot < n_input:
+            raise EventFileError(f"line {lineno}: slot {slot} outside 0..{n_input - 1}")
+        if not 0 <= pt <= pt_max:
+            raise EventFileError(f"line {lineno}: pt {pt} outside 0..{pt_max}")
+        if not -eta_max <= eta <= eta_max:
+            raise EventFileError(f"line {lineno}: |eta| {eta} exceeds {eta_max}")
         if not -half <= phi < half:
             raise EventFileError(f"line {lineno}: phi {phi} outside [{-half}, {half})")
-        slots = slots_by_event.setdefault(event_id, {})
-        if slot in slots:
+        slots = slots_by_event.get(event_id)
+        if slots is None:
+            slots = slots_by_event[event_id] = [PAD_PARTICLE] * n_input
+        elif slots[slot] is not PAD_PARTICLE:
             raise EventFileError(f"line {lineno}: duplicate slot {slot} in event {event_id}")
-        slots[slot] = make_particle(pt, eta, phi, species)
-    return [
-        event_from_slots(event_id, slots, n_input=cfg.n_input)
-        for event_id, slots in slots_by_event.items()
-    ]
+        slots[slot] = Particle(pt, AngularCoord(eta, phi), kind)
+    return [Event(event_id, tuple(slots)) for event_id, slots in slots_by_event.items()]
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,17 @@
 
 from __future__ import annotations
 
-from taupipe.core import AngularCoord, OpCounter, make_event, make_particle
+from taupipe.core import (
+    PAD_PARTICLE,
+    AngularCoord,
+    Event,
+    OpCounter,
+    Species,
+    make_event,
+    make_particle,
+)
 from taupipe.dataflow import StageStats
-from taupipe.eventio import SplitMix64
+from taupipe.eventio import EVENT_FORMAT, EVENT_FORMAT_VERSION, EventFileError, SplitMix64
 from taupipe.stages import (
     INVALID_TAU,
     CandidateList,
@@ -153,3 +161,51 @@ def tick_reference(specs, hops, depths, n_events, feed_period=0):
     return tuple(map(tuple, starts)), tuple(
         StageStats(spec.name, i, o) for spec, i, o in zip(specs, in_stall, out_stall)
     )
+
+
+def reference_parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
+    """Line-by-line reference of ``parse_events``: strip, then split; the
+    species by enum lookup; each particle through ``make_particle``; a slot
+    dict per event, padded at the end.  Same checks, order and messages."""
+    cfg = cfg or TriggerConfig()
+    half = cfg.phi_range // 2
+    lines = text.split("\n")
+    if lines[0].split() != [EVENT_FORMAT, str(EVENT_FORMAT_VERSION)]:
+        raise EventFileError(
+            f"line 1: expected header '{EVENT_FORMAT} {EVENT_FORMAT_VERSION}'"
+        )
+    slots_by_event: dict[int, dict] = {}
+    for lineno, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 6:
+            raise EventFileError(f"line {lineno}: expected 6 fields, got {len(fields)}")
+        try:
+            event_id, slot, pt, eta, phi = (int(x) for x in fields[:5])
+        except ValueError:
+            raise EventFileError(f"line {lineno}: non-integer field in {fields[:5]}")
+        try:
+            species = Species(fields[5])
+        except ValueError:
+            raise EventFileError(f"line {lineno}: unknown species {fields[5]!r}")
+        if not 0 <= slot < cfg.n_input:
+            raise EventFileError(f"line {lineno}: slot {slot} outside 0..{cfg.n_input - 1}")
+        if not 0 <= pt <= cfg.pt_max:
+            raise EventFileError(f"line {lineno}: pt {pt} outside 0..{cfg.pt_max}")
+        if abs(eta) > cfg.eta_max:
+            raise EventFileError(f"line {lineno}: |eta| {eta} exceeds {cfg.eta_max}")
+        if not -half <= phi < half:
+            raise EventFileError(f"line {lineno}: phi {phi} outside [{-half}, {half})")
+        slots = slots_by_event.setdefault(event_id, {})
+        if slot in slots:
+            raise EventFileError(f"line {lineno}: duplicate slot {slot} in event {event_id}")
+        slots[slot] = make_particle(pt, eta, phi, species)
+    events = []
+    for event_id, slots in slots_by_event.items():
+        particles = [PAD_PARTICLE] * cfg.n_input
+        for slot, particle in slots.items():
+            particles[slot] = particle
+        events.append(Event(event_id, tuple(particles)))
+    return events

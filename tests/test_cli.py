@@ -151,6 +151,29 @@ def test_explore_without_a_source_generates_no_events(monkeypatch, capsys):
     assert capsys.readouterr().out == EXPLORE_360_300
 
 
+def test_explore_gen_reads_only_the_count(monkeypatch, capsys):
+    def no_events(*args, **kwargs):
+        raise AssertionError("explore generated events")
+
+    monkeypatch.setattr(cli, "gen_events", no_events)
+    assert run_cli(["explore", "--freqs", "360,300", "--gen", "1:2000:busy"]) == 0
+    assert capsys.readouterr().out == EXPLORE_360_300.replace("1:50:clustered", "1:2000:busy")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("1:2000", "--gen expects SEED:COUNT:PROFILE"),
+        ("1:x:busy", "--gen seed and count must be integers, got '1:x:busy'"),
+        ("1:5:nope", "--gen profile must be one of ('uniform', 'clustered', 'busy'), got 'nope'"),
+        ("1:-1:busy", "--gen count must be non-negative"),
+    ],
+)
+def test_explore_rejects_bad_gen_specs(capsys, spec, message):
+    assert run_cli(["explore", "--freqs", "360", "--gen", spec]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_explore_empty_freqs(capsys):
     assert run_cli(["explore", "--freqs", ""]) == 2
     assert "non-empty" in capsys.readouterr().err

@@ -11,7 +11,6 @@ from taupipe.core import (
     ParticleKind,
     Species,
     delta_r2,
-    event_from_slots,
     make_event,
     make_particle,
     saturating_pt_add,
@@ -151,11 +150,3 @@ def test_make_event_pads_to_128():
 def test_make_event_rejects_oversize():
     with pytest.raises(ValueError):
         make_event(0, [make_particle(1, 0, 0)] * 129)
-
-
-def test_event_from_slots():
-    ev = event_from_slots(7, {3: make_particle(50, 10, -20)})
-    assert ev.particles[3].pt == 50
-    assert sum(p.valid for p in ev.particles) == 1
-    with pytest.raises(ValueError):
-        event_from_slots(7, {128: make_particle(1, 0, 0)})

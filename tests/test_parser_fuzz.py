@@ -2,8 +2,9 @@
 
 import re
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, event, given, settings, strategies as st
 
+from helpers import reference_parse_events
 from taupipe.core import Species
 from taupipe.eventio import ConfigError, EventFileError, load_config, parse_events
 
@@ -107,3 +108,87 @@ def test_parse_events_parses_or_names_the_line(header, lines):
         assert_names_a_line(exc, text)
     else:
         assert all(len(ev.particles) == 128 for ev in events)
+
+
+# Event files for the differential test.  Half are valid: in-range records
+# with unique slots, comments and blank lines.  The other half break some
+# records, several fields at a time so that the order of the checks shows,
+# draw small slots so that slots collide, and add lines of random text.
+IN_RANGE = (
+    # event ids are not contiguous, and some are spelt oddly but are integers
+    st.sampled_from(["0", "1", "2", "7", "1000", "+1", "007", "1_0", "\u0662"]),
+    st.integers(0, 127).map(str),
+    st.integers(0, 65535).map(str),
+    st.integers(-4096, 4096).map(str),
+    st.integers(-1024, 1023).map(str),
+    st.sampled_from(species),
+)
+FAULTY = (
+    st.sampled_from(["x", "1.5", "0x1"]),
+    st.sampled_from(["-1", "128", "3.0"]),
+    st.sampled_from(["-1", "65536"]),
+    st.sampled_from(["-4097", "4097"]),
+    st.sampled_from(["-1025", "1024"]),
+    st.sampled_from(["gluino", "Photon", "photon,"]),
+)
+# Field indexes to break in one record of a faulty file; 6 is a wrong field
+# count.  (sets() would break nearly every field of most records.)
+FAULT_SETS = [(), (), (), (), (0,), (1,), (2,), (3,), (4,), (5,), (6,)]
+FAULT_SETS += [(0, 5), (5, 1), (1, 2), (2, 3), (3, 4), (1, 4), (6, 0), (1, 2, 3, 4, 5)]
+# str.split() splits at each of NOT_NEWLINES, so they may separate fields
+FIELD_SEPARATORS = [" ", "  ", "\t", *NOT_NEWLINES]
+SKIPPED_LINES = ["", "  ", "\x85", "# comment", "  # indented", "\t#0 0 5 0 0 photon"]
+
+
+@st.composite
+def record_line(draw, faulty):
+    fields = [draw(f) for f in IN_RANGE]
+    if faulty:
+        fields[1] = draw(st.one_of(st.integers(0, 3).map(str), st.just(fields[1])))
+        for i in draw(st.sampled_from(FAULT_SETS)):
+            if i < 6:
+                fields[i] = draw(FAULTY[i])
+            else:  # one field too few or too many
+                fields = fields[:5] if draw(st.booleans()) else fields + ["0"]
+    return draw(st.sampled_from(FIELD_SEPARATORS)).join(fields)
+
+
+@st.composite
+def event_text(draw):
+    faulty = draw(st.booleans())
+    headers = ["taupipe-events 1", " taupipe-events\t1 "] * 3  # 6 in 7 valid in a faulty file
+    header = draw(st.sampled_from(headers + ["taupipe-events 2"] if faulty else headers))
+    # one_of() drops repeated branches, so the weights go through sampled_from()
+    kinds = ["record"] * 4 + ["skipped", "text"] if faulty else ["record", "skipped"]
+    lines, taken = [header], set()
+    for kind in draw(st.lists(st.sampled_from(kinds), max_size=10)):
+        if kind == "skipped":
+            lines.append(draw(st.sampled_from(SKIPPED_LINES)))
+        elif kind == "text":
+            lines.append(draw(small_text))
+        else:
+            line = draw(record_line(faulty))
+            if not faulty:  # one record per slot: the event id and slot as integers
+                key = tuple(map(int, line.split()[:2]))
+                if key in taken:
+                    continue
+                taken.add(key)
+            lines.append(line)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    return eol.join(lines) + eol
+
+
+def parse_outcome(parse, text):
+    """The events, or the message of the EventFileError."""
+    try:
+        return parse(text)
+    except EventFileError as exc:
+        return f"EventFileError: {exc}"
+
+
+@fuzz
+@given(event_text())
+def test_parse_events_matches_the_reference_parser(text):
+    got = parse_outcome(parse_events, text)
+    assert got == parse_outcome(reference_parse_events, text)
+    event("parses" if isinstance(got, list) else "raises")

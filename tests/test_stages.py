@@ -8,6 +8,7 @@ from taupipe.core import (
     PHI_RANGE,
     R2_MAX,
     AngularCoord,
+    Event,
     OpCounter,
     Species,
     delta_r2,
@@ -58,10 +59,9 @@ def test_select_seeds_top16_of_20():
 
 
 def test_select_seeds_tie_break_by_index():
-    slots = {3: make_particle(50, 0, 0), 7: make_particle(50, 5, 5)}
-    from taupipe.core import event_from_slots
-
-    ev = event_from_slots(0, slots)
+    slots = [PAD_PARTICLE] * 128
+    slots[3], slots[7] = make_particle(50, 0, 0), make_particle(50, 5, 5)
+    ev = Event(0, tuple(slots))
     seeds = select_seeds(ev, CFG)
     assert [s.source_index for s in seeds] == [3, 7]
 
