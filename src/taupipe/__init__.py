@@ -5,7 +5,6 @@ from .core import (
     Event,
     OpCounter,
     Particle,
-    ParticleKind,
     Species,
     delta_r2,
     make_event,
@@ -17,7 +16,6 @@ from .core import (
 from .stages import (
     CandidateList,
     MergeResult,
-    Seed,
     Tau,
     TauParams,
     TriggerConfig,

@@ -24,48 +24,23 @@ R2_MAX = 2**32 - 1
 
 
 class Species(Enum):
-    """Particle species as delivered by the upstream reconstruction."""
+    """Particle species as delivered by the upstream reconstruction.
 
-    CHARGED_HADRON = "charged_hadron"
-    NEUTRAL_HADRON = "neutral_hadron"
-    ELECTRON = "electron"
-    PHOTON = "photon"
-    MUON = "muon"
+    ``value`` is the species name used in event and config files;
+    ``charged`` is a plain member attribute, as seeding reads it per particle.
+    """
 
-    @property
-    def is_charged(self) -> bool:
-        return self not in _NEUTRAL_SPECIES
+    CHARGED_HADRON = ("charged_hadron", True)
+    NEUTRAL_HADRON = ("neutral_hadron", False)
+    ELECTRON = ("electron", True)
+    PHOTON = ("photon", False)
+    MUON = ("muon", True)
 
-
-_NEUTRAL_SPECIES = frozenset({Species.NEUTRAL_HADRON, Species.PHOTON})
-
-
-@dataclass(frozen=True)
-class ParticleKind:
-    """Species plus electric charge; charge is 0 exactly for neutral species."""
-
-    species: Species
-    charge: int
-
-    def __post_init__(self) -> None:
-        if self.species.is_charged:
-            if self.charge not in (-1, 1):
-                raise ValueError(
-                    f"{self.species.value} must carry charge -1 or +1, got {self.charge}"
-                )
-        elif self.charge != 0:
-            raise ValueError(f"{self.species.value} must carry charge 0, got {self.charge}")
-
-    @classmethod
-    def of(cls, species: Species) -> "ParticleKind":
-        """Kind with the canonical charge for the species (+1 when charged).
-
-        Returns one shared instance per species; the record is immutable.
-        """
-        return _CANONICAL_KINDS[species]
-
-
-_CANONICAL_KINDS = {s: ParticleKind(s, 1 if s.is_charged else 0) for s in Species}
+    def __new__(cls, name: str, charged: bool) -> "Species":
+        member = object.__new__(cls)
+        member._value_ = name
+        member.charged = charged
+        return member
 
 
 @dataclass(frozen=True)
@@ -85,7 +60,7 @@ class AngularCoord:
 class Particle:
     pt: int
     pos: AngularCoord
-    kind: ParticleKind
+    species: Species
     valid: bool = True
 
     def __post_init__(self) -> None:
@@ -98,7 +73,7 @@ class Particle:
 PAD_PARTICLE = Particle(
     pt=0,
     pos=AngularCoord(0, 0),
-    kind=ParticleKind(Species.NEUTRAL_HADRON, 0),
+    species=Species.NEUTRAL_HADRON,
     valid=False,
 )
 
@@ -110,7 +85,7 @@ def make_particle(
     species: Species = Species.CHARGED_HADRON,
 ) -> Particle:
     """Convenience constructor for a valid particle."""
-    return Particle(pt=pt, pos=AngularCoord(eta, phi), kind=ParticleKind.of(species), valid=True)
+    return Particle(pt=pt, pos=AngularCoord(eta, phi), species=species, valid=True)
 
 
 @dataclass(frozen=True)

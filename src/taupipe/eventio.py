@@ -25,7 +25,6 @@ from .core import (
     AngularCoord,
     Event,
     Particle,
-    ParticleKind,
     Species,
     make_event,
     make_particle,
@@ -76,21 +75,20 @@ def write_events(events: Sequence[Event]) -> str:
             if not p.valid:
                 continue
             lines.append(
-                f"{ev.event_id} {slot} {p.pt} {p.pos.eta} {p.pos.phi} {p.kind.species.value}"
+                f"{ev.event_id} {slot} {p.pt} {p.pos.eta} {p.pos.phi} {p.species.value}"
             )
     return "\n".join(lines) + "\n"
 
 
-# Species field of an event record -> the shared kind of that species.
-_KIND_BY_NAME = {s.value: ParticleKind.of(s) for s in Species}
+# Species field of an event record -> its species.
+_SPECIES_BY_NAME = {s.value: s for s in Species}
 
 
 def parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
     """Parse an event file into normalized events (padded to ``n_input`` slots).
 
-    Events appear in first-appearance order of their ids.  Charged species
-    are assigned the canonical +1 charge; the algorithm never consumes the
-    sign.
+    Events appear in first-appearance order of their ids.  Integer fields
+    are ASCII decimal with an optional leading ``-``.
     """
     cfg = cfg or TriggerConfig()
     n_input, pt_max, eta_max, half = cfg.n_input, cfg.pt_max, cfg.eta_max, cfg.phi_range // 2
@@ -107,12 +105,18 @@ def parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
             continue
         if len(fields) != 6:
             raise EventFileError(f"line {lineno}: expected 6 fields, got {len(fields)}")
+        numbers = fields[:5]
         try:
-            event_id, slot, pt, eta, phi = map(int, fields[:5])
+            # int() also takes '_' separators, a '+' sign and non-ASCII
+            # digits; one test of the joined fields rules all three out.
+            joined = "".join(numbers)
+            if not joined.isascii() or "_" in joined or "+" in joined:
+                raise ValueError
+            event_id, slot, pt, eta, phi = map(int, numbers)
         except ValueError:
-            raise EventFileError(f"line {lineno}: non-integer field in {fields[:5]}")
-        kind = _KIND_BY_NAME.get(fields[5])
-        if kind is None:
+            raise EventFileError(f"line {lineno}: non-integer field in {numbers}")
+        species = _SPECIES_BY_NAME.get(fields[5])
+        if species is None:
             raise EventFileError(f"line {lineno}: unknown species {fields[5]!r}")
         if not 0 <= slot < n_input:
             raise EventFileError(f"line {lineno}: slot {slot} outside 0..{n_input - 1}")
@@ -127,7 +131,7 @@ def parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
             slots = slots_by_event[event_id] = [PAD_PARTICLE] * n_input
         elif slots[slot] is not PAD_PARTICLE:
             raise EventFileError(f"line {lineno}: duplicate slot {slot} in event {event_id}")
-        slots[slot] = Particle(pt, AngularCoord(eta, phi), kind)
+        slots[slot] = Particle(pt, AngularCoord(eta, phi), species)
     return [Event(event_id, tuple(slots)) for event_id, slots in slots_by_event.items()]
 
 
@@ -364,19 +368,27 @@ _STAGE_FIELD_BY_KEY = {
 }
 
 
+def _decimal(text: str) -> int:
+    """``int(text)`` for ASCII digits with an optional leading ``-`` only;
+    int() alone also takes '_' separators, a '+' sign and non-ASCII digits."""
+    if not text.isascii() or "_" in text or "+" in text:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def _parse_value(key: str, value: str) -> object:
     """The typed value of a config key; every key not listed here is an integer."""
     if key == "allowed_signal_species":
         return frozenset(Species(v.strip()) for v in value.split(",") if v.strip())
     if key == "hop_overheads":
         try:
-            return tuple(int(v.strip()) for v in value.split(",") if v.strip())
+            return tuple(_decimal(v.strip()) for v in value.split(",") if v.strip())
         except ValueError:
             raise ValueError("hop_overheads needs comma-separated integers") from None
     if key in ("merge_solution", "clean_solution"):
         return value.upper()
     try:
-        return int(value)
+        return _decimal(value)
     except ValueError:
         raise ValueError(f"key {key!r} needs an integer, got {value!r}") from None
 

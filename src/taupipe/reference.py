@@ -44,7 +44,7 @@ def oracle_trigger(
         (
             (i, p)
             for i, p in enumerate(event.particles)
-            if p.valid and p.kind.charge != 0 and p.pt >= cfg.min_seed_pt
+            if p.valid and p.species.charged and p.pt >= cfg.min_seed_pt
         ),
         key=lambda ip: (-ip[1].pt, ip[0]),
     )
@@ -73,7 +73,7 @@ def oracle_trigger(
         kept = [
             p
             for p in cands
-            if p.kind.species in cfg.allowed_signal_species
+            if p.species in cfg.allowed_signal_species
             and delta_r2(p.pos, seed.pos, phi_range=cfg.phi_range) <= r2_sig
         ]
         sum_pt = min(sum(p.pt for p in kept), cfg.pt_max)

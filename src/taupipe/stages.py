@@ -102,24 +102,14 @@ class TriggerConfig:
 
 
 @dataclass(frozen=True)
-class Seed:
-    """A high-pt charged particle around which a candidate list is built."""
-
-    particle: Particle
-    source_index: int
-
-    def __post_init__(self) -> None:
-        if not self.particle.valid:
-            raise ValueError("seed particle must be valid")
-        if self.particle.kind.charge == 0:
-            raise ValueError("seed particle must be charged")
-
-
-@dataclass(frozen=True)
 class CandidateList:
-    """A seed with its associated candidates and their saturating pt total."""
+    """A seed with its associated candidates.
 
-    seed: Seed
+    ``total_pt`` is the saturating sum of the candidates' pt; the steps that
+    build a list keep it so, and ``compute_tau_params`` relies on it.
+    """
+
+    seed: Particle
     candidates: tuple[Particle, ...]
     total_pt: int
 
@@ -128,14 +118,13 @@ class CandidateList:
 class TauParams:
     """Weighted-average properties of one candidate group.
 
-    ``valid`` is False exactly when the group's pt sum is zero (in particular
-    when the group is empty); no division is performed in that case.
+    A group whose pt sum is zero (in particular an empty one) has no average:
+    no division is performed and both positions are 0.
     """
 
     sum_pt: int
     eta_w: int
     phi_w: int
-    valid: bool
 
 
 @dataclass(frozen=True)
@@ -168,21 +157,24 @@ class MergeResult:
     modeled_cycles: int
 
 
-def select_seeds(event: Event, cfg: TriggerConfig, ops: OpCounter | None = None) -> tuple[Seed, ...]:
+def select_seeds(
+    event: Event, cfg: TriggerConfig, ops: OpCounter | None = None
+) -> tuple[Particle, ...]:
     """Pick the highest-pt charged particles, at most ``n_seeds`` of them.
 
-    Output is graded by descending pt with ascending source index breaking
-    ties.  Fewer qualifying particles simply yield a shorter tuple.
+    Output is graded by descending pt with ascending slot breaking ties.
+    Fewer qualifying particles simply yield a shorter tuple.
     """
-    qualified: list[Seed] = []
-    for idx, p in enumerate(event.particles):
-        if not p.valid or p.kind.charge == 0:
+    qualified: list[Particle] = []
+    for p in event.particles:
+        if not p.valid or not p.species.charged:
             continue
         if ops is not None:
             ops.comparisons += 1
         if p.pt >= cfg.min_seed_pt:
-            qualified.append(Seed(p, idx))
-    qualified.sort(key=lambda s: (-s.particle.pt, s.source_index))
+            qualified.append(p)
+    # The sort is stable, so equal pts keep their slot order.
+    qualified.sort(key=lambda p: -p.pt)
     return tuple(qualified[: cfg.n_seeds])
 
 
@@ -196,7 +188,7 @@ def partition_blocks(event: Event, cfg: TriggerConfig) -> tuple[tuple[Particle, 
 
 def filter_block(
     block: Sequence[Particle],
-    seed: Seed,
+    seed: Particle,
     cfg: TriggerConfig,
     ops: OpCounter | None = None,
 ) -> tuple[Particle, ...]:
@@ -219,8 +211,8 @@ def filter_block(
     reach = math.isqrt(cone_r2)
     phi_range = cfg.phi_range
     half = phi_range // 2
-    seed_eta = seed.particle.pos.eta
-    seed_phi = seed.particle.pos.phi
+    seed_eta = seed.pos.eta
+    seed_phi = seed.pos.phi
     kept: list[Particle] = []
     for p in block:
         if not p.valid:
@@ -371,9 +363,9 @@ def select_signal_candidates(
     for p in clist.candidates:
         if ops is not None:
             ops.comparisons += 1
-        if p.kind.species not in cfg.allowed_signal_species:
+        if p.species not in cfg.allowed_signal_species:
             continue
-        d = delta_r2(p.pos, clist.seed.particle.pos, phi_range=cfg.phi_range, ops=ops)
+        d = delta_r2(p.pos, clist.seed.pos, phi_range=cfg.phi_range, ops=ops)
         if ops is not None:
             ops.comparisons += 1
         if d <= lo:
@@ -402,13 +394,12 @@ def compute_tau_params(
     eta is averaged directly; phi is averaged on wrapped offsets relative to
     the seed's phi and re-wrapped to an absolute azimuth, so groups straddling
     the periodic boundary average correctly.  Costs exactly two divisions per
-    non-degenerate group; a group with zero pt sum performs none and is
-    flagged invalid.
+    group with a non-zero pt sum, and none otherwise.
     """
-    sum_pt = compute_total_pt(clist.candidates, cfg, ops)
+    sum_pt = clist.total_pt
     if sum_pt == 0:
-        return TauParams(sum_pt=0, eta_w=0, phi_w=0, valid=False)
-    seed_phi = clist.seed.particle.pos.phi
+        return TauParams(sum_pt=0, eta_w=0, phi_w=0)
+    seed_phi = clist.seed.pos.phi
     num_eta = 0
     num_phi = 0
     for p in clist.candidates:
@@ -422,7 +413,7 @@ def compute_tau_params(
     eta_w = trunc_div(num_eta, sum_pt)
     phi_off = trunc_div(num_phi, sum_pt)
     phi_w = wrap_phi(seed_phi + phi_off, cfg.phi_range)
-    return TauParams(sum_pt=sum_pt, eta_w=eta_w, phi_w=phi_w, valid=True)
+    return TauParams(sum_pt=sum_pt, eta_w=eta_w, phi_w=phi_w)
 
 
 def reconstruct_tau(
@@ -433,7 +424,7 @@ def reconstruct_tau(
     """Threshold the averaged parameters into a tau record; no arithmetic."""
     if ops is not None:
         ops.comparisons += 1
-    if params.valid and params.sum_pt >= cfg.min_tau_pt:
+    if params.sum_pt > 0 and params.sum_pt >= cfg.min_tau_pt:
         return Tau(pt=params.sum_pt, pos=AngularCoord(params.eta_w, params.phi_w), valid=True)
     return INVALID_TAU
 
@@ -550,8 +541,9 @@ def run_stages(
 ) -> tuple[Tau, ...]:
     """Run the seven steps sequentially and return the final tau list (<= 8).
 
-    This is the pipeline's functional content with no timing attached; the
-    dataflow engine wraps exactly these calls.
+    This is the pipeline's functional content with no timing attached.  The
+    timing model (``dataflow.trigger_timing``) runs none of these functions:
+    timing depends only on the number of events, never on their data.
     """
     merge = merge_fn(merge_solution)
     clean = clean_fn(clean_solution)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 from taupipe.core import (
     PAD_PARTICLE,
     AngularCoord,
@@ -16,7 +18,6 @@ from taupipe.eventio import EVENT_FORMAT, EVENT_FORMAT_VERSION, EventFileError, 
 from taupipe.stages import (
     INVALID_TAU,
     CandidateList,
-    Seed,
     Tau,
     TauParams,
     TriggerConfig,
@@ -93,8 +94,7 @@ def chain_taus(cfg: TriggerConfig) -> tuple[Tau, ...]:
 def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
     """Op counts of each stage function on one small probe: a seed of pt 50
     at (0, 0) and a near particle of pt 10 at (3, 4)."""
-    seed_particle = make_particle(50, 0, 0)
-    seed = Seed(seed_particle, 0)
+    seed = make_particle(50, 0, 0)
     near = make_particle(10, 3, 4)
     one = CandidateList(seed, (near,), compute_total_pt((near,), cfg))
     taus = [INVALID_TAU] * cfg.n_seeds
@@ -102,13 +102,13 @@ def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
     taus[1] = tau(20, 3, 4)
     probes = {
         "seeding": lambda ops: select_seeds(
-            make_event(0, [seed_particle], n_input=cfg.n_input), cfg, ops
+            make_event(0, [seed], n_input=cfg.n_input), cfg, ops
         ),
         "filtering": lambda ops: filter_block([near], seed, cfg, ops),
         "merging": lambda ops: merge_solution_b([[near], [], [], []], cfg, ops),
         "signal_selection": lambda ops: select_signal_candidates(one, cfg, ops),
         "tau_parameters": lambda ops: compute_tau_params(one, cfg, ops),
-        "tau_reconstruction": lambda ops: reconstruct_tau(TauParams(50, 0, 0, True), cfg, ops),
+        "tau_reconstruction": lambda ops: reconstruct_tau(TauParams(50, 0, 0), cfg, ops),
         "cleaning": lambda ops: clean_solution_b(tuple(taus), cfg, ops),
     }
     counts = {}
@@ -163,10 +163,14 @@ def tick_reference(specs, hops, depths, n_events, feed_period=0):
     )
 
 
+DECIMAL = re.compile(r"-?[0-9]+")
+
+
 def reference_parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
-    """Line-by-line reference of ``parse_events``: strip, then split; the
-    species by enum lookup; each particle through ``make_particle``; a slot
-    dict per event, padded at the end.  Same checks, order and messages."""
+    """Line-by-line reference of ``parse_events``: strip, then split; each
+    integer field matched against ``-?[0-9]+``; the species by enum lookup;
+    each particle through ``make_particle``; a slot dict per event, padded at
+    the end.  Same checks, order and messages."""
     cfg = cfg or TriggerConfig()
     half = cfg.phi_range // 2
     lines = text.split("\n")
@@ -182,10 +186,9 @@ def reference_parse_events(text: str, cfg: TriggerConfig | None = None) -> list[
         fields = line.split()
         if len(fields) != 6:
             raise EventFileError(f"line {lineno}: expected 6 fields, got {len(fields)}")
-        try:
-            event_id, slot, pt, eta, phi = (int(x) for x in fields[:5])
-        except ValueError:
+        if not all(DECIMAL.fullmatch(x) for x in fields[:5]):
             raise EventFileError(f"line {lineno}: non-integer field in {fields[:5]}")
+        event_id, slot, pt, eta, phi = map(int, fields[:5])
         try:
             species = Species(fields[5])
         except ValueError:

@@ -4,6 +4,10 @@ checks every name it relies on still exists."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import taupipe.cli
@@ -28,3 +32,26 @@ def test_bench_spans_and_counters_name_existing_functions():
             spanned.add(fname)
     assert set(child.COUNTERS) <= spanned
     assert callable(getattr(taupipe.cli, "_load_events", None))
+
+
+# Keys that the counters in child.COUNTERS add to a run's counts.
+COUNTER_KEYS = {
+    "seeds", "filter_tests", "filter_passes", "merges", "overflow_seeds", "candidates",
+    "signal_in", "signal_out", "taus_in", "taus_out",
+}
+
+
+def test_traced_bench_child_fills_every_counter(tmp_path):
+    # A subprocess, so that the tracer patches no module of this process.
+    root = CHILD.parents[1]
+    result = tmp_path / "result.json"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(CHILD), str(result), "1", "run", "--gen", "1:3:busy"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(result.read_text())
+    assert out["exit"] == 0
+    assert COUNTER_KEYS <= set(out["counts"]), out["counts"]
+    assert out["counts"]["seeds"] > 0

@@ -8,7 +8,6 @@ from taupipe.core import (
     PHI_RANGE,
     PT_MAX,
     Particle,
-    ParticleKind,
     Species,
     delta_r2,
     make_event,
@@ -124,19 +123,18 @@ def test_trunc_div_toward_zero(num, den, expected):
     assert trunc_div(num, den) == expected
 
 
-def test_particle_kind_charge_rules():
-    assert ParticleKind.of(Species.CHARGED_HADRON).charge == 1
-    assert ParticleKind.of(Species.PHOTON).charge == 0
-    with pytest.raises(ValueError):
-        ParticleKind(Species.NEUTRAL_HADRON, 1)
-    with pytest.raises(ValueError):
-        ParticleKind(Species.ELECTRON, 0)
-    ParticleKind(Species.MUON, -1)  # explicit negative charge is allowed
+def test_species_charged():
+    assert {s for s in Species if not s.charged} == {Species.NEUTRAL_HADRON, Species.PHOTON}
+    # the value stays the file name, so lookup by name works
+    assert Species("photon") is Species.PHOTON
+    assert [s.value for s in Species] == [
+        "charged_hadron", "neutral_hadron", "electron", "photon", "muon"
+    ]
 
 
 def test_invalid_particle_must_be_zero_pt():
     with pytest.raises(ValueError):
-        Particle(5, AngularCoord(0, 0), ParticleKind.of(Species.PHOTON), valid=False)
+        Particle(5, AngularCoord(0, 0), Species.PHOTON, valid=False)
 
 
 def test_make_event_pads_to_128():

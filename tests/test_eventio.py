@@ -36,7 +36,7 @@ def test_parse_single_record():
     assert ev.event_id == 7
     assert len(ev.particles) == 128
     p = ev.particles[3]
-    assert (p.pt, p.pos.eta, p.pos.phi, p.kind.species) == (50, 10, -20, Species.CHARGED_HADRON)
+    assert (p.pt, p.pos.eta, p.pos.phi, p.species) == (50, 10, -20, Species.CHARGED_HADRON)
     assert sum(q.valid for q in ev.particles) == 1
 
 
@@ -65,6 +65,27 @@ def test_parse_errors_name_the_line(line, message):
         except EventFileError as exc:
             assert message in str(exc)
             raise
+
+
+# int() alone reads each of these as an integer: a '_' separator, a '+'
+# sign, an Arabic-Indic two and a fullwidth three.
+NON_DECIMAL = ["1_0", "+3", "\u0662", "\uff13"]
+NON_DECIMAL_IDS = ["underscore", "plus", "arabic-indic", "fullwidth"]
+
+
+@pytest.mark.parametrize("field", range(5))
+@pytest.mark.parametrize("spelling", NON_DECIMAL, ids=NON_DECIMAL_IDS)
+def test_parse_takes_only_ascii_decimal(spelling, field):
+    fields = ["7", "3", "50", "10", "-20"]
+    fields[field] = spelling
+    with pytest.raises(EventFileError, match=r"^line 2: non-integer field in \["):
+        parse_events(HEADER + " ".join(fields) + " photon\n")
+
+
+def test_parse_takes_leading_zeros_and_minus_zero():
+    (ev,) = parse_events(HEADER + "007 -0 50 -010 0 photon\n")
+    p = ev.particles[0]
+    assert (ev.event_id, p.pt, p.pos.eta) == (7, 50, -10)
 
 
 def test_parse_duplicate_slot():
@@ -233,6 +254,14 @@ def test_config_engine_keys():
     assert rc.engine.fifo_depth == 8
     assert rc.engine.hop_overheads == (0,) * 7
     assert rc.engine.feed_period == 54
+
+
+@pytest.mark.parametrize("spelling", NON_DECIMAL, ids=NON_DECIMAL_IDS)
+def test_config_takes_only_ascii_decimal(spelling):
+    with pytest.raises(ConfigError, match=r"^line 1: key 'fifo_depth' needs an integer"):
+        load_config(f"fifo_depth = {spelling}\n")
+    with pytest.raises(ConfigError, match=r"^line 1: hop_overheads needs comma-separated integers"):
+        load_config(f"hop_overheads = 1,1,1,{spelling},1,1,1\n")
 
 
 def test_config_duplicate_key():

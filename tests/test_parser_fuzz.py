@@ -52,6 +52,8 @@ small_text = st.text(st.one_of(st.characters(), st.sampled_from(NOT_NEWLINES)), 
 config_value = st.one_of(
     st.integers(-3, 300).map(str),
     st.sampled_from(["A", "b", "1,2", "0,0,0,0,0,0,0", "1,1,1,1,1,1,-1", "h+,gamma", "charged_hadron,photon", "1e3", ""]),
+    # int() takes these, the config parser must not
+    st.sampled_from(["1_0", "+3", "\u0662", "\uff13", "1,1,1,1,1,1,+1", "007", "-0"]),
     small_text,
 )
 config_line = st.one_of(
@@ -116,19 +118,21 @@ def test_parse_events_parses_or_names_the_line(header, lines):
 # draw small slots so that slots collide, and add lines of random text.
 IN_RANGE = (
     # event ids are not contiguous, and some are spelt oddly but are integers
-    st.sampled_from(["0", "1", "2", "7", "1000", "+1", "007", "1_0", "\u0662"]),
+    st.sampled_from(["0", "1", "2", "7", "1000", "007", "-0", "-3"]),
     st.integers(0, 127).map(str),
     st.integers(0, 65535).map(str),
     st.integers(-4096, 4096).map(str),
     st.integers(-1024, 1023).map(str),
     st.sampled_from(species),
 )
+# int() reads "1_0", "+3", "\u0662" (2) and "\uff13" (3); the parser must not.
+NON_DECIMAL = ["1_0", "+3", "\u0662", "\uff13"]
 FAULTY = (
-    st.sampled_from(["x", "1.5", "0x1"]),
-    st.sampled_from(["-1", "128", "3.0"]),
-    st.sampled_from(["-1", "65536"]),
-    st.sampled_from(["-4097", "4097"]),
-    st.sampled_from(["-1025", "1024"]),
+    st.sampled_from(["x", "1.5", "0x1", *NON_DECIMAL]),
+    st.sampled_from(["-1", "128", "3.0", *NON_DECIMAL]),
+    st.sampled_from(["-1", "65536", *NON_DECIMAL]),
+    st.sampled_from(["-4097", "4097", *NON_DECIMAL]),
+    st.sampled_from(["-1025", "1024", *NON_DECIMAL]),
     st.sampled_from(["gluino", "Photon", "photon,"]),
 )
 # Field indexes to break in one record of a faulty file; 6 is a wrong field

@@ -10,6 +10,7 @@ from taupipe.core import (
     AngularCoord,
     Event,
     OpCounter,
+    Particle,
     Species,
     delta_r2,
     make_event,
@@ -17,7 +18,6 @@ from taupipe.core import (
 )
 from taupipe.stages import (
     CandidateList,
-    Seed,
     TauParams,
     TriggerConfig,
     compute_tau_params,
@@ -33,8 +33,8 @@ from taupipe.stages import (
 CFG = TriggerConfig()
 
 
-def seed_at(eta=0, phi=0, pt=50, index=0) -> Seed:
-    return Seed(make_particle(pt, eta, phi), index)
+def seed_at(eta=0, phi=0, pt=50) -> Particle:
+    return make_particle(pt, eta, phi)
 
 
 # --- seeding ---------------------------------------------------------------
@@ -51,40 +51,43 @@ def test_select_seeds_no_charged():
 
 
 def test_select_seeds_top16_of_20():
-    # pt = index + 1 for the first 20 slots: the top 16 are indices 19 down to 4
-    ev = make_event(0, [make_particle(i + 1, 0, 0) for i in range(20)])
+    # pt = slot + 1 for the first 20 slots: the top 16 are slots 19 down to 4
+    ev = make_event(0, [make_particle(i + 1, i, 0) for i in range(20)])
     seeds = select_seeds(ev, CFG)
-    assert [s.source_index for s in seeds] == list(range(19, 3, -1))
-    assert [s.particle.pt for s in seeds] == list(range(20, 4, -1))
+    assert seeds == tuple(ev.particles[19:3:-1])
+    assert [s.pt for s in seeds] == list(range(20, 4, -1))
 
 
 def test_select_seeds_tie_break_by_index():
     slots = [PAD_PARTICLE] * 128
+    # equal pts at distinct positions, so the output order shows the slots
     slots[3], slots[7] = make_particle(50, 0, 0), make_particle(50, 5, 5)
+    slots[1] = make_particle(50, 9, 9)
     ev = Event(0, tuple(slots))
     seeds = select_seeds(ev, CFG)
-    assert [s.source_index for s in seeds] == [3, 7]
+    assert seeds == (slots[1], slots[3], slots[7])
 
 
 def test_select_seeds_min_pt_cut():
     ev = make_event(0, [make_particle(CFG.min_seed_pt - 1, 0, 0), make_particle(CFG.min_seed_pt, 1, 0)])
     seeds = select_seeds(ev, CFG)
-    assert [s.source_index for s in seeds] == [1]
+    assert seeds == (ev.particles[1],)
 
 
 @given(st.lists(st.tuples(st.integers(0, 300), st.booleans()), max_size=40))
 def test_select_seeds_matches_full_sort_oracle(entries):
+    # eta = slot, so each seed names the slot it came from
     particles = [
-        make_particle(pt, 0, 0, Species.CHARGED_HADRON if charged else Species.PHOTON)
-        for pt, charged in entries
+        make_particle(pt, slot, 0, Species.CHARGED_HADRON if charged else Species.PHOTON)
+        for slot, (pt, charged) in enumerate(entries)
     ]
     ev = make_event(0, particles)
-    got = [(s.particle.pt, s.source_index) for s in select_seeds(ev, CFG)]
+    got = [(s.pt, s.pos.eta) for s in select_seeds(ev, CFG)]
     want = sorted(
         (
             (p.pt, i)
             for i, p in enumerate(ev.particles)
-            if p.valid and p.kind.charge != 0 and p.pt >= CFG.min_seed_pt
+            if p.valid and p.species.charged and p.pt >= CFG.min_seed_pt
         ),
         key=lambda t: (-t[0], t[1]),
     )[: CFG.n_seeds]
@@ -138,9 +141,9 @@ def filter_cases(draw):
         PAD_PARTICLE if s is None else make_particle(1 + i, s[0], s[1])
         for i, s in enumerate(slots)
     ]
-    seed = Seed(make_particle(50, draw(etas), draw(phis)), 0)
+    seed = make_particle(50, draw(etas), draw(phis))
     distances = [
-        delta_r2(p.pos, seed.particle.pos, phi_range=phi_range) for p in block if p.valid
+        delta_r2(p.pos, seed.pos, phi_range=phi_range) for p in block if p.valid
     ] or [0]
     cone = draw(
         st.one_of(
@@ -162,7 +165,7 @@ def test_filter_block_matches_naive_definition(case):
         p
         for p in block
         if p.valid
-        and delta_r2(p.pos, seed.particle.pos, phi_range=cfg.phi_range) <= cfg.filter_cone_r2
+        and delta_r2(p.pos, seed.pos, phi_range=cfg.phi_range) <= cfg.filter_cone_r2
     )
     ops = OpCounter()
     assert filter_block(block, seed, cfg, ops) == want
@@ -240,7 +243,7 @@ def test_signal_selection_matches_division_form(cands):
     want = tuple(
         p
         for p in lst.candidates
-        if p.kind.species in CFG.allowed_signal_species
+        if p.species in CFG.allowed_signal_species
         and (p.pos.eta**2 + p.pos.phi**2) <= r2_sig
     )
     assert out.candidates == want
@@ -263,7 +266,7 @@ def test_signal_selection_subsequence_and_idempotent(cands):
 def test_tau_params_single_candidate_identity():
     p = make_particle(10, 100, -50)
     params = compute_tau_params(clist([p]), CFG)
-    assert params == TauParams(sum_pt=10, eta_w=100, phi_w=-50, valid=True)
+    assert params == TauParams(sum_pt=10, eta_w=100, phi_w=-50)
 
 
 def test_tau_params_weighted_average():
@@ -279,7 +282,7 @@ def test_tau_params_weighted_average():
 def test_tau_params_empty_is_invalid_without_division():
     ops = OpCounter()
     params = compute_tau_params(clist([]), CFG, ops)
-    assert params == TauParams(0, 0, 0, False)
+    assert params == TauParams(0, 0, 0)
     assert ops.divisions == 0
 
 
@@ -311,19 +314,21 @@ def test_tau_params_phi_wraps_across_boundary():
 def test_tau_params_zero_pt_group_is_invalid():
     zero = make_particle(0, 10, 10)
     params = compute_tau_params(clist([zero, zero]), CFG)
-    assert not params.valid
+    assert params == TauParams(0, 0, 0)
 
 
 # --- reconstruction ----------------------------------------------------------
 
 
 def test_reconstruct_invalid_params():
-    assert not reconstruct_tau(TauParams(0, 0, 0, False), CFG).valid
+    assert not reconstruct_tau(TauParams(0, 0, 0), CFG).valid
+    # a zero pt sum is no tau even when the threshold is 0
+    assert not reconstruct_tau(TauParams(0, 0, 0), TriggerConfig(min_tau_pt=0)).valid
 
 
 def test_reconstruct_threshold_boundary():
-    below = TauParams(CFG.min_tau_pt - 1, 5, 6, True)
-    at = TauParams(CFG.min_tau_pt, 5, 6, True)
+    below = TauParams(CFG.min_tau_pt - 1, 5, 6)
+    at = TauParams(CFG.min_tau_pt, 5, 6)
     assert not reconstruct_tau(below, CFG).valid
     got = reconstruct_tau(at, CFG)
     assert got.valid and got.pt == CFG.min_tau_pt and got.pos == AngularCoord(5, 6)
