@@ -19,6 +19,7 @@ from .eventio import (
     EventFileError,
     GEN_PROFILES,
     RunConfig,
+    _decimal,
     build_report,
     gen_events,
     load_config,
@@ -63,8 +64,8 @@ def _gen_spec(spec: str) -> tuple[int, int, str]:
     if len(parts) != 3:
         raise InputError("--gen expects SEED:COUNT:PROFILE")
     try:
-        seed = int(parts[0])
-        count = int(parts[1])
+        seed = _decimal(parts[0])
+        count = _decimal(parts[1])
     except ValueError:
         raise InputError(f"--gen seed and count must be integers, got {spec!r}")
     profile = parts[2]
@@ -75,17 +76,17 @@ def _gen_spec(spec: str) -> tuple[int, int, str]:
     return seed, count, profile
 
 
-def _load_events(args: argparse.Namespace, run_cfg: RunConfig) -> tuple[list[Event], str]:
+def _load_events(args: argparse.Namespace) -> tuple[list[Event], str]:
     if bool(args.events) == bool(args.gen):
         raise InputError("exactly one of --events FILE or --gen SEED:COUNT:PROFILE is required")
     if args.events:
         text = _read_text(args.events, "events")
         try:
-            events = parse_events(text, run_cfg.trigger)
+            events = parse_events(text)
         except EventFileError as exc:
             raise InputError(f"events {args.events}: {exc}")
         return events, f"file {args.events}"
-    return gen_events(*_gen_spec(args.gen), run_cfg.trigger), f"gen {args.gen}"
+    return gen_events(*_gen_spec(args.gen)), f"gen {args.gen}"
 
 
 def _variants(args: argparse.Namespace, run_cfg: RunConfig) -> tuple[str, str]:
@@ -107,7 +108,7 @@ def _simulate(run_cfg: RunConfig, events: Sequence[Event], merge: str, clean: st
 
 def cmd_run(args: argparse.Namespace) -> int:
     run_cfg = _load_run_config(args.config)
-    events, source_desc = _load_events(args, run_cfg)
+    events, source_desc = _load_events(args)
     merge, clean = _variants(args, run_cfg)
     outputs, metrics = _simulate(run_cfg, events, merge, clean)
 
@@ -174,7 +175,7 @@ def _minimize_divergent_event(event: Event, diverges) -> Event:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     run_cfg = _load_run_config(args.config)
-    events, source_desc = _load_events(args, run_cfg)
+    events, source_desc = _load_events(args)
     if args.dimension == "merge":
         variants = [("A", run_cfg.clean_solution), ("B", run_cfg.clean_solution)]
         stage, title = "merging", "merging step"
@@ -224,14 +225,14 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if not freqs:
         raise InputError("--freqs needs a non-empty comma-separated list of MHz values")
     try:
-        freq_values = [int(f) for f in freqs]
+        freq_values = [_decimal(f) for f in freqs]
     except ValueError:
         raise InputError(f"--freqs values must be integers, got {args.freqs!r}")
     if any(f <= 0 for f in freq_values):
         raise InputError("--freqs values must be positive")
 
     if args.events:
-        events, source_desc = _load_events(args, run_cfg)
+        events, source_desc = _load_events(args)
         n_events = len(events)
     else:
         # timing depends on the event count only, so the events need not exist
@@ -264,6 +265,14 @@ def cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
+def _int_arg(text: str) -> int:
+    """An ASCII decimal integer option value, with argparse's own message."""
+    try:
+        return _decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="taupipe",
@@ -280,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_source(p_run)
     p_run.add_argument("--merge", choices=MERGE_SOLUTIONS, help="merge solution override")
     p_run.add_argument("--clean", choices=CLEAN_SOLUTIONS, help="clean solution override")
-    p_run.add_argument("--freq", type=int, choices=tuple(LATENCY_BUDGET_CYCLES),
+    p_run.add_argument("--freq", type=_int_arg, choices=tuple(LATENCY_BUDGET_CYCLES),
                        default=NOMINAL_FREQ_MHZ, help="operating frequency in MHz")
     p_run.add_argument("--report", metavar="FILE", help="write the machine-readable report")
     p_run.add_argument("--no-oracle-check", action="store_true",

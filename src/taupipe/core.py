@@ -15,12 +15,19 @@ from typing import Iterable
 
 PT_MAX = 65535
 PHI_RANGE = 2048
+PHI_HALF = PHI_RANGE // 2
 ETA_MAX = 4096
-N_INPUT = 128
 
-# Squared distances saturate here instead of wrapping; with the default scales
-# the ceiling is never reached, but wrapping would silently corrupt ordering.
-R2_MAX = 2**32 - 1
+# The pipeline's framing: fixed array sizes of the design, as are the
+# register widths above.  The input window is N_FILTER_BLOCKS blocks of
+# BLOCK_SIZE slots; a seed's merged cone keeps at most MAX_CANDIDATES
+# particles and cleaning emits at most MAX_TAUS taus.
+N_INPUT = 128
+N_SEEDS = 16
+N_FILTER_BLOCKS = 4
+BLOCK_SIZE = 32
+MAX_CANDIDATES = 30
+MAX_TAUS = 8
 
 
 class Species(Enum):
@@ -90,24 +97,22 @@ def make_particle(
 
 @dataclass(frozen=True)
 class Event:
-    """One framing window of the detector input: exactly ``n_input`` slots.
+    """One framing window of the detector input: exactly ``N_INPUT`` slots.
 
     Construct through :func:`make_event`, which pads short inputs with
-    invalid particles, or from all ``n_input`` slots, padding included.
+    invalid particles, or from all ``N_INPUT`` slots, padding included.
     """
 
     event_id: int
     particles: tuple[Particle, ...]
 
 
-def make_event(
-    event_id: int, particles: Iterable[Particle], *, n_input: int = N_INPUT
-) -> Event:
-    """Normalize a particle list to exactly ``n_input`` slots, padding the tail."""
+def make_event(event_id: int, particles: Iterable[Particle]) -> Event:
+    """Normalize a particle list to exactly ``N_INPUT`` slots, padding the tail."""
     plist = list(particles)
-    if len(plist) > n_input:
-        raise ValueError(f"event {event_id} has {len(plist)} particles, limit is {n_input}")
-    plist.extend([PAD_PARTICLE] * (n_input - len(plist)))
+    if len(plist) > N_INPUT:
+        raise ValueError(f"event {event_id} has {len(plist)} particles, limit is {N_INPUT}")
+    plist.extend([PAD_PARTICLE] * (N_INPUT - len(plist)))
     return Event(event_id=event_id, particles=tuple(plist))
 
 
@@ -125,48 +130,39 @@ class OpCounter:
     comparisons: int = 0
 
 
-def wrap_phi(phi: int, phi_range: int = PHI_RANGE) -> int:
+def wrap_phi(phi: int) -> int:
     """Wrap an azimuth value into the canonical interval [-half, half)."""
-    half = phi_range // 2
-    return (phi + half) % phi_range - half
+    return (phi + PHI_HALF) % PHI_RANGE - PHI_HALF
 
 
-def wrap_delta_phi(a: int, b: int, phi_range: int = PHI_RANGE) -> int:
+def wrap_delta_phi(a: int, b: int) -> int:
     """Shortest signed azimuthal difference a - b on the periodic axis.
 
-    Returns d with d == a - b (mod phi_range) and d in [-half, half).
+    Returns d with d == a - b (mod PHI_RANGE) and d in [-half, half).
     """
-    return wrap_phi(a - b, phi_range)
+    return wrap_phi(a - b)
 
 
-def delta_r2(
-    p: AngularCoord,
-    q: AngularCoord,
-    *,
-    phi_range: int = PHI_RANGE,
-    r2_max: int = R2_MAX,
-    ops: OpCounter | None = None,
-) -> int:
+def delta_r2(p: AngularCoord, q: AngularCoord, *, ops: OpCounter | None = None) -> int:
     """Squared angular distance deta^2 + dphi^2 with a wrapped phi difference.
 
-    Costs exactly two multiplications per evaluation; the result saturates at
-    ``r2_max`` instead of wrapping.
+    Costs exactly two multiplications per evaluation.  Inside the ranges the
+    largest value is (2 * ETA_MAX)^2 + PHI_HALF^2 = 68,157,440 < 2^27, so a
+    27-bit register holds every distance and nothing saturates.
     """
     deta = p.eta - q.eta
-    half = phi_range // 2
-    dphi = (p.phi - q.phi + half) % phi_range - half  # wrap_delta_phi, inlined
+    dphi = (p.phi - q.phi + PHI_HALF) % PHI_RANGE - PHI_HALF  # wrap_delta_phi, inlined
     if ops is not None:
         ops.multiplications += 2
-    r2 = deta * deta + dphi * dphi
-    return r2 if r2 <= r2_max else r2_max
+    return deta * deta + dphi * dphi
 
 
-def saturating_pt_add(a: int, b: int, pt_max: int = PT_MAX) -> int:
-    """Unsigned fixed-point addition that clamps at ``pt_max``, never wraps."""
+def saturating_pt_add(a: int, b: int) -> int:
+    """Unsigned fixed-point addition that clamps at ``PT_MAX``, never wraps."""
     if a < 0 or b < 0:
         raise ValueError("pt values are unsigned")
     s = a + b
-    return s if s <= pt_max else pt_max
+    return s if s <= PT_MAX else PT_MAX
 
 
 def trunc_div(num: int, den: int) -> int:

@@ -15,6 +15,10 @@ Firing contract.  Stage ``s`` begins iteration ``k`` at the earliest cycle
   ``start_offset_cycles`` for a streaming stage (the offset asserts how much
   upstream progress makes downstream reads safe); the first stage reads
   event ``k`` from the source, which offers it at cycle ``k * feed_period``;
+* causality, for a streaming stage: ``t >= start(s-1, k) + latency(s-1) -
+  latency(s)``, so the stage completes no earlier than its producer does
+  (no hop is added: the producer's last output is read within the stage's
+  own latency);
 * output space: the output buffer holds fewer than ``depth`` iterations, so
   the consumer must have begun iteration ``k - depth`` in an earlier cycle
   (else backpressure).
@@ -32,7 +36,7 @@ stage, to the same iteration of the producer, or to the consumer ``depth >=
 1`` iterations back, so one pass in iteration-major, stage-minor order
 computes each start time exactly, and a linear chain cannot deadlock.  The
 cycles a stage waits past its spacing count as input stalls while its input
-is not ready, and as output stalls after that.
+is not ready (availability or causality), and as output stalls after that.
 """
 
 from __future__ import annotations
@@ -136,9 +140,14 @@ def run_pipeline(
         raise ValueError("feed_period and n_events must be non-negative")
 
     # Cycles from the producer's start (the source's offer for stage 0) until
-    # stage s may begin, and from one start of stage s to its next.
+    # stage s may begin, and from one start of stage s to its next.  The
+    # causality bound only binds a streaming stage: a store-and-forward
+    # stage already waits for the producer's completion plus the hop.
     lead = [hops[0]] + [
-        (spec.start_offset_cycles or producer.latency_cycles) + hop
+        max(
+            (spec.start_offset_cycles or producer.latency_cycles) + hop,
+            producer.latency_cycles - spec.latency_cycles,
+        )
         for producer, spec, hop in zip(specs, specs[1:], hops[1:])
     ]
     step = [spec.ii_cycles + hop for spec, hop in zip(specs, hops)]

@@ -21,7 +21,12 @@ from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Mapping, Sequence
 
 from .core import (
+    ETA_MAX,
+    N_INPUT,
     PAD_PARTICLE,
+    PHI_HALF,
+    PHI_RANGE,
+    PT_MAX,
     AngularCoord,
     Event,
     Particle,
@@ -85,19 +90,19 @@ _SPECIES_BY_NAME = {s.value: s for s in Species}
 
 
 def parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
-    """Parse an event file into normalized events (padded to ``n_input`` slots).
+    """Parse an event file into normalized events (padded to ``N_INPUT`` slots).
 
     Events appear in first-appearance order of their ids.  Integer fields
-    are ASCII decimal with an optional leading ``-``.
+    are ASCII decimal with an optional leading ``-``.  ``cfg`` is not read:
+    the slot, pt, eta and phi ranges are constants.  It stays because the
+    benchmark (``bench/run.py``) passes a trigger config positionally.
     """
-    cfg = cfg or TriggerConfig()
-    n_input, pt_max, eta_max, half = cfg.n_input, cfg.pt_max, cfg.eta_max, cfg.phi_range // 2
     lines = text.split("\n")
     if lines[0].split() != [EVENT_FORMAT, str(EVENT_FORMAT_VERSION)]:
         raise EventFileError(
             f"line 1: expected header '{EVENT_FORMAT} {EVENT_FORMAT_VERSION}'"
         )
-    # event id -> its n_input slots, PAD_PARTICLE where no record filled one
+    # event id -> its N_INPUT slots, PAD_PARTICLE where no record filled one
     slots_by_event: dict[int, list[Particle]] = {}
     for lineno, raw in enumerate(lines[1:], start=2):
         fields = raw.split()
@@ -118,17 +123,17 @@ def parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
         species = _SPECIES_BY_NAME.get(fields[5])
         if species is None:
             raise EventFileError(f"line {lineno}: unknown species {fields[5]!r}")
-        if not 0 <= slot < n_input:
-            raise EventFileError(f"line {lineno}: slot {slot} outside 0..{n_input - 1}")
-        if not 0 <= pt <= pt_max:
-            raise EventFileError(f"line {lineno}: pt {pt} outside 0..{pt_max}")
-        if not -eta_max <= eta <= eta_max:
-            raise EventFileError(f"line {lineno}: |eta| {eta} exceeds {eta_max}")
-        if not -half <= phi < half:
-            raise EventFileError(f"line {lineno}: phi {phi} outside [{-half}, {half})")
+        if not 0 <= slot < N_INPUT:
+            raise EventFileError(f"line {lineno}: slot {slot} outside 0..{N_INPUT - 1}")
+        if not 0 <= pt <= PT_MAX:
+            raise EventFileError(f"line {lineno}: pt {pt} outside 0..{PT_MAX}")
+        if not -ETA_MAX <= eta <= ETA_MAX:
+            raise EventFileError(f"line {lineno}: |eta| {eta} exceeds {ETA_MAX}")
+        if not -PHI_HALF <= phi < PHI_HALF:
+            raise EventFileError(f"line {lineno}: phi {phi} outside [{-PHI_HALF}, {PHI_HALF})")
         slots = slots_by_event.get(event_id)
         if slots is None:
-            slots = slots_by_event[event_id] = [PAD_PARTICLE] * n_input
+            slots = slots_by_event[event_id] = [PAD_PARTICLE] * N_INPUT
         elif slots[slot] is not PAD_PARTICLE:
             raise EventFileError(f"line {lineno}: duplicate slot {slot} in event {event_id}")
         slots[slot] = Particle(pt, AngularCoord(eta, phi), species)
@@ -177,20 +182,21 @@ def gen_events(
     Profiles shape multiplicity and topology: ``uniform`` scatters particles
     over the whole plane, ``clustered`` builds jet-like groups (sometimes
     chained so the cleaning step has real work), ``busy`` raises multiplicity
-    with a cluster on top.
+    with a cluster on top.  ``cfg`` is not read: the framing and the ranges
+    are constants.  It stays because the benchmark (``bench/run.py``) passes
+    a trigger config positionally.
     """
     if profile not in GEN_PROFILES:
         raise ValueError(f"unknown profile {profile!r}, expected one of {GEN_PROFILES}")
-    cfg = cfg or TriggerConfig()
     rng = SplitMix64(seed ^ (_PROFILE_SALT[profile] * 0x2545F4914F6CDD1D))
     events = []
     for k in range(count):
         if profile == "uniform":
-            events.append(_gen_uniform(rng, k, cfg))
+            events.append(_gen_uniform(rng, k))
         elif profile == "clustered":
-            events.append(_gen_clustered(rng, k, cfg))
+            events.append(_gen_clustered(rng, k))
         else:
-            events.append(_gen_busy(rng, k, cfg))
+            events.append(_gen_busy(rng, k))
     return events
 
 
@@ -212,33 +218,31 @@ def _rand_species(rng: SplitMix64) -> Species:
     return _SPECIES_ROLL[rng.below(len(_SPECIES_ROLL))]
 
 
-def _clamp_eta(eta: int, cfg: TriggerConfig) -> int:
-    return max(-cfg.eta_max, min(cfg.eta_max, eta))
+def _clamp_eta(eta: int) -> int:
+    return max(-ETA_MAX, min(ETA_MAX, eta))
 
 
-def _rand_particle(rng: SplitMix64, cfg: TriggerConfig, *, pt_lo: int, pt_hi: int) -> Particle:
+def _rand_particle(rng: SplitMix64, *, pt_lo: int, pt_hi: int) -> Particle:
     pt = pt_lo + rng.below(pt_hi - pt_lo + 1)
     if rng.chance(1, 8):
-        pt = min(pt + 200 + rng.below(800), cfg.pt_max)
+        pt = min(pt + 200 + rng.below(800), PT_MAX)
     margin = 64
-    eta = rng.below(2 * (cfg.eta_max - margin) + 1) - (cfg.eta_max - margin)
-    phi = rng.below(cfg.phi_range) - cfg.phi_range // 2
+    eta = rng.below(2 * (ETA_MAX - margin) + 1) - (ETA_MAX - margin)
+    phi = rng.below(PHI_RANGE) - PHI_HALF
     return make_particle(pt, eta, phi, _rand_species(rng))
 
 
-def _gen_uniform(rng: SplitMix64, event_id: int, cfg: TriggerConfig) -> Event:
+def _gen_uniform(rng: SplitMix64, event_id: int) -> Event:
     m = 12 + rng.below(37)
-    particles = [_rand_particle(rng, cfg, pt_lo=1, pt_hi=180) for _ in range(m)]
-    return make_event(event_id, particles, n_input=cfg.n_input)
+    particles = [_rand_particle(rng, pt_lo=1, pt_hi=180) for _ in range(m)]
+    return make_event(event_id, particles)
 
 
-def _gen_cluster(
-    rng: SplitMix64, cfg: TriggerConfig, center_eta: int, center_phi: int, size: int
-) -> list[Particle]:
+def _gen_cluster(rng: SplitMix64, center_eta: int, center_phi: int, size: int) -> list[Particle]:
     members = []
     for i in range(size):
-        eta = _clamp_eta(center_eta + rng.below(121) - 60, cfg)
-        phi = wrap_phi(center_phi + rng.below(121) - 60, cfg.phi_range)
+        eta = _clamp_eta(center_eta + rng.below(121) - 60)
+        phi = wrap_phi(center_phi + rng.below(121) - 60)
         if i == 0:
             pt = 40 + rng.below(120)
             species = Species.CHARGED_HADRON
@@ -249,7 +253,7 @@ def _gen_cluster(
     return members
 
 
-def _gen_clustered(rng: SplitMix64, event_id: int, cfg: TriggerConfig) -> Event:
+def _gen_clustered(rng: SplitMix64, event_id: int) -> Event:
     particles: list[Particle] = []
     n_clusters = 2 + rng.below(4)
     prev: tuple[int, int] | None = None
@@ -257,30 +261,28 @@ def _gen_clustered(rng: SplitMix64, event_id: int, cfg: TriggerConfig) -> Event:
         if prev is not None and rng.chance(1, 2):
             # chain: park this cluster close enough that the two reconstructed
             # taus contest the proximity cleaning
-            ceta = _clamp_eta(prev[0] + 90 + rng.below(60), cfg)
-            cphi = wrap_phi(prev[1] + rng.below(41) - 20, cfg.phi_range)
+            ceta = _clamp_eta(prev[0] + 90 + rng.below(60))
+            cphi = wrap_phi(prev[1] + rng.below(41) - 20)
         else:
-            span = cfg.eta_max - 400
+            span = ETA_MAX - 400
             ceta = rng.below(2 * span + 1) - span
-            cphi = rng.below(cfg.phi_range) - cfg.phi_range // 2
+            cphi = rng.below(PHI_RANGE) - PHI_HALF
         size = 3 + rng.below(6)
-        particles.extend(_gen_cluster(rng, cfg, ceta, cphi, size))
+        particles.extend(_gen_cluster(rng, ceta, cphi, size))
         prev = (ceta, cphi)
     background = 4 + rng.below(12)
-    particles.extend(
-        _rand_particle(rng, cfg, pt_lo=1, pt_hi=30) for _ in range(background)
-    )
-    return make_event(event_id, particles[: cfg.n_input], n_input=cfg.n_input)
+    particles.extend(_rand_particle(rng, pt_lo=1, pt_hi=30) for _ in range(background))
+    return make_event(event_id, particles[:N_INPUT])
 
 
-def _gen_busy(rng: SplitMix64, event_id: int, cfg: TriggerConfig) -> Event:
+def _gen_busy(rng: SplitMix64, event_id: int) -> Event:
     m = 60 + rng.below(50)
-    particles = [_rand_particle(rng, cfg, pt_lo=1, pt_hi=120) for _ in range(m)]
-    span = cfg.eta_max - 400
+    particles = [_rand_particle(rng, pt_lo=1, pt_hi=120) for _ in range(m)]
+    span = ETA_MAX - 400
     ceta = rng.below(2 * span + 1) - span
-    cphi = rng.below(cfg.phi_range) - cfg.phi_range // 2
-    particles.extend(_gen_cluster(rng, cfg, ceta, cphi, 4 + rng.below(5)))
-    return make_event(event_id, particles[: cfg.n_input], n_input=cfg.n_input)
+    cphi = rng.below(PHI_RANGE) - PHI_HALF
+    particles.extend(_gen_cluster(rng, ceta, cphi, 4 + rng.below(5)))
+    return make_event(event_id, particles[:N_INPUT])
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import AngularCoord, Event, Particle, delta_r2, wrap_delta_phi, wrap_phi
+from .core import (
+    BLOCK_SIZE,
+    MAX_CANDIDATES,
+    MAX_TAUS,
+    N_FILTER_BLOCKS,
+    N_SEEDS,
+    PT_MAX,
+    AngularCoord,
+    Event,
+    Particle,
+    delta_r2,
+    wrap_delta_phi,
+    wrap_phi,
+)
 from .stages import INVALID_TAU, MERGE_SOLUTIONS, Tau, TriggerConfig, signal_cone_r2
 
 
@@ -30,14 +43,13 @@ def oracle_trigger(
     """Canonical end-to-end result: the seven steps, written the simple way.
 
     ``merge_solution`` selects the candidate cap's order; it matters only
-    when a seed's cone holds more than ``cfg.max_candidates`` particles.
+    when a seed's cone holds more than ``MAX_CANDIDATES`` particles.
     """
     if merge_solution not in MERGE_SOLUTIONS:
         raise ValueError(f"merge_solution must be one of {MERGE_SOLUTIONS}")
-    bs = cfg.block_size
     blocks = [
-        [p for p in event.particles[b * bs : (b + 1) * bs] if p.valid]
-        for b in range(cfg.n_filter_blocks)
+        [p for p in event.particles[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE] if p.valid]
+        for b in range(N_FILTER_BLOCKS)
     ]
 
     ranked = sorted(
@@ -48,46 +60,39 @@ def oracle_trigger(
         ),
         key=lambda ip: (-ip[1].pt, ip[0]),
     )
-    seeds = ranked[: cfg.n_seeds]
+    seeds = ranked[:N_SEEDS]
 
-    taus: list[Tau] = [INVALID_TAU] * cfg.n_seeds
+    taus: list[Tau] = [INVALID_TAU] * N_SEEDS
     for slot, (_, seed) in enumerate(seeds):
         in_cone = [
-            [
-                p
-                for p in block
-                if delta_r2(p.pos, seed.pos, phi_range=cfg.phi_range) <= cfg.filter_cone_r2
-            ]
+            [p for p in block if delta_r2(p.pos, seed.pos) <= cfg.filter_cone_r2]
             for block in blocks
         ]
-        # The cap keeps the first max_candidates in the merge solution's
+        # The cap keeps the first MAX_CANDIDATES in the merge solution's
         # order: slot order under A; (rank within the block's list, block
         # index) under B.  Without overflow it keeps all, in any order.
         ordered = [p for lst in in_cone for p in lst]
-        if merge_solution == "B" and len(ordered) > cfg.max_candidates:
-            ordered = [lst[r] for r in range(bs) for lst in in_cone if r < len(lst)]
-        cands = ordered[: cfg.max_candidates]
-        total = min(sum(p.pt for p in cands), cfg.pt_max)
+        if merge_solution == "B" and len(ordered) > MAX_CANDIDATES:
+            ordered = [lst[r] for r in range(BLOCK_SIZE) for lst in in_cone if r < len(lst)]
+        cands = ordered[:MAX_CANDIDATES]
+        total = min(sum(p.pt for p in cands), PT_MAX)
 
         r2_sig = signal_cone_r2(total, cfg)
         kept = [
             p
             for p in cands
             if p.species in cfg.allowed_signal_species
-            and delta_r2(p.pos, seed.pos, phi_range=cfg.phi_range) <= r2_sig
+            and delta_r2(p.pos, seed.pos) <= r2_sig
         ]
-        sum_pt = min(sum(p.pt for p in kept), cfg.pt_max)
+        sum_pt = min(sum(p.pt for p in kept), PT_MAX)
         if sum_pt == 0 or sum_pt < cfg.min_tau_pt:
             continue
 
         eta_w = _trunc(Fraction(sum(p.pt * p.pos.eta for p in kept), sum_pt))
         phi_off = _trunc(
-            Fraction(
-                sum(p.pt * wrap_delta_phi(p.pos.phi, seed.pos.phi, cfg.phi_range) for p in kept),
-                sum_pt,
-            )
+            Fraction(sum(p.pt * wrap_delta_phi(p.pos.phi, seed.pos.phi) for p in kept), sum_pt)
         )
-        phi_w = wrap_phi(seed.pos.phi + phi_off, cfg.phi_range)
+        phi_w = wrap_phi(seed.pos.phi + phi_off)
         taus[slot] = Tau(pt=sum_pt, pos=AngularCoord(eta_w, phi_w), valid=True)
 
     return oracle_clean(taus, cfg)
@@ -112,14 +117,14 @@ def oracle_clean(taus: Sequence[Tau], cfg: TriggerConfig) -> tuple[Tau, ...]:
         dominated = any(
             taus[j].valid
             and j != i
-            and delta_r2(taus[i].pos, taus[j].pos, phi_range=cfg.phi_range) <= cfg.proximity_r2
+            and delta_r2(taus[i].pos, taus[j].pos) <= cfg.proximity_r2
             and (taus[j].pt > taus[i].pt or (taus[j].pt == taus[i].pt and j < i))
             for j in range(n)
         )
         if not dominated:
             survivors.append(i)
-    if len(survivors) > cfg.max_taus:
-        top = sorted(survivors, key=lambda i: (-taus[i].pt, i))[: cfg.max_taus]
+    if len(survivors) > MAX_TAUS:
+        top = sorted(survivors, key=lambda i: (-taus[i].pt, i))[:MAX_TAUS]
         survivors = sorted(top)
     return tuple(taus[i] for i in survivors)
 
@@ -154,11 +159,11 @@ class MergeExpectation:
         return True
 
 
-def oracle_merge(lists: Sequence[Sequence[Particle]], cfg: TriggerConfig) -> MergeExpectation:
+def oracle_merge(lists: Sequence[Sequence[Particle]]) -> MergeExpectation:
     """Build the merge-outcome descriptor for the given source lists."""
     flat = [p for lst in lists for p in lst]
     return MergeExpectation(
-        capacity=cfg.max_candidates,
+        capacity=MAX_CANDIDATES,
         source_multiset=Counter(flat),
         source_count=len(flat),
     )

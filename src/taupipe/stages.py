@@ -14,10 +14,13 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .core import (
-    ETA_MAX,
+    BLOCK_SIZE,
+    MAX_CANDIDATES,
+    MAX_TAUS,
+    N_FILTER_BLOCKS,
+    N_SEEDS,
+    PHI_HALF,
     PHI_RANGE,
-    PT_MAX,
-    R2_MAX,
     AngularCoord,
     Event,
     OpCounter,
@@ -45,19 +48,14 @@ CLEAN_SOLUTIONS = ("A", "B")
 
 @dataclass(frozen=True)
 class TriggerConfig:
-    """All knobs of the trigger algorithm, with desk-scale defaults.
+    """The cones and thresholds of the trigger algorithm, with desk-scale defaults.
 
-    The cone and threshold values are placeholders wired through one record so
-    they can be replaced wholesale; the structural constants (128 inputs, 16
-    seeds, 4 blocks of 32, 30 candidates, 8 taus) match the pipeline framing.
+    The values are placeholders wired through one record so they can be
+    replaced wholesale.  The framing (128 inputs, 16 seeds, 4 blocks of 32,
+    30 candidates, 8 taus) and the pt/eta/phi ranges are constants of
+    ``core``, as they are array sizes and register widths of the design.
     """
 
-    n_input: int = 128
-    n_seeds: int = 16
-    n_filter_blocks: int = 4
-    block_size: int = 32
-    max_candidates: int = 30
-    max_taus: int = 8
     filter_cone_r2: int = 16900
     signal_cone_k: int = 16900 * 256
     signal_cone_r2_min: int = 1024
@@ -66,39 +64,17 @@ class TriggerConfig:
     proximity_r2: int = 26569
     min_seed_pt: int = 4
     min_tau_pt: int = 16
-    pt_max: int = PT_MAX
-    phi_range: int = PHI_RANGE
-    eta_max: int = ETA_MAX
 
     def __post_init__(self) -> None:
-        if self.n_filter_blocks * self.block_size != self.n_input:
-            raise ValueError(
-                "n_filter_blocks * block_size must equal n_input "
-                f"(got {self.n_filter_blocks}*{self.block_size} != {self.n_input})"
-            )
         if self.signal_cone_r2_min > self.signal_cone_r2_max:
             raise ValueError(
                 "signal_cone_r2_min must not exceed signal_cone_r2_max "
                 f"(got {self.signal_cone_r2_min} > {self.signal_cone_r2_max})"
             )
-        if not 1 <= self.n_seeds <= self.n_input:
-            raise ValueError(f"n_seeds must be in 1..n_input={self.n_input}, got {self.n_seeds}")
-        if not 1 <= self.max_taus <= self.n_seeds:
-            raise ValueError(
-                f"max_taus must be in 1..n_seeds={self.n_seeds}, got {self.max_taus}"
-            )
-        if not 1 <= self.max_candidates <= self.n_input:
-            raise ValueError(
-                f"max_candidates must be in 1..n_input={self.n_input}, got {self.max_candidates}"
-            )
         for name in ("filter_cone_r2", "signal_cone_k", "proximity_r2", "min_seed_pt",
                      "min_tau_pt", "signal_cone_r2_min"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
-        if self.pt_max < 1 or self.eta_max < 1:
-            raise ValueError("pt_max and eta_max must be positive")
-        if self.phi_range < 2 or self.phi_range % 2 != 0:
-            raise ValueError(f"phi_range must be a positive even number, got {self.phi_range}")
 
 
 @dataclass(frozen=True)
@@ -160,7 +136,7 @@ class MergeResult:
 def select_seeds(
     event: Event, cfg: TriggerConfig, ops: OpCounter | None = None
 ) -> tuple[Particle, ...]:
-    """Pick the highest-pt charged particles, at most ``n_seeds`` of them.
+    """Pick the highest-pt charged particles, at most ``N_SEEDS`` of them.
 
     Output is graded by descending pt with ascending slot breaking ties.
     Fewer qualifying particles simply yield a shorter tuple.
@@ -175,14 +151,13 @@ def select_seeds(
             qualified.append(p)
     # The sort is stable, so equal pts keep their slot order.
     qualified.sort(key=lambda p: -p.pt)
-    return tuple(qualified[: cfg.n_seeds])
+    return tuple(qualified[:N_SEEDS])
 
 
-def partition_blocks(event: Event, cfg: TriggerConfig) -> tuple[tuple[Particle, ...], ...]:
+def partition_blocks(event: Event) -> tuple[tuple[Particle, ...], ...]:
     """Split the event into the contiguous fixed-size filter blocks."""
-    bs = cfg.block_size
     return tuple(
-        event.particles[i * bs : (i + 1) * bs] for i in range(cfg.n_filter_blocks)
+        event.particles[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE] for i in range(N_FILTER_BLOCKS)
     )
 
 
@@ -204,13 +179,10 @@ def filter_block(
         ops.multiplications += 2 * n_valid
         ops.comparisons += n_valid
     cone_r2 = cfg.filter_cone_r2
-    if cone_r2 >= R2_MAX:
-        # delta_r2 saturates at R2_MAX, so every valid particle passes.
-        return tuple(p for p in block if p.valid)
     # |deta| > isqrt(cone_r2) implies deta^2 > cone_r2: rejected on eta alone.
     reach = math.isqrt(cone_r2)
-    phi_range = cfg.phi_range
-    half = phi_range // 2
+    phi_range = PHI_RANGE
+    half = PHI_HALF
     seed_eta = seed.pos.eta
     seed_phi = seed.pos.phi
     kept: list[Particle] = []
@@ -239,11 +211,11 @@ def merge_solution_a(
     in parallel, so the trimming phase never models more than one block's
     worth of cycles.
     """
-    cap = cfg.max_candidates
+    cap = MAX_CANDIDATES
     sizes = [len(lst) for lst in lists]
     for s in sizes:
-        if s > cfg.block_size:
-            raise ValueError(f"source list of {s} items exceeds block size {cfg.block_size}")
+        if s > BLOCK_SIZE:
+            raise ValueError(f"source list of {s} items exceeds block size {BLOCK_SIZE}")
     takes: list[int] = []
     remaining = cap
     for s in sizes:
@@ -278,11 +250,11 @@ def merge_solution_b(
     advances.  Output order is round-robin by element index with list-number
     priority.
     """
-    cap = cfg.max_candidates
+    cap = MAX_CANDIDATES
     sizes = [len(lst) for lst in lists]
     for s in sizes:
-        if s > cfg.block_size:
-            raise ValueError(f"source list of {s} items exceeds block size {cfg.block_size}")
+        if s > BLOCK_SIZE:
+            raise ValueError(f"source list of {s} items exceeds block size {BLOCK_SIZE}")
     items: list[Particle] = []
     # Items taken per source.  Each source is read in index order, so what it
     # loses to a full target is always a suffix.
@@ -328,7 +300,7 @@ def compute_total_pt(
     """Saturating sum of the candidates' transverse momenta."""
     total = 0
     for p in candidates:
-        total = saturating_pt_add(total, p.pt, cfg.pt_max)
+        total = saturating_pt_add(total, p.pt)
     return total
 
 
@@ -365,7 +337,7 @@ def select_signal_candidates(
             ops.comparisons += 1
         if p.species not in cfg.allowed_signal_species:
             continue
-        d = delta_r2(p.pos, clist.seed.pos, phi_range=cfg.phi_range, ops=ops)
+        d = delta_r2(p.pos, clist.seed.pos, ops=ops)
         if ops is not None:
             ops.comparisons += 1
         if d <= lo:
@@ -403,7 +375,7 @@ def compute_tau_params(
     num_eta = 0
     num_phi = 0
     for p in clist.candidates:
-        off = wrap_delta_phi(p.pos.phi, seed_phi, cfg.phi_range)
+        off = wrap_delta_phi(p.pos.phi, seed_phi)
         if ops is not None:
             ops.multiplications += 2
         num_eta += p.pt * p.pos.eta
@@ -412,7 +384,7 @@ def compute_tau_params(
         ops.divisions += 2
     eta_w = trunc_div(num_eta, sum_pt)
     phi_off = trunc_div(num_phi, sum_pt)
-    phi_w = wrap_phi(seed_phi + phi_off, cfg.phi_range)
+    phi_w = wrap_phi(seed_phi + phi_off)
     return TauParams(sum_pt=sum_pt, eta_w=eta_w, phi_w=phi_w)
 
 
@@ -447,8 +419,8 @@ def build_cleaning_matrix(
     0-based; no cell involves an invalid tau, and the diagonal is never set.
     """
     n = len(taus)
-    if n != cfg.n_seeds:
-        raise ValueError(f"cleaning expects exactly {cfg.n_seeds} tau slots, got {n}")
+    if n != N_SEEDS:
+        raise ValueError(f"cleaning expects exactly {N_SEEDS} tau slots, got {n}")
     cells: set[tuple[int, int]] = set()
     for i in range(n):
         if not taus[i].valid:
@@ -456,7 +428,7 @@ def build_cleaning_matrix(
         for j in range(i + 1, n):
             if not taus[j].valid:
                 continue
-            d = delta_r2(taus[i].pos, taus[j].pos, phi_range=cfg.phi_range, ops=ops)
+            d = delta_r2(taus[i].pos, taus[j].pos, ops=ops)
             if ops is not None:
                 ops.comparisons += 2
             if d > cfg.proximity_r2:
@@ -465,14 +437,12 @@ def build_cleaning_matrix(
     return frozenset(cells)
 
 
-def _cap_to_max_taus(
-    survivor_slots: Sequence[int], taus: Sequence[Tau], cfg: TriggerConfig
-) -> tuple[Tau, ...]:
+def _cap_to_max_taus(survivor_slots: Sequence[int], taus: Sequence[Tau]) -> tuple[Tau, ...]:
     # Keep the highest-pt survivors (lower slot wins ties) but emit them in
     # original slot order.
     slots = list(survivor_slots)
-    if len(slots) > cfg.max_taus:
-        by_pt = sorted(slots, key=lambda i: (-taus[i].pt, i))[: cfg.max_taus]
+    if len(slots) > MAX_TAUS:
+        by_pt = sorted(slots, key=lambda i: (-taus[i].pt, i))[:MAX_TAUS]
         slots = sorted(by_pt)
     return tuple(taus[i] for i in slots)
 
@@ -485,7 +455,7 @@ def clean_solution_b(
     """Matrix cleaning: drop every tau whose matrix row holds any True."""
     dominated = {i for i, _ in build_cleaning_matrix(taus, cfg, ops)}
     survivors = [i for i, tau in enumerate(taus) if tau.valid and i not in dominated]
-    return _cap_to_max_taus(survivors, taus, cfg)
+    return _cap_to_max_taus(survivors, taus)
 
 
 def clean_solution_a(
@@ -500,8 +470,8 @@ def clean_solution_a(
     which is what makes this pass agree with the matrix formulation on chains.
     """
     n = len(taus)
-    if n != cfg.n_seeds:
-        raise ValueError(f"cleaning expects exactly {cfg.n_seeds} tau slots, got {n}")
+    if n != N_SEEDS:
+        raise ValueError(f"cleaning expects exactly {N_SEEDS} tau slots, got {n}")
     graded = sorted(
         (i for i in range(n) if taus[i].valid),
         key=lambda i: (-taus[i].pt, i),
@@ -509,14 +479,14 @@ def clean_solution_a(
     dropped: set[int] = set()
     for pos, i in enumerate(graded):
         for j in graded[pos + 1 :]:
-            d = delta_r2(taus[i].pos, taus[j].pos, phi_range=cfg.phi_range, ops=ops)
+            d = delta_r2(taus[i].pos, taus[j].pos, ops=ops)
             if ops is not None:
                 ops.comparisons += 1
             if d <= cfg.proximity_r2:
                 dropped.add(j)
     survivors = [i for i in graded if i not in dropped]
     survivors.sort()
-    return _cap_to_max_taus(survivors, taus, cfg)
+    return _cap_to_max_taus(survivors, taus)
 
 
 _CLEAN_FNS: dict[str, Callable[..., tuple[Tau, ...]]] = {
@@ -548,8 +518,8 @@ def run_stages(
     merge = merge_fn(merge_solution)
     clean = clean_fn(clean_solution)
     seeds = select_seeds(event, cfg, ops)
-    blocks = partition_blocks(event, cfg)
-    taus: list[Tau] = [INVALID_TAU] * cfg.n_seeds
+    blocks = partition_blocks(event)
+    taus: list[Tau] = [INVALID_TAU] * N_SEEDS
     for si, seed in enumerate(seeds):
         lists = [filter_block(b, seed, cfg, ops) for b in blocks]
         merged = merge(lists, cfg, ops)

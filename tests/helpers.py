@@ -5,7 +5,12 @@ from __future__ import annotations
 import re
 
 from taupipe.core import (
+    ETA_MAX,
+    N_INPUT,
+    N_SEEDS,
     PAD_PARTICLE,
+    PHI_HALF,
+    PT_MAX,
     AngularCoord,
     Event,
     OpCounter,
@@ -82,9 +87,9 @@ def random_merge_lists(rng: SplitMix64) -> list[list[int]]:
     return [[lst * 1000 + i for i in range(size)] for lst, size in enumerate(sizes)]
 
 
-def chain_taus(cfg: TriggerConfig) -> tuple[Tau, ...]:
+def chain_taus() -> tuple[Tau, ...]:
     """a > b > c in pt; a near b, b near c, a not near c."""
-    taus = [INVALID_TAU] * cfg.n_seeds
+    taus = [INVALID_TAU] * N_SEEDS
     taus[0] = tau(90, 0, 0)
     taus[1] = tau(50, 150, 0)
     taus[2] = tau(30, 300, 0)
@@ -97,13 +102,11 @@ def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
     seed = make_particle(50, 0, 0)
     near = make_particle(10, 3, 4)
     one = CandidateList(seed, (near,), compute_total_pt((near,), cfg))
-    taus = [INVALID_TAU] * cfg.n_seeds
+    taus = [INVALID_TAU] * N_SEEDS
     taus[0] = tau(30, 0, 0)
     taus[1] = tau(20, 3, 4)
     probes = {
-        "seeding": lambda ops: select_seeds(
-            make_event(0, [seed], n_input=cfg.n_input), cfg, ops
-        ),
+        "seeding": lambda ops: select_seeds(make_event(0, [seed]), cfg, ops),
         "filtering": lambda ops: filter_block([near], seed, cfg, ops),
         "merging": lambda ops: merge_solution_b([[near], [], [], []], cfg, ops),
         "signal_selection": lambda ops: select_signal_candidates(one, cfg, ops),
@@ -125,7 +128,8 @@ def tick_reference(specs, hops, depths, n_events, feed_period=0):
     Every cycle visits the stages in chain order, so a consumer sees an
     iteration its producer began in the same cycle, and a producer sees the
     buffer place a consumer frees only from the next cycle.  Buffers are
-    occupancy counters; no timing is derived in closed form.
+    occupancy counters; no timing is derived in closed form.  A streaming
+    stage also waits until it would complete no earlier than its producer.
     """
     n_stages = len(specs)
     starts = [[] for _ in specs]
@@ -142,13 +146,16 @@ def tick_reference(specs, hops, depths, n_events, feed_period=0):
             if k and t < starts[s][k - 1] + spec.ii_cycles + hops[s]:
                 continue
             if s == 0:
-                ready = k * feed_period
+                ready = k * feed_period + hops[s]
             elif len(starts[s - 1]) > k:
                 producer = starts[s - 1][k]
-                ready = producer + (spec.start_offset_cycles or specs[s - 1].latency_cycles)
+                upstream = specs[s - 1].latency_cycles
+                ready = producer + (spec.start_offset_cycles or upstream) + hops[s]
+                if spec.start_offset_cycles:
+                    ready = max(ready, producer + upstream - spec.latency_cycles)
             else:
                 ready = None  # the producer has not begun iteration k
-            if ready is None or t < ready + hops[s]:
+            if ready is None or t < ready:
                 in_stall[s] += 1
             elif s < n_stages - 1 and occupancy[s] == depths[s]:
                 out_stall[s] += 1
@@ -166,13 +173,12 @@ def tick_reference(specs, hops, depths, n_events, feed_period=0):
 DECIMAL = re.compile(r"-?[0-9]+")
 
 
-def reference_parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
+def reference_parse_events(text: str) -> list[Event]:
     """Line-by-line reference of ``parse_events``: strip, then split; each
     integer field matched against ``-?[0-9]+``; the species by enum lookup;
     each particle through ``make_particle``; a slot dict per event, padded at
     the end.  Same checks, order and messages."""
-    cfg = cfg or TriggerConfig()
-    half = cfg.phi_range // 2
+    half = PHI_HALF
     lines = text.split("\n")
     if lines[0].split() != [EVENT_FORMAT, str(EVENT_FORMAT_VERSION)]:
         raise EventFileError(
@@ -193,12 +199,12 @@ def reference_parse_events(text: str, cfg: TriggerConfig | None = None) -> list[
             species = Species(fields[5])
         except ValueError:
             raise EventFileError(f"line {lineno}: unknown species {fields[5]!r}")
-        if not 0 <= slot < cfg.n_input:
-            raise EventFileError(f"line {lineno}: slot {slot} outside 0..{cfg.n_input - 1}")
-        if not 0 <= pt <= cfg.pt_max:
-            raise EventFileError(f"line {lineno}: pt {pt} outside 0..{cfg.pt_max}")
-        if abs(eta) > cfg.eta_max:
-            raise EventFileError(f"line {lineno}: |eta| {eta} exceeds {cfg.eta_max}")
+        if not 0 <= slot < N_INPUT:
+            raise EventFileError(f"line {lineno}: slot {slot} outside 0..{N_INPUT - 1}")
+        if not 0 <= pt <= PT_MAX:
+            raise EventFileError(f"line {lineno}: pt {pt} outside 0..{PT_MAX}")
+        if abs(eta) > ETA_MAX:
+            raise EventFileError(f"line {lineno}: |eta| {eta} exceeds {ETA_MAX}")
         if not -half <= phi < half:
             raise EventFileError(f"line {lineno}: phi {phi} outside [{-half}, {half})")
         slots = slots_by_event.setdefault(event_id, {})
@@ -207,7 +213,7 @@ def reference_parse_events(text: str, cfg: TriggerConfig | None = None) -> list[
         slots[slot] = make_particle(pt, eta, phi, species)
     events = []
     for event_id, slots in slots_by_event.items():
-        particles = [PAD_PARTICLE] * cfg.n_input
+        particles = [PAD_PARTICLE] * N_INPUT
         for slot, particle in slots.items():
             particles[slot] = particle
         events.append(Event(event_id, tuple(particles)))

@@ -9,7 +9,7 @@ import time
 
 from helpers import fig5_taus, random_merge_lists, random_tau_slots, stage_op_counts
 from taupipe.budget import TimingBudget, cycle_budget, evaluate_feasibility
-from taupipe.core import AngularCoord, OpCounter, delta_r2
+from taupipe.core import MAX_CANDIDATES, AngularCoord, OpCounter, delta_r2
 from taupipe.dataflow import EngineConfig, default_stage_specs, trigger_timing
 from taupipe.cli import main as cli_main
 from taupipe.eventio import (
@@ -72,12 +72,12 @@ def test_c2_equivalence_suites():
     agreed_sets = 0
     for _ in range(10_000):
         lists = random_merge_lists(rng)
-        expect = oracle_merge(lists, CFG)
+        expect = oracle_merge(lists)
         ra = merge_solution_a(lists, CFG)
         rb = merge_solution_b(lists, CFG)
         assert expect.check(ra.items, ra.discarded)
         assert expect.check(rb.items, rb.discarded)
-        if sum(len(l) for l in lists) <= CFG.max_candidates:
+        if sum(len(l) for l in lists) <= MAX_CANDIDATES:
             assert set(ra.items) == set(rb.items)
             agreed_sets += 1
     assert agreed_sets > 500  # the non-overflow regime is genuinely exercised
@@ -199,7 +199,7 @@ def test_c8_cost_accounting():
         run_stages(ev, CFG, "B", "B", ops)
         groups = 0
         seeds = select_seeds(ev, CFG)
-        blocks = partition_blocks(ev, CFG)
+        blocks = partition_blocks(ev)
         for seed in seeds:
             merged = merge_solution_b([filter_block(b, seed, CFG) for b in blocks], CFG)
             clist = CandidateList(seed, merged.items, compute_total_pt(merged.items, CFG))

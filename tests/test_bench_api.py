@@ -55,3 +55,20 @@ def test_traced_bench_child_fills_every_counter(tmp_path):
     assert out["exit"] == 0
     assert COUNTER_KEYS <= set(out["counts"]), out["counts"]
     assert out["counts"]["seeds"] > 0
+
+
+def test_bench_run_calls_the_package_with_a_trigger_config(tmp_path):
+    # bench/run.py calls gen_events, parse_events, oracle_trigger and
+    # run_stages(..., ops=) in its own process with a trigger config; a
+    # traced file workload reaches every one of those calls.
+    root = CHILD.parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    argv = ["--workload", "sparse-file", "--seed", "5", "--seconds", "0.5", "--events", "3",
+            "--trace", "1"]
+    proc = subprocess.run(
+        [sys.executable, str(root / "bench" / "run.py"), *argv],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert last["correct"] is True, last

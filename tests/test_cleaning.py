@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import chain_taus, fig5_taus, random_tau_slots, tau
-from taupipe.core import delta_r2
+from taupipe.core import MAX_TAUS, delta_r2
 from taupipe.eventio import SplitMix64
 from taupipe.reference import oracle_clean
 from taupipe.stages import (
@@ -48,7 +48,7 @@ def test_equal_pt_tie_break_lower_index_wins():
 
 
 def test_chain_only_head_survives():
-    taus = chain_taus(CFG)
+    taus = chain_taus()
     assert delta_r2(taus[0].pos, taus[2].pos) > CFG.proximity_r2  # a not near c
     for fn in (clean_solution_a, clean_solution_b, oracle_clean):
         assert fn(taus, CFG) == (taus[0],)
@@ -58,7 +58,7 @@ def test_sixteen_isolated_capped_to_top8():
     taus = tuple(tau(10 + i, (i % 4) * 1000 - 1500, (i // 4) * 500 - 750) for i in range(16))
     for fn in (clean_solution_a, clean_solution_b):
         out = fn(taus, CFG)
-        assert len(out) == CFG.max_taus
+        assert len(out) == MAX_TAUS
         # the eight highest pts, emitted in original slot order
         assert out == taus[8:]
 

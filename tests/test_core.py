@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from taupipe.core import (
+    ETA_MAX,
     AngularCoord,
     OpCounter,
     PAD_PARTICLE,
+    PHI_HALF,
     PHI_RANGE,
     PT_MAX,
     Particle,
@@ -79,8 +81,10 @@ def test_delta_r2_counts_two_multiplications():
     assert ops.divisions == 0
 
 
-def test_delta_r2_saturates():
-    assert delta_r2(AngularCoord(100, 0), AngularCoord(0, 0), r2_max=9999) == 9999
+def test_delta_r2_largest_distance_fits_27_bits():
+    # opposite eta ends, phi half a period apart: no distance needs saturation
+    corner = delta_r2(AngularCoord(-ETA_MAX, -PHI_HALF), AngularCoord(ETA_MAX, 0))
+    assert corner == (2 * ETA_MAX) ** 2 + PHI_HALF**2 == 68_157_440 < 2**27
 
 
 @given(etas, phis, etas, phis)

@@ -185,7 +185,8 @@ def test_streaming_offset_shortens_latency():
     specs1 = [StageSpec("a", 20, 5), StageSpec("b", 10, 5, start_offset_cycles=6)]
     overlapped = chain(specs1, 1).latency_cycles
     assert base == 30
-    assert overlapped == 16  # starts 6 cycles after the producer, not after it ends
+    # starts 10 cycles after the producer (not 6), so that it ends with it
+    assert overlapped == 20
 
 
 def _streaming_b_b_chain(n):
@@ -201,17 +202,21 @@ def _two_stage_streaming_chain(n):
     return specs, chain(specs, n)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="a streaming stage's start is bounded by its producer's start plus the "
-    "offset, never by the producer's completion, so it can finish first",
-)
 @pytest.mark.parametrize("build", [_streaming_b_b_chain, _two_stage_streaming_chain])
 def test_no_stage_completes_before_its_producer(build):
     specs, metrics = build(6)
     for s in range(1, len(specs)):
         for consumer, producer in zip(metrics.start[s], metrics.start[s - 1]):
             assert consumer + specs[s].latency_cycles >= producer + specs[s - 1].latency_cycles
+
+
+def test_causal_bound_adds_no_hop():
+    # merging (latency 1) may start as soon as it would end with filtering
+    # (38): B/B 200 and A/A 198.  Adding merging's hop to that bound would
+    # give 201 and 199.
+    for merge, clean, latency in (("B", "B", 200), ("A", "A", 198)):
+        specs = RunConfig(stage_overrides={"merging": {"latency_cycles": 1}}).specs_for(merge, clean)
+        assert trigger_timing(specs, merge, EngineConfig(), 6).latency_cycles == latency
 
 
 def test_engine_is_deterministic():

@@ -1,6 +1,6 @@
 import pytest
 
-from taupipe.core import Species
+from taupipe.core import ETA_MAX, N_INPUT, N_SEEDS, PHI_HALF, PT_MAX, Species
 from taupipe.dataflow import StageSpec
 from taupipe.eventio import (
     ConfigError,
@@ -141,17 +141,16 @@ def test_gen_unknown_profile():
 
 
 def test_gen_respects_framing_and_ranges():
-    half = CFG.phi_range // 2
     for profile in ("uniform", "clustered", "busy"):
         for ev in gen_events(31, 15, profile, CFG):
-            assert len(ev.particles) == CFG.n_input
+            assert len(ev.particles) == N_INPUT
             assert any(p.valid for p in ev.particles)
             for p in ev.particles:
                 if not p.valid:
                     continue
-                assert 1 <= p.pt <= CFG.pt_max
-                assert abs(p.pos.eta) <= CFG.eta_max
-                assert -half <= p.pos.phi < half
+                assert 1 <= p.pt <= PT_MAX
+                assert abs(p.pos.eta) <= ETA_MAX
+                assert -PHI_HALF <= p.pos.phi < PHI_HALF
 
 
 def test_gen_clustered_seed1_exercises_cleaning():
@@ -174,8 +173,8 @@ def test_gen_clustered_seed1_exercises_cleaning():
     found = False
     for ev in gen_events(1, 10, "clustered", CFG):
         seeds = select_seeds(ev, CFG)
-        blocks = partition_blocks(ev, CFG)
-        taus = [INVALID_TAU] * CFG.n_seeds
+        blocks = partition_blocks(ev)
+        taus = [INVALID_TAU] * N_SEEDS
         for si, seed in enumerate(seeds):
             merged = merge_solution_b([filter_block(b, seed, CFG) for b in blocks], CFG)
             cl = CandidateList(seed, merged.items, compute_total_pt(merged.items, CFG))
@@ -221,16 +220,25 @@ def test_config_solution_a_tables():
     assert specs["cleaning"].ii_cycles == 13
 
 
+# The framing and the pt/eta/phi ranges are constants, not config keys.
+FIXED_KEYS = (
+    "n_input", "n_seeds", "n_filter_blocks", "block_size", "max_candidates", "max_taus",
+    "pt_max", "phi_range", "eta_max",
+)
+
+
 def test_config_unknown_key():
     # budget keys match the budget table's frequencies, not any digits
-    for key in ("fizz", "latency_budget_240", "latency_budget_¹"):
+    for key in ("fizz", "latency_budget_240", "latency_budget_¹") + FIXED_KEYS:
         with pytest.raises(ConfigError, match=f"line 1: unknown config key '{key}'"):
             load_config(f"{key} = 3\n")
 
 
 def test_config_violated_invariant_is_quoted():
-    with pytest.raises(ConfigError, match="n_filter_blocks \\* block_size must equal n_input"):
-        load_config("n_filter_blocks = 5\n")
+    with pytest.raises(
+        ConfigError, match="line 1: signal_cone_r2_min must not exceed signal_cone_r2_max"
+    ):
+        load_config("signal_cone_r2_min = 20000\n")
 
 
 def test_config_stage_override():

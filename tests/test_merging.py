@@ -109,7 +109,7 @@ def test_merge_cycle_models_bounded(sizes):
 @given(sizes_st)
 def test_merge_against_expectation_descriptor(sizes):
     lists = [items(s, t) for t, s in enumerate(sizes)]
-    exp = oracle_merge(lists, CFG)
+    exp = oracle_merge(lists)
     for fn in (merge_solution_a, merge_solution_b):
         r = fn(lists, CFG)
         assert exp.check(r.items, r.discarded)
@@ -118,14 +118,14 @@ def test_merge_against_expectation_descriptor(sizes):
 def test_expectation_descriptor_examples():
     # 12 items total: the descriptor demands exactly those 12
     lists = [items(3, t) for t in range(4)]
-    exp = oracle_merge(lists, CFG)
+    exp = oracle_merge(lists)
     assert exp.required_size == 12
     assert exp.check([x for lst in lists for x in lst])
     assert not exp.check([x for lst in lists for x in lst][:11])
 
     # 128 items total: any 30-subset of the sources passes
     full = [items(32, t) for t in range(4)]
-    exp = oracle_merge(full, CFG)
+    exp = oracle_merge(full)
     assert exp.required_size == 30
     assert exp.check(full[0][:30])
     assert exp.check(full[0][:15] + full[3][:15])
@@ -134,7 +134,7 @@ def test_expectation_descriptor_examples():
 
     # exactly 30: demands all of them
     exact = [items(30, 9), [], [], []]
-    exp = oracle_merge(exact, CFG)
+    exp = oracle_merge(exact)
     assert exp.check(exact[0])
     assert not exp.check(exact[0][:29] + [exact[0][0]])
 

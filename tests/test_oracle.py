@@ -1,4 +1,4 @@
-from taupipe.core import Species, make_event, make_particle
+from taupipe.core import MAX_TAUS, Species, make_event, make_particle
 from taupipe.eventio import gen_events
 from taupipe.reference import oracle_trigger
 from taupipe.stages import TriggerConfig, run_stages
@@ -45,7 +45,7 @@ def test_at_most_eight_taus_and_min_pt():
         for i in range(64)
     ]
     out = oracle_trigger(make_event(0, particles), CFG)
-    assert len(out) <= CFG.max_taus
+    assert len(out) <= MAX_TAUS
     assert all(t.pt >= CFG.min_tau_pt for t in out)
 
 

@@ -12,12 +12,6 @@ LINE_PREFIX = re.compile(r"^line (\d+): ")
 
 CONFIG_KEYS = [
     "format_version",
-    "n_input",
-    "n_seeds",
-    "n_filter_blocks",
-    "block_size",
-    "max_candidates",
-    "max_taus",
     "filter_cone_r2",
     "signal_cone_k",
     "signal_cone_r2_min",
@@ -25,9 +19,6 @@ CONFIG_KEYS = [
     "proximity_r2",
     "min_seed_pt",
     "min_tau_pt",
-    "pt_max",
-    "phi_range",
-    "eta_max",
     "allowed_signal_species",
     "merge_solution",
     "clean_solution",

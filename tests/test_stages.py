@@ -1,12 +1,14 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import stage_op_counts
 from taupipe.core import (
     ETA_MAX,
+    N_SEEDS,
     PAD_PARTICLE,
-    PHI_RANGE,
-    R2_MAX,
+    PHI_HALF,
     AngularCoord,
     Event,
     OpCounter,
@@ -90,7 +92,7 @@ def test_select_seeds_matches_full_sort_oracle(entries):
             if p.valid and p.species.charged and p.pt >= CFG.min_seed_pt
         ),
         key=lambda t: (-t[0], t[1]),
-    )[: CFG.n_seeds]
+    )[:N_SEEDS]
     assert got == want
 
 
@@ -99,7 +101,7 @@ def test_select_seeds_matches_full_sort_oracle(entries):
 
 def test_filter_block_ignores_padding():
     ev = make_event(0, [])
-    blocks = partition_blocks(ev, CFG)
+    blocks = partition_blocks(ev)
     assert filter_block(blocks[0], seed_at(), CFG) == ()
 
 
@@ -129,32 +131,28 @@ def test_filter_block_preserves_order():
 def filter_cases(draw):
     """A block with padding, a seed and a cone from the edge cases of the
     eta pre-check: zero, a particle's exact distance, squares +-1 (the isqrt
-    edges) and saturating cones.  The wide eta range makes deta^2 overflow
-    R2_MAX; the small phi ranges make most differences wrap around."""
-    eta_max = draw(st.sampled_from([ETA_MAX, 2**20]))
-    phi_range = draw(st.sampled_from([PHI_RANGE, 64, 2]))
-    half = phi_range // 2
-    etas = st.integers(-eta_max, eta_max)
-    phis = st.integers(-half, half - 1)
+    edges) and cones up to twice the largest distance.  Positions favour the
+    ends of the ranges, where |deta| is largest and phi differences wrap."""
+    etas = st.one_of(st.sampled_from([-ETA_MAX, ETA_MAX]), st.integers(-ETA_MAX, ETA_MAX))
+    phis = st.one_of(
+        st.sampled_from([-PHI_HALF, PHI_HALF - 1]), st.integers(-PHI_HALF, PHI_HALF - 1)
+    )
     slots = draw(st.lists(st.one_of(st.none(), st.tuples(etas, phis)), max_size=32))
     block = [
         PAD_PARTICLE if s is None else make_particle(1 + i, s[0], s[1])
         for i, s in enumerate(slots)
     ]
     seed = make_particle(50, draw(etas), draw(phis))
-    distances = [
-        delta_r2(p.pos, seed.pos, phi_range=phi_range) for p in block if p.valid
-    ] or [0]
+    distances = [delta_r2(p.pos, seed.pos) for p in block if p.valid] or [0]
     cone = draw(
         st.one_of(
             st.just(0),
             st.sampled_from(distances),
-            st.builds(lambda k, d: max(0, k * k + d), st.integers(0, 2 * eta_max), st.integers(-1, 1)),
-            st.integers(R2_MAX - 1, R2_MAX + 1),
-            st.integers(0, 2 * R2_MAX),
+            st.builds(lambda k, d: max(0, k * k + d), st.integers(0, 2 * ETA_MAX), st.integers(-1, 1)),
+            st.integers(0, 2 * ((2 * ETA_MAX) ** 2 + PHI_HALF**2)),
         )
     )
-    cfg = TriggerConfig(filter_cone_r2=cone, phi_range=phi_range, eta_max=eta_max)
+    cfg = TriggerConfig(filter_cone_r2=cone)
     return block, seed, cfg
 
 
@@ -165,7 +163,7 @@ def test_filter_block_matches_naive_definition(case):
         p
         for p in block
         if p.valid
-        and delta_r2(p.pos, seed.pos, phi_range=cfg.phi_range) <= cfg.filter_cone_r2
+        and delta_r2(p.pos, seed.pos) <= cfg.filter_cone_r2
     )
     ops = OpCounter()
     assert filter_block(block, seed, cfg, ops) == want
@@ -351,9 +349,12 @@ def test_stage_op_costs_on_probes():
 # --- config validation --------------------------------------------------------
 
 
-def test_config_block_math_invariant():
-    with pytest.raises(ValueError, match="n_filter_blocks"):
-        TriggerConfig(n_filter_blocks=5)
+def test_trigger_config_holds_cones_and_thresholds_only():
+    # the framing and the pt/eta/phi ranges are constants of taupipe.core
+    assert [f.name for f in fields(TriggerConfig)] == [
+        "filter_cone_r2", "signal_cone_k", "signal_cone_r2_min", "signal_cone_r2_max",
+        "allowed_signal_species", "proximity_r2", "min_seed_pt", "min_tau_pt",
+    ]
 
 
 def test_config_cone_order_invariant():
