@@ -1,4 +1,4 @@
-"""Command-line front end: batch runs, variant comparisons, budget exploration.
+"""Command-line front end: batch runs and budget exploration of every solution pair.
 
 Exit codes: 0 success, 1 constraint infeasible or functional divergence,
 2 input error.
@@ -112,11 +112,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     merge, clean = _variants(args, run_cfg)
     outputs, metrics = _simulate(run_cfg, events, merge, clean)
 
+    trigger = run_cfg.trigger
+
+    def diverges(ev: Event) -> bool:
+        return run_stages(ev, trigger, merge, clean) != oracle_trigger(ev, trigger, merge)
+
     divergent = None
     if not args.no_oracle_check:
         for ev, got in zip(events, outputs):
-            if got != oracle_trigger(ev, run_cfg.trigger, merge):
+            if got != oracle_trigger(ev, trigger, merge):
                 divergent = ev.event_id
+                minimized = _minimize_divergent_event(ev, diverges)
+                sys.stderr.write("counterexample event:\n" + write_events([minimized]))
                 break
 
     metrics, budget = run_cfg.operating_point(metrics, args.freq)
@@ -173,52 +180,6 @@ def _minimize_divergent_event(event: Event, diverges) -> Event:
     return current
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
-    run_cfg = _load_run_config(args.config)
-    events, source_desc = _load_events(args)
-    if args.dimension == "merge":
-        variants = [("A", run_cfg.clean_solution), ("B", run_cfg.clean_solution)]
-        stage, title = "merging", "merging step"
-    else:
-        variants = [(run_cfg.merge_solution, "A"), (run_cfg.merge_solution, "B")]
-        stage, title = "cleaning", "tau cleaning step"
-
-    (outputs_a, metrics_a), (outputs_b, metrics_b) = (
-        _simulate(run_cfg, events, m, c) for m, c in variants
-    )
-
-    for ev, out_a, out_b in zip(events, outputs_a, outputs_b):
-        if out_a != out_b:
-            print(f"functional divergence at event {ev.event_id}; minimizing", file=sys.stderr)
-
-            def diverges(candidate: Event) -> bool:
-                a = run_stages(candidate, run_cfg.trigger, *variants[0])
-                b = run_stages(candidate, run_cfg.trigger, *variants[1])
-                return a != b
-
-            minimized = _minimize_divergent_event(ev, diverges)
-            sys.stderr.write("counterexample event:\n")
-            sys.stderr.write(write_events([minimized]))
-            return 1
-
-    # The rows that were simulated, config overrides included.
-    spec_a, spec_b = (run_cfg.specs_for(m, c)[stage] for m, c in variants)
-    print(f"{title} ({source_desc}, {len(events)} events)")
-    print(f"{'':28s}{'solution A':>12s}{'solution B':>12s}")
-    print(f"{'stage latency, cycles':28s}{spec_a.latency_cycles:>12d}{spec_b.latency_cycles:>12d}")
-    print(f"{'stage ii, cycles':28s}{spec_a.ii_cycles:>12d}{spec_b.ii_cycles:>12d}")
-    print(
-        f"{'measured latency, cycles':28s}"
-        f"{metrics_a.latency_cycles:>12d}{metrics_b.latency_cycles:>12d}"
-    )
-    print(
-        f"{'measured ii, cycles':28s}"
-        f"{metrics_a.ii_cycles:>12d}{metrics_b.ii_cycles:>12d}"
-    )
-    print(f"functional outputs identical across {len(events)} events")
-    return 0
-
-
 def cmd_explore(args: argparse.Namespace) -> int:
     run_cfg = _load_run_config(args.config)
     freqs = [f.strip() for f in args.freqs.split(",") if f.strip()]
@@ -238,30 +199,33 @@ def cmd_explore(args: argparse.Namespace) -> int:
         # timing depends on the event count only, so the events need not exist
         spec = args.gen or "1:50:clustered"
         n_events, source_desc = _gen_spec(spec)[1], f"gen {spec}"
-    merge, clean = run_cfg.merge_solution, run_cfg.clean_solution
-    base = _timing(run_cfg, n_events, merge, clean)
+    pairs = [(merge, clean) for merge in MERGE_SOLUTIONS for clean in CLEAN_SOLUTIONS]
+    bases = [_timing(run_cfg, n_events, merge, clean) for merge, clean in pairs]
 
-    columns = []
+    columns = []  # per clock, the (metrics, budget) of every pair
     for freq in freq_values:
         try:
-            metrics, budget = run_cfg.operating_point(base, freq)
+            columns.append([run_cfg.operating_point(base, freq) for base in bases])
         except ValueError as exc:  # a clock too slow for one cycle of a budget
             raise InputError(f"--freqs {freq}: {exc}")
-        columns.append((freq, metrics, evaluate_feasibility(metrics, budget)))
 
-    print(f"operating point exploration ({source_desc}, merge {merge}, clean {clean})")
-    header = f"{'':32s}" + "".join(f"{f'{freq} MHz':>12s}" for freq, _, _ in columns)
-    print(header)
+    print(f"operating point exploration ({source_desc})")
+    print(f"{'':32s}" + "".join(f"{f'{freq} MHz':>12s}" for freq in freq_values))
 
     def row(label: str, values) -> None:
         print(f"{label:32s}" + "".join(f"{v:>12}" for v in values))
 
-    row("latency budget, cycles", [c[2].budget.latency_budget_cycles for c in columns])
-    row("ii budget, cycles", [c[2].budget.ii_budget_cycles for c in columns])
-    row("achieved latency, cycles", [c[1].latency_cycles for c in columns])
-    row("achieved ii, cycles", [c[1].ii_cycles for c in columns])
-    row("cdc overhead, cycles", [c[1].cdc_overhead_cycles for c in columns])
-    row("feasible", ["yes" if c[2].feasible else "no" for c in columns])
+    budgets = [column[0][1] for column in columns]
+    row("latency budget, cycles", [b.latency_budget_cycles for b in budgets])
+    row("ii budget, cycles", [b.ii_budget_cycles for b in budgets])
+    row("cdc overhead, cycles", [column[0][0].cdc_overhead_cycles for column in columns])
+    for i, (merge, clean) in enumerate(pairs):
+        points = [column[i] for column in columns]
+        label = f"merge {merge}, clean {clean}:"
+        row(f"{label} latency", [m.latency_cycles for m, _ in points])
+        row(f"{label} ii", [m.ii_cycles for m, _ in points])
+        reports = [evaluate_feasibility(metrics, budget) for metrics, budget in points]
+        row(f"{label} feasible", ["yes" if r.feasible else "no" for r in reports])
     return 0
 
 
@@ -296,12 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the per-event reference cross-check")
     p_run.set_defaults(func=cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="compare both solutions of one step")
-    add_source(p_cmp)
-    p_cmp.add_argument("--dimension", choices=("merge", "clean"), required=True)
-    p_cmp.set_defaults(func=cmd_compare)
-
-    p_exp = sub.add_parser("explore", help="per-frequency budgets and feasibility")
+    p_exp = sub.add_parser(
+        "explore", help="per-frequency budgets and feasibility of every solution pair"
+    )
     add_source(p_exp)
     p_exp.add_argument("--freqs", required=True, metavar="LIST",
                        help="comma-separated MHz values, e.g. 360,300")

@@ -25,8 +25,10 @@ Firing contract.  Stage ``s`` begins iteration ``k`` at the earliest cycle
 
 Outputs of iteration ``k`` become visible ``latency_cycles`` after its start.
 Per-event latency is measured from the start of the event's transfer into the
-first stage to the last stage's completion; the steady-state initiation
-interval is the spacing of consecutive sink completions.
+first stage to the last stage's completion; the reported initiation interval
+is the spacing of the last two sink completions, 0 for fewer than two events.
+When a buffer rather than a stage limits throughput, the sink spacing need not
+settle to one value, so the reported interval can depend on the event count.
 
 Timing depends on the number of events only, never on their data, and the
 contract makes the chain a timed event graph: start times follow a max-plus
@@ -96,9 +98,11 @@ class PipelineMetrics:
     ``start[s][k]`` is the cycle at which stage ``s`` begins iteration ``k``,
     the recurrence's own matrix; latency and II are derived from it.
     ``latency_cycles`` is the worst per-event latency; ``ii_cycles`` is the
-    steady-state spacing of sink completions (0 when fewer than two events
-    were processed).  ``cdc_overhead_cycles`` records any clock-domain
-    crossing allowance already folded into ``latency_cycles``.
+    spacing of the last two sink completions (0 when fewer than two events
+    were processed).  When a buffer limits throughput the sink spacing can
+    alternate, and then ``ii_cycles`` depends on the event count.
+    ``cdc_overhead_cycles`` records any clock-domain crossing allowance
+    already folded into ``latency_cycles``.
     """
 
     latency_cycles: int

@@ -292,11 +292,7 @@ def merge_fn(solution: str) -> Callable[..., MergeResult]:
         raise ValueError(f"unknown merge solution {solution!r}, expected one of {MERGE_SOLUTIONS}")
 
 
-def compute_total_pt(
-    candidates: Sequence[Particle],
-    cfg: TriggerConfig,
-    ops: OpCounter | None = None,
-) -> int:
+def compute_total_pt(candidates: Sequence[Particle]) -> int:
     """Saturating sum of the candidates' transverse momenta."""
     total = 0
     for p in candidates:
@@ -352,7 +348,7 @@ def select_signal_candidates(
             ops.comparisons += 1
         if d * t <= k:
             kept.append(p)
-    total = compute_total_pt(kept, cfg, ops)
+    total = compute_total_pt(kept)
     return CandidateList(seed=clist.seed, candidates=tuple(kept), total_pt=total)
 
 
@@ -523,7 +519,7 @@ def run_stages(
     for si, seed in enumerate(seeds):
         lists = [filter_block(b, seed, cfg, ops) for b in blocks]
         merged = merge(lists, cfg, ops)
-        total = compute_total_pt(merged.items, cfg, ops)
+        total = compute_total_pt(merged.items)
         clist = CandidateList(seed=seed, candidates=merged.items, total_pt=total)
         selected = select_signal_candidates(clist, cfg, ops)
         params = compute_tau_params(selected, cfg, ops)

@@ -101,7 +101,7 @@ def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
     at (0, 0) and a near particle of pt 10 at (3, 4)."""
     seed = make_particle(50, 0, 0)
     near = make_particle(10, 3, 4)
-    one = CandidateList(seed, (near,), compute_total_pt((near,), cfg))
+    one = CandidateList(seed, (near,), compute_total_pt((near,)))
     taus = [INVALID_TAU] * N_SEEDS
     taus[0] = tau(30, 0, 0)
     taus[1] = tau(20, 3, 4)

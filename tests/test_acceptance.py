@@ -202,7 +202,7 @@ def test_c8_cost_accounting():
         blocks = partition_blocks(ev)
         for seed in seeds:
             merged = merge_solution_b([filter_block(b, seed, CFG) for b in blocks], CFG)
-            clist = CandidateList(seed, merged.items, compute_total_pt(merged.items, CFG))
+            clist = CandidateList(seed, merged.items, compute_total_pt(merged.items))
             if select_signal_candidates(clist, CFG).total_pt > 0:
                 groups += 1
         assert ops.divisions == 2 * groups

@@ -1,9 +1,14 @@
+import argparse
+from pathlib import Path
+
 import pytest
 
 import taupipe.cli as cli
-from taupipe.cli import main
+from taupipe.cli import build_parser, main
 from taupipe.core import make_event, make_particle
-from taupipe.eventio import parse_report, write_events
+from taupipe.eventio import gen_events, parse_events, parse_report, write_events
+from taupipe.reference import oracle_trigger
+from taupipe.stages import TriggerConfig, run_stages
 
 
 def run_cli(argv):
@@ -13,8 +18,9 @@ def run_cli(argv):
 def test_run_with_generated_events(tmp_path, capsys):
     report = tmp_path / "out.jsonl"
     code = run_cli(["run", "--gen", "1:100:clustered", "--freq", "300", "--report", str(report)])
-    out = capsys.readouterr().out
+    out, err = capsys.readouterr()
     assert code == 0
+    assert err == ""
     assert "oracle check: ok (100 events)" in out
     records = parse_report(report.read_text())
     metrics = records[-1]
@@ -81,62 +87,40 @@ def test_run_infeasible_budget_exits_one(tmp_path, capsys):
     assert "INFEASIBLE" in capsys.readouterr().out
 
 
-def test_compare_merge_table(capsys):
-    code = run_cli(["compare", "--dimension", "merge", "--gen", "2:50:clustered"])
-    out = capsys.readouterr().out
-    assert code == 0
-    lines = {l.split(",")[0].strip(): l for l in out.splitlines() if "," in l}
-    assert "38" in lines["stage latency"] and "33" in lines["stage latency"]
-    assert "34" in lines["stage ii"] and "33" in lines["stage ii"]
-    assert "identical" in out
-
-
-def test_compare_clean_table(capsys):
-    code = run_cli(["compare", "--dimension", "clean", "--gen", "2:50:clustered"])
-    out = capsys.readouterr().out
-    assert code == 0
-    lines = {l.split(",")[0].strip(): l for l in out.splitlines() if "," in l}
-    assert "13" in lines["stage latency"] and "15" in lines["stage latency"]
-    assert "identical" in out
-
-
-def test_compare_divergence_dumps_counterexample(tmp_path, capsys):
-    # a cone so wide that every seed sees all particles forces merge overflow,
-    # where the two merge solutions legitimately pick different candidates
-    cfgfile = tmp_path / "wide.cfg"
-    cfgfile.write_text("filter_cone_r2 = 400000000\nsignal_cone_r2_max = 400000000\nsignal_cone_k = 2000000000\n")
-    code = run_cli(
-        ["compare", "--dimension", "merge", "--gen", "3:30:busy", "--config", str(cfgfile)]
-    )
-    captured = capsys.readouterr()
-    assert code == 1
-    assert "divergence" in captured.err
-    assert "counterexample" in captured.err
-    assert "taupipe-events 1" in captured.err
-
-
 def test_explore_known_operating_points(capsys):
     code = run_cli(["explore", "--freqs", "360,300"])
     out = capsys.readouterr().out
     assert code == 0
     rows = {l[:32].strip(): l[32:].split() for l in out.splitlines()[2:]}
-    assert rows["ii budget, cycles"] == ["54", "45"]
     assert rows["latency budget, cycles"] == ["275", "220"]
+    assert rows["ii budget, cycles"] == ["54", "45"]
     assert rows["cdc overhead, cycles"] == ["0", "10"]
-    assert rows["feasible"] == ["yes", "yes"]
-    achieved = [int(x) for x in rows["achieved latency, cycles"]]
-    assert achieved[1] == achieved[0] + 10
+    latencies = {"A, clean A": 203, "A, clean B": 205, "B, clean A": 198, "B, clean B": 200}
+    for pair, latency in latencies.items():
+        assert rows[f"merge {pair}: latency"] == [str(latency), str(latency + 10)]
+        assert rows[f"merge {pair}: ii"] == ["44", "44"]
+        assert rows[f"merge {pair}: feasible"] == ["yes", "yes"]
+    assert len(rows) == 3 + 3 * len(latencies)
 
 
 EXPLORE_360_300 = """\
-operating point exploration (gen 1:50:clustered, merge B, clean B)
+operating point exploration (gen 1:50:clustered)
                                      360 MHz     300 MHz
 latency budget, cycles                   275         220
 ii budget, cycles                         54          45
-achieved latency, cycles                 200         210
-achieved ii, cycles                       44          44
 cdc overhead, cycles                       0          10
-feasible                                 yes         yes
+merge A, clean A: latency                203         213
+merge A, clean A: ii                      44          44
+merge A, clean A: feasible               yes         yes
+merge A, clean B: latency                205         215
+merge A, clean B: ii                      44          44
+merge A, clean B: feasible               yes         yes
+merge B, clean A: latency                198         208
+merge B, clean A: ii                      44          44
+merge B, clean A: feasible               yes         yes
+merge B, clean B: latency                200         210
+merge B, clean B: ii                      44          44
+merge B, clean B: feasible               yes         yes
 """
 
 
@@ -219,6 +203,14 @@ def test_command_line_integers_are_ascii_decimal(capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+def test_readme_cli_block_names_the_parser_subcommands():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    named = {line.split()[1] for line in block.splitlines() if line.startswith("taupipe ")}
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert named == set(subparsers.choices)
+
+
 def test_run_from_event_file(tmp_path, capsys):
     ev = make_event(3, [make_particle(80, 100, 100), make_particle(10, 110, 105)])
     path = tmp_path / "events.txt"
@@ -245,19 +237,34 @@ def test_run_rejects_non_positive_latency_budget(tmp_path, capsys, value):
     assert "latency_budget_360 must be positive" in err
 
 
-def test_compare_prints_overridden_stage_rows(tmp_path, capsys):
+def test_explore_applies_stage_overrides_to_every_pair(tmp_path, capsys):
     cfgfile = tmp_path / "merge20.cfg"
     cfgfile.write_text("stage.merging.latency = 20\n")
-    code = run_cli(
-        ["compare", "--dimension", "merge", "--gen", "2:50:clustered", "--config", str(cfgfile)]
-    )
+    code = run_cli(["explore", "--freqs", "360", "--gen", "2:50:clustered", "--config", str(cfgfile)])
     out = capsys.readouterr().out
     assert code == 0
-    rows = {l[:28].strip(): l[28:].split() for l in out.splitlines()[2:]}
-    assert rows["stage latency, cycles"] == ["20", "20"]
+    rows = {l[:32].strip(): l[32:].split() for l in out.splitlines()[2:]}
     # merging (20) may not complete before filtering (38): it starts 18
-    # cycles after filtering does, not offset 4 + hop 1 = 5
-    assert rows["measured latency, cycles"] == ["200", "200"]
+    # cycles after filtering does, not offset 4 + hop 1 = 5, so either merge
+    # solution gives the same latency
+    latencies = {"A, clean A": 198, "A, clean B": 200, "B, clean A": 198, "B, clean B": 200}
+    for pair, latency in latencies.items():
+        assert rows[f"merge {pair}: latency"] == [str(latency)]
+
+
+def test_explore_ignores_the_configured_solution_pair(tmp_path, capsys):
+    # merge_solution and clean_solution only pick run's default pair
+    cfgfile = tmp_path / "aa.cfg"
+    cfgfile.write_text("merge_solution = A\nclean_solution = A\n")
+    assert run_cli(["explore", "--freqs", "360,300", "--config", str(cfgfile)]) == 0
+    assert capsys.readouterr().out == EXPLORE_360_300
+
+
+def test_compare_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["compare", "--dimension", "merge", "--gen", "2:50:clustered"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'compare'" in capsys.readouterr().err
 
 
 def test_run_keeps_stage_override_under_merge_flag(tmp_path, capsys):
@@ -280,6 +287,29 @@ def test_run_merge_b_checks_its_own_cap_order_on_cone_overflow(tmp_path, capsys)
         argv = ["run", "--gen", "3:30:busy", "--merge", merge, "--config", str(cfgfile)]
         assert run_cli(argv) == 0
         assert "oracle check: ok (30 events)" in capsys.readouterr().out
+
+
+def _drop_last_tau_of_busy_events(ev, *args, **kwargs):
+    """``run_stages`` with a fault that shows only on events with more than
+    three valid particles."""
+    taus = run_stages(ev, *args, **kwargs)
+    return taus[:-1] if sum(p.valid for p in ev.particles) > 3 else taus
+
+
+def test_run_writes_a_minimised_counterexample_on_divergence(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "run_stages", _drop_last_tau_of_busy_events)
+    assert run_cli(["run", "--gen", "1:5:clustered"]) == 1
+    captured = capsys.readouterr()
+    assert "oracle check: DIVERGENT at event 0" in captured.out
+    head, _, text = captured.err.partition("counterexample event:\n")
+    assert head == ""
+    [minimised] = parse_events(text)
+    original = gen_events(1, 1, "clustered")[0]
+    assert minimised.event_id == original.event_id
+    cfg = TriggerConfig()
+    assert _drop_last_tau_of_busy_events(minimised, cfg) != oracle_trigger(minimised, cfg, "B")
+    n_valid = [sum(p.valid for p in ev.particles) for ev in (minimised, original)]
+    assert 3 < n_valid[0] < n_valid[1]
 
 
 @pytest.mark.parametrize(

@@ -41,13 +41,12 @@ OPTIONS = {
         "--report": path,
         "--no-oracle-check": st.none(),
     },
-    "compare": {**SOURCE, "--dimension": st.sampled_from(["merge", "clean", "x"])},
     "explore": {
         **SOURCE,
         "--freqs": st.sampled_from(["360,300", "300", "", "0", "6", "-5", "a,b", "240,100000"]),
     },
 }
-REQUIRED = {"compare": "--dimension", "explore": "--freqs"}
+REQUIRED = {"explore": "--freqs"}
 junk = st.one_of(st.sampled_from(["-h", "--bogus", "run", "--gen"]), st.text(max_size=6))
 
 

@@ -177,7 +177,7 @@ def test_gen_clustered_seed1_exercises_cleaning():
         taus = [INVALID_TAU] * N_SEEDS
         for si, seed in enumerate(seeds):
             merged = merge_solution_b([filter_block(b, seed, CFG) for b in blocks], CFG)
-            cl = CandidateList(seed, merged.items, compute_total_pt(merged.items, CFG))
+            cl = CandidateList(seed, merged.items, compute_total_pt(merged.items))
             taus[si] = reconstruct_tau(
                 compute_tau_params(select_signal_candidates(cl, CFG), CFG), CFG
             )

@@ -176,9 +176,9 @@ def test_filter_block_matches_naive_definition(case):
 
 def test_total_pt_examples():
     mk = lambda pt: make_particle(pt, 0, 0)
-    assert compute_total_pt([], CFG) == 0
-    assert compute_total_pt([mk(3), mk(4), mk(5)], CFG) == 12
-    assert compute_total_pt([mk(40000), mk(40000)], CFG) == 65535
+    assert compute_total_pt([]) == 0
+    assert compute_total_pt([mk(3), mk(4), mk(5)]) == 12
+    assert compute_total_pt([mk(40000), mk(40000)]) == 65535
 
 
 # --- signal selection -------------------------------------------------------
@@ -186,7 +186,7 @@ def test_total_pt_examples():
 
 def clist(candidates, seed=None) -> CandidateList:
     seed = seed or seed_at()
-    return CandidateList(seed, tuple(candidates), compute_total_pt(candidates, CFG))
+    return CandidateList(seed, tuple(candidates), compute_total_pt(candidates))
 
 
 def test_signal_selection_empty():
