@@ -8,7 +8,6 @@ from .core import (
     Species,
     delta_r2,
     make_event,
-    make_particle,
     saturating_pt_add,
     wrap_delta_phi,
     wrap_phi,

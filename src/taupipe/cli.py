@@ -199,6 +199,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
         # timing depends on the event count only, so the events need not exist
         spec = args.gen or "1:50:clustered"
         n_events, source_desc = _gen_spec(spec)[1], f"gen {spec}"
+    if n_events < 2:
+        raise InputError(f"explore needs at least 2 events to measure an II, got {n_events}")
     pairs = [(merge, clean) for merge in MERGE_SOLUTIONS for clean in CLEAN_SOLUTIONS]
     bases = [_timing(run_cfg, n_events, merge, clean) for merge, clean in pairs]
 

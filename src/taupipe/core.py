@@ -5,6 +5,9 @@ least-significant quantum of the corresponding datapath register.  Transverse
 momentum is unsigned and saturates at ``PT_MAX``; pseudorapidity is signed and
 bounded; azimuth is signed and periodic with period ``PHI_RANGE``.  Using
 integer units everywhere keeps every computation bit-reproducible.
+
+A particle is one flat input slot, ``Particle(pt, eta, phi, species, valid)``,
+in the field order of an event-file record.
 """
 
 from __future__ import annotations
@@ -52,11 +55,12 @@ class Species(Enum):
 
 @dataclass(frozen=True)
 class AngularCoord:
-    """Detector position: signed eta units, signed phi units in [-half, half).
+    """A tau's detector position: signed eta units, signed phi in [-half, half).
 
     eta is bounded (|eta| <= ETA_MAX) and non-periodic; phi is periodic with
     period PHI_RANGE.  Both share the same least-significant quantum so that
-    deta^2 + dphi^2 is an isotropic squared distance.
+    deta^2 + dphi^2 is an isotropic squared distance.  Particles carry the
+    same two fields inline.
     """
 
     eta: int
@@ -66,8 +70,9 @@ class AngularCoord:
 @dataclass(frozen=True)
 class Particle:
     pt: int
-    pos: AngularCoord
-    species: Species
+    eta: int
+    phi: int
+    species: Species = Species.CHARGED_HADRON
     valid: bool = True
 
     def __post_init__(self) -> None:
@@ -77,22 +82,7 @@ class Particle:
             raise ValueError("invalid (padding) particles must carry pt = 0")
 
 
-PAD_PARTICLE = Particle(
-    pt=0,
-    pos=AngularCoord(0, 0),
-    species=Species.NEUTRAL_HADRON,
-    valid=False,
-)
-
-
-def make_particle(
-    pt: int,
-    eta: int,
-    phi: int,
-    species: Species = Species.CHARGED_HADRON,
-) -> Particle:
-    """Convenience constructor for a valid particle."""
-    return Particle(pt=pt, pos=AngularCoord(eta, phi), species=species, valid=True)
+PAD_PARTICLE = Particle(0, 0, 0, Species.NEUTRAL_HADRON, valid=False)
 
 
 @dataclass(frozen=True)
@@ -143,12 +133,16 @@ def wrap_delta_phi(a: int, b: int) -> int:
     return wrap_phi(a - b)
 
 
-def delta_r2(p: AngularCoord, q: AngularCoord, *, ops: OpCounter | None = None) -> int:
+def delta_r2(
+    p: Particle | AngularCoord, q: Particle | AngularCoord, *, ops: OpCounter | None = None
+) -> int:
     """Squared angular distance deta^2 + dphi^2 with a wrapped phi difference.
 
-    Costs exactly two multiplications per evaluation.  Inside the ranges the
-    largest value is (2 * ETA_MAX)^2 + PHI_HALF^2 = 68,157,440 < 2^27, so a
-    27-bit register holds every distance and nothing saturates.
+    Each argument is a particle (a seed is one) or a tau's position: only
+    ``.eta`` and ``.phi`` are read.  Costs exactly two multiplications per
+    evaluation.  Inside the ranges the largest value is (2 * ETA_MAX)^2 +
+    PHI_HALF^2 = 68,157,440 < 2^27, so a 27-bit register holds every
+    distance and nothing saturates.
     """
     deta = p.eta - q.eta
     dphi = (p.phi - q.phi + PHI_HALF) % PHI_RANGE - PHI_HALF  # wrap_delta_phi, inlined

@@ -27,12 +27,10 @@ from .core import (
     PHI_HALF,
     PHI_RANGE,
     PT_MAX,
-    AngularCoord,
     Event,
     Particle,
     Species,
     make_event,
-    make_particle,
     wrap_phi,
 )
 from .dataflow import (
@@ -79,9 +77,7 @@ def write_events(events: Sequence[Event]) -> str:
         for slot, p in enumerate(ev.particles):
             if not p.valid:
                 continue
-            lines.append(
-                f"{ev.event_id} {slot} {p.pt} {p.pos.eta} {p.pos.phi} {p.species.value}"
-            )
+            lines.append(f"{ev.event_id} {slot} {p.pt} {p.eta} {p.phi} {p.species.value}")
     return "\n".join(lines) + "\n"
 
 
@@ -136,7 +132,7 @@ def parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
             slots = slots_by_event[event_id] = [PAD_PARTICLE] * N_INPUT
         elif slots[slot] is not PAD_PARTICLE:
             raise EventFileError(f"line {lineno}: duplicate slot {slot} in event {event_id}")
-        slots[slot] = Particle(pt, AngularCoord(eta, phi), species)
+        slots[slot] = Particle(pt, eta, phi, species)
     return [Event(event_id, tuple(slots)) for event_id, slots in slots_by_event.items()]
 
 
@@ -229,7 +225,7 @@ def _rand_particle(rng: SplitMix64, *, pt_lo: int, pt_hi: int) -> Particle:
     margin = 64
     eta = rng.below(2 * (ETA_MAX - margin) + 1) - (ETA_MAX - margin)
     phi = rng.below(PHI_RANGE) - PHI_HALF
-    return make_particle(pt, eta, phi, _rand_species(rng))
+    return Particle(pt, eta, phi, _rand_species(rng))
 
 
 def _gen_uniform(rng: SplitMix64, event_id: int) -> Event:
@@ -249,7 +245,7 @@ def _gen_cluster(rng: SplitMix64, center_eta: int, center_phi: int, size: int) -
         else:
             pt = 2 + rng.below(40)
             species = _rand_species(rng)
-        members.append(make_particle(pt, eta, phi, species))
+        members.append(Particle(pt, eta, phi, species))
     return members
 
 

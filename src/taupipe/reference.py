@@ -65,7 +65,7 @@ def oracle_trigger(
     taus: list[Tau] = [INVALID_TAU] * N_SEEDS
     for slot, (_, seed) in enumerate(seeds):
         in_cone = [
-            [p for p in block if delta_r2(p.pos, seed.pos) <= cfg.filter_cone_r2]
+            [p for p in block if delta_r2(p, seed) <= cfg.filter_cone_r2]
             for block in blocks
         ]
         # The cap keeps the first MAX_CANDIDATES in the merge solution's
@@ -82,17 +82,17 @@ def oracle_trigger(
             p
             for p in cands
             if p.species in cfg.allowed_signal_species
-            and delta_r2(p.pos, seed.pos) <= r2_sig
+            and delta_r2(p, seed) <= r2_sig
         ]
         sum_pt = min(sum(p.pt for p in kept), PT_MAX)
         if sum_pt == 0 or sum_pt < cfg.min_tau_pt:
             continue
 
-        eta_w = _trunc(Fraction(sum(p.pt * p.pos.eta for p in kept), sum_pt))
+        eta_w = _trunc(Fraction(sum(p.pt * p.eta for p in kept), sum_pt))
         phi_off = _trunc(
-            Fraction(sum(p.pt * wrap_delta_phi(p.pos.phi, seed.pos.phi) for p in kept), sum_pt)
+            Fraction(sum(p.pt * wrap_delta_phi(p.phi, seed.phi) for p in kept), sum_pt)
         )
-        phi_w = wrap_phi(seed.pos.phi + phi_off)
+        phi_w = wrap_phi(seed.phi + phi_off)
         taus[slot] = Tau(pt=sum_pt, pos=AngularCoord(eta_w, phi_w), valid=True)
 
     return oracle_clean(taus, cfg)

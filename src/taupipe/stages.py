@@ -183,17 +183,16 @@ def filter_block(
     reach = math.isqrt(cone_r2)
     phi_range = PHI_RANGE
     half = PHI_HALF
-    seed_eta = seed.pos.eta
-    seed_phi = seed.pos.phi
+    seed_eta = seed.eta
+    seed_phi = seed.phi
     kept: list[Particle] = []
     for p in block:
         if not p.valid:
             continue
-        q = p.pos
-        deta = q.eta - seed_eta
+        deta = p.eta - seed_eta
         if deta > reach or deta < -reach:
             continue
-        dphi = (q.phi - seed_phi + half) % phi_range - half  # wrap_delta_phi
+        dphi = (p.phi - seed_phi + half) % phi_range - half  # wrap_delta_phi
         if deta * deta + dphi * dphi <= cone_r2:
             kept.append(p)
     return tuple(kept)
@@ -333,7 +332,7 @@ def select_signal_candidates(
             ops.comparisons += 1
         if p.species not in cfg.allowed_signal_species:
             continue
-        d = delta_r2(p.pos, clist.seed.pos, ops=ops)
+        d = delta_r2(p, clist.seed, ops=ops)
         if ops is not None:
             ops.comparisons += 1
         if d <= lo:
@@ -367,14 +366,14 @@ def compute_tau_params(
     sum_pt = clist.total_pt
     if sum_pt == 0:
         return TauParams(sum_pt=0, eta_w=0, phi_w=0)
-    seed_phi = clist.seed.pos.phi
+    seed_phi = clist.seed.phi
     num_eta = 0
     num_phi = 0
     for p in clist.candidates:
-        off = wrap_delta_phi(p.pos.phi, seed_phi)
+        off = wrap_delta_phi(p.phi, seed_phi)
         if ops is not None:
             ops.multiplications += 2
-        num_eta += p.pt * p.pos.eta
+        num_eta += p.pt * p.eta
         num_phi += p.pt * off
     if ops is not None:
         ops.divisions += 2

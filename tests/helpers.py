@@ -14,9 +14,9 @@ from taupipe.core import (
     AngularCoord,
     Event,
     OpCounter,
+    Particle,
     Species,
     make_event,
-    make_particle,
 )
 from taupipe.dataflow import StageStats
 from taupipe.eventio import EVENT_FORMAT, EVENT_FORMAT_VERSION, EventFileError, SplitMix64
@@ -99,8 +99,8 @@ def chain_taus() -> tuple[Tau, ...]:
 def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
     """Op counts of each stage function on one small probe: a seed of pt 50
     at (0, 0) and a near particle of pt 10 at (3, 4)."""
-    seed = make_particle(50, 0, 0)
-    near = make_particle(10, 3, 4)
+    seed = Particle(50, 0, 0)
+    near = Particle(10, 3, 4)
     one = CandidateList(seed, (near,), compute_total_pt((near,)))
     taus = [INVALID_TAU] * N_SEEDS
     taus[0] = tau(30, 0, 0)
@@ -176,7 +176,7 @@ DECIMAL = re.compile(r"-?[0-9]+")
 def reference_parse_events(text: str) -> list[Event]:
     """Line-by-line reference of ``parse_events``: strip, then split; each
     integer field matched against ``-?[0-9]+``; the species by enum lookup;
-    each particle through ``make_particle``; a slot dict per event, padded at
+    each particle through the ``Particle`` constructor; a slot dict per event, padded at
     the end.  Same checks, order and messages."""
     half = PHI_HALF
     lines = text.split("\n")
@@ -210,7 +210,7 @@ def reference_parse_events(text: str) -> list[Event]:
         slots = slots_by_event.setdefault(event_id, {})
         if slot in slots:
             raise EventFileError(f"line {lineno}: duplicate slot {slot} in event {event_id}")
-        slots[slot] = make_particle(pt, eta, phi, species)
+        slots[slot] = Particle(pt, eta, phi, species)
     events = []
     for event_id, slots in slots_by_event.items():
         particles = [PAD_PARTICLE] * N_INPUT

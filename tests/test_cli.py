@@ -1,11 +1,15 @@
 import argparse
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import taupipe
 import taupipe.cli as cli
 from taupipe.cli import build_parser, main
-from taupipe.core import make_event, make_particle
+from taupipe.core import Particle, make_event
 from taupipe.eventio import gen_events, parse_events, parse_report, write_events
 from taupipe.reference import oracle_trigger
 from taupipe.stages import TriggerConfig, run_stages
@@ -45,7 +49,7 @@ def test_run_missing_events_file(capsys):
 def test_run_requires_exactly_one_source(tmp_path):
     assert run_cli(["run"]) == 2
     ev = tmp_path / "e.txt"
-    ev.write_text(write_events([make_event(0, [make_particle(50, 0, 0)])]))
+    ev.write_text(write_events([make_event(0, [Particle(50, 0, 0)])]))
     assert run_cli(["run", "--events", str(ev), "--gen", "1:1:uniform"]) == 2
 
 
@@ -151,11 +155,23 @@ def test_explore_gen_reads_only_the_count(monkeypatch, capsys):
         ("1:x:busy", "--gen seed and count must be integers, got '1:x:busy'"),
         ("1:5:nope", "--gen profile must be one of ('uniform', 'clustered', 'busy'), got 'nope'"),
         ("1:-1:busy", "--gen count must be non-negative"),
+        # an II is the spacing of consecutive events: one event measures none
+        ("1:0:busy", "explore needs at least 2 events to measure an II, got 0"),
+        ("1:1:busy", "explore needs at least 2 events to measure an II, got 1"),
     ],
 )
 def test_explore_rejects_bad_gen_specs(capsys, spec, message):
     assert run_cli(["explore", "--freqs", "360", "--gen", spec]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_explore_refuses_a_one_event_file(tmp_path, capsys):
+    path = tmp_path / "one.txt"
+    path.write_text(write_events([make_event(0, [Particle(50, 0, 0)])]))
+    assert run_cli(["explore", "--freqs", "360", "--events", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: explore needs at least 2 events to measure an II, got 1\n"
 
 
 def test_explore_empty_freqs(capsys):
@@ -212,7 +228,7 @@ def test_readme_cli_block_names_the_parser_subcommands():
 
 
 def test_run_from_event_file(tmp_path, capsys):
-    ev = make_event(3, [make_particle(80, 100, 100), make_particle(10, 110, 105)])
+    ev = make_event(3, [Particle(80, 100, 100), Particle(10, 110, 105)])
     path = tmp_path / "events.txt"
     path.write_text(write_events([ev]))
     code = run_cli(["run", "--events", str(path)])
@@ -379,3 +395,20 @@ def test_run_config_with_bad_utf8_names_the_line(tmp_path, capsys):
     cfgfile.write_bytes(b"n_input = \xff\nfifo_depth = 8\n")
     assert run_cli(["run", "--gen", "1:2:busy", "--config", str(cfgfile)]) == 2
     assert f"config {cfgfile}: line 1: not valid UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["-S"]], ids=["site", "no-site"])
+def test_importing_the_cli_loads_only_the_standard_library(flags):
+    # The package promises no runtime dependencies, and every run pays for
+    # what the import loads, whatever else happens to be installed.
+    probe = (
+        "import sys; before = set(sys.modules); import taupipe.cli; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(taupipe.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, *flags, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    added = set(done.stdout.split())
+    assert "taupipe" in added
+    assert added - {"taupipe"} <= sys.stdlib_module_names, added - sys.stdlib_module_names

@@ -7,12 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from taupipe.cli import main
-from taupipe.core import make_event, make_particle
+from taupipe.core import Particle, make_event
 from taupipe.eventio import write_events
 
 # Path arguments are drawn by name and resolved to files made once per module.
 FILES = {
-    "@events": write_events([make_event(0, [make_particle(80, 0, 0), make_particle(10, 3, 4)])]),
+    "@events": write_events([make_event(0, [Particle(80, 0, 0), Particle(10, 3, 4)])]),
     "@bad-events": "taupipe-events 1\n0 0 50 0 0 bogus\n",
     "@config": "fifo_depth = 4\nstage.merging.latency = 30\n",
     "@tight-config": "latency_budget_360 = 10\nlatency_budget_300 = 10\n",

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,7 +15,6 @@ from taupipe.core import (
     Species,
     delta_r2,
     make_event,
-    make_particle,
     saturating_pt_add,
     trunc_div,
     wrap_delta_phi,
@@ -67,6 +68,8 @@ def test_delta_r2_coincident():
 
 def test_delta_r2_345():
     assert delta_r2(AngularCoord(3, 0), AngularCoord(0, 4)) == 25
+    # a particle (or a seed) against a tau's position
+    assert delta_r2(Particle(1, 3, 4), AngularCoord(0, 0)) == 25
 
 
 def test_delta_r2_wrapped_phi():
@@ -136,13 +139,25 @@ def test_species_charged():
     ]
 
 
+def test_particle_fields_follow_the_event_record():
+    # an event-file record is: event_id slot pt eta phi species
+    assert [f.name for f in fields(Particle)] == ["pt", "eta", "phi", "species", "valid"]
+    p = Particle(1, 3, 4)
+    assert (p.species, p.valid) == (Species.CHARGED_HADRON, True)
+
+
+def test_particle_pt_must_be_non_negative():
+    with pytest.raises(ValueError, match="pt must be non-negative"):
+        Particle(-1, 0, 0)
+
+
 def test_invalid_particle_must_be_zero_pt():
-    with pytest.raises(ValueError):
-        Particle(5, AngularCoord(0, 0), Species.PHOTON, valid=False)
+    with pytest.raises(ValueError, match="must carry pt = 0"):
+        Particle(5, 0, 0, Species.PHOTON, valid=False)
 
 
 def test_make_event_pads_to_128():
-    ev = make_event(3, [make_particle(10, 0, 0)])
+    ev = make_event(3, [Particle(10, 0, 0)])
     assert len(ev.particles) == 128
     assert ev.particles[0].valid
     assert ev.particles[1] == PAD_PARTICLE
@@ -151,4 +166,4 @@ def test_make_event_pads_to_128():
 
 def test_make_event_rejects_oversize():
     with pytest.raises(ValueError):
-        make_event(0, [make_particle(1, 0, 0)] * 129)
+        make_event(0, [Particle(1, 0, 0)] * 129)

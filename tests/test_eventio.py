@@ -36,7 +36,7 @@ def test_parse_single_record():
     assert ev.event_id == 7
     assert len(ev.particles) == 128
     p = ev.particles[3]
-    assert (p.pt, p.pos.eta, p.pos.phi, p.species) == (50, 10, -20, Species.CHARGED_HADRON)
+    assert (p.pt, p.eta, p.phi, p.species) == (50, 10, -20, Species.CHARGED_HADRON)
     assert sum(q.valid for q in ev.particles) == 1
 
 
@@ -85,7 +85,7 @@ def test_parse_takes_only_ascii_decimal(spelling, field):
 def test_parse_takes_leading_zeros_and_minus_zero():
     (ev,) = parse_events(HEADER + "007 -0 50 -010 0 photon\n")
     p = ev.particles[0]
-    assert (ev.event_id, p.pt, p.pos.eta) == (7, 50, -10)
+    assert (ev.event_id, p.pt, p.eta) == (7, 50, -10)
 
 
 def test_parse_duplicate_slot():
@@ -149,8 +149,8 @@ def test_gen_respects_framing_and_ranges():
                 if not p.valid:
                     continue
                 assert 1 <= p.pt <= PT_MAX
-                assert abs(p.pos.eta) <= ETA_MAX
-                assert -PHI_HALF <= p.pos.phi < PHI_HALF
+                assert abs(p.eta) <= ETA_MAX
+                assert -PHI_HALF <= p.phi < PHI_HALF
 
 
 def test_gen_clustered_seed1_exercises_cleaning():

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from taupipe.core import make_particle
+from taupipe.core import Particle
 from taupipe.reference import oracle_merge
 from taupipe.stages import MERGE_B_SETUP_CYCLES, TriggerConfig, merge_solution_a, merge_solution_b
 
@@ -140,7 +140,7 @@ def test_expectation_descriptor_examples():
 
 
 def test_merge_works_on_particles_too():
-    parts = [[make_particle(10 + i, i, 0) for i in range(5)], [], [], []]
+    parts = [[Particle(10 + i, i, 0) for i in range(5)], [], [], []]
     ra = merge_solution_a(parts, CFG)
     rb = merge_solution_b(parts, CFG)
     assert ra.items == tuple(parts[0])

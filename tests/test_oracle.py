@@ -1,4 +1,4 @@
-from taupipe.core import MAX_TAUS, Species, make_event, make_particle
+from taupipe.core import MAX_TAUS, Particle, Species, make_event
 from taupipe.eventio import gen_events
 from taupipe.reference import oracle_trigger
 from taupipe.stages import TriggerConfig, run_stages
@@ -11,7 +11,7 @@ def test_empty_event_yields_no_taus():
 
 
 def test_single_particle_tau_is_identity():
-    p = make_particle(40, 123, -456)
+    p = Particle(40, 123, -456)
     out = oracle_trigger(make_event(0, [p]), CFG)
     assert len(out) == 1
     t = out[0]
@@ -19,7 +19,7 @@ def test_single_particle_tau_is_identity():
 
 
 def test_below_tau_threshold_yields_nothing():
-    p = make_particle(CFG.min_tau_pt - 1, 0, 0)
+    p = Particle(CFG.min_tau_pt - 1, 0, 0)
     assert oracle_trigger(make_event(0, [p]), CFG) == ()
 
 
@@ -41,7 +41,7 @@ def test_staged_path_matches_oracle_all_variants():
 def test_at_most_eight_taus_and_min_pt():
     # dense event: plenty of seeds, outputs still capped and thresholded
     particles = [
-        make_particle(20 + i, (i % 8) * 900 - 3000, (i // 8) * 300 - 900)
+        Particle(20 + i, (i % 8) * 900 - 3000, (i // 8) * 300 - 900)
         for i in range(64)
     ]
     out = oracle_trigger(make_event(0, particles), CFG)
@@ -50,7 +50,7 @@ def test_at_most_eight_taus_and_min_pt():
 
 
 def test_neutral_only_event_has_no_seeds():
-    particles = [make_particle(500, i * 10, 0, Species.PHOTON) for i in range(30)]
+    particles = [Particle(500, i * 10, 0, Species.PHOTON) for i in range(30)]
     assert oracle_trigger(make_event(0, particles), CFG) == ()
 
 

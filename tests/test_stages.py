@@ -16,7 +16,6 @@ from taupipe.core import (
     Species,
     delta_r2,
     make_event,
-    make_particle,
 )
 from taupipe.stages import (
     CandidateList,
@@ -36,7 +35,7 @@ CFG = TriggerConfig()
 
 
 def seed_at(eta=0, phi=0, pt=50) -> Particle:
-    return make_particle(pt, eta, phi)
+    return Particle(pt, eta, phi)
 
 
 # --- seeding ---------------------------------------------------------------
@@ -48,13 +47,13 @@ def test_select_seeds_empty_event():
 
 
 def test_select_seeds_no_charged():
-    ev = make_event(0, [make_particle(99, 0, 0, Species.PHOTON) for _ in range(10)])
+    ev = make_event(0, [Particle(99, 0, 0, Species.PHOTON) for _ in range(10)])
     assert select_seeds(ev, CFG) == ()
 
 
 def test_select_seeds_top16_of_20():
     # pt = slot + 1 for the first 20 slots: the top 16 are slots 19 down to 4
-    ev = make_event(0, [make_particle(i + 1, i, 0) for i in range(20)])
+    ev = make_event(0, [Particle(i + 1, i, 0) for i in range(20)])
     seeds = select_seeds(ev, CFG)
     assert seeds == tuple(ev.particles[19:3:-1])
     assert [s.pt for s in seeds] == list(range(20, 4, -1))
@@ -63,15 +62,15 @@ def test_select_seeds_top16_of_20():
 def test_select_seeds_tie_break_by_index():
     slots = [PAD_PARTICLE] * 128
     # equal pts at distinct positions, so the output order shows the slots
-    slots[3], slots[7] = make_particle(50, 0, 0), make_particle(50, 5, 5)
-    slots[1] = make_particle(50, 9, 9)
+    slots[3], slots[7] = Particle(50, 0, 0), Particle(50, 5, 5)
+    slots[1] = Particle(50, 9, 9)
     ev = Event(0, tuple(slots))
     seeds = select_seeds(ev, CFG)
     assert seeds == (slots[1], slots[3], slots[7])
 
 
 def test_select_seeds_min_pt_cut():
-    ev = make_event(0, [make_particle(CFG.min_seed_pt - 1, 0, 0), make_particle(CFG.min_seed_pt, 1, 0)])
+    ev = make_event(0, [Particle(CFG.min_seed_pt - 1, 0, 0), Particle(CFG.min_seed_pt, 1, 0)])
     seeds = select_seeds(ev, CFG)
     assert seeds == (ev.particles[1],)
 
@@ -80,11 +79,11 @@ def test_select_seeds_min_pt_cut():
 def test_select_seeds_matches_full_sort_oracle(entries):
     # eta = slot, so each seed names the slot it came from
     particles = [
-        make_particle(pt, slot, 0, Species.CHARGED_HADRON if charged else Species.PHOTON)
+        Particle(pt, slot, 0, Species.CHARGED_HADRON if charged else Species.PHOTON)
         for slot, (pt, charged) in enumerate(entries)
     ]
     ev = make_event(0, particles)
-    got = [(s.pt, s.pos.eta) for s in select_seeds(ev, CFG)]
+    got = [(s.pt, s.eta) for s in select_seeds(ev, CFG)]
     want = sorted(
         (
             (p.pt, i)
@@ -106,23 +105,23 @@ def test_filter_block_ignores_padding():
 
 
 def test_filter_block_includes_coincident():
-    p = make_particle(10, 0, 0)
+    p = Particle(10, 0, 0)
     assert filter_block([p], seed_at(), CFG) == (p,)
 
 
 def test_filter_block_inclusive_boundary():
     # default cone is 16900 = 130^2; brute-force scan of the eta axis around it
-    on_edge = make_particle(10, 130, 0)
-    beyond = make_particle(10, 131, 0)
+    on_edge = Particle(10, 130, 0)
+    beyond = Particle(10, 131, 0)
     kept = filter_block([on_edge, beyond], seed_at(), CFG)
     assert kept == (on_edge,)
     for eta in range(125, 136):
-        included = filter_block([make_particle(1, eta, 0)], seed_at(), CFG) != ()
+        included = filter_block([Particle(1, eta, 0)], seed_at(), CFG) != ()
         assert included == (eta * eta <= CFG.filter_cone_r2)
 
 
 def test_filter_block_preserves_order():
-    near = [make_particle(5 + i, i, i) for i in range(6)]
+    near = [Particle(5 + i, i, i) for i in range(6)]
     kept = filter_block(near, seed_at(), CFG)
     assert kept == tuple(near)
 
@@ -139,11 +138,11 @@ def filter_cases(draw):
     )
     slots = draw(st.lists(st.one_of(st.none(), st.tuples(etas, phis)), max_size=32))
     block = [
-        PAD_PARTICLE if s is None else make_particle(1 + i, s[0], s[1])
+        PAD_PARTICLE if s is None else Particle(1 + i, s[0], s[1])
         for i, s in enumerate(slots)
     ]
-    seed = make_particle(50, draw(etas), draw(phis))
-    distances = [delta_r2(p.pos, seed.pos) for p in block if p.valid] or [0]
+    seed = Particle(50, draw(etas), draw(phis))
+    distances = [delta_r2(p, seed) for p in block if p.valid] or [0]
     cone = draw(
         st.one_of(
             st.just(0),
@@ -163,7 +162,7 @@ def test_filter_block_matches_naive_definition(case):
         p
         for p in block
         if p.valid
-        and delta_r2(p.pos, seed.pos) <= cfg.filter_cone_r2
+        and delta_r2(p, seed) <= cfg.filter_cone_r2
     )
     ops = OpCounter()
     assert filter_block(block, seed, cfg, ops) == want
@@ -175,7 +174,7 @@ def test_filter_block_matches_naive_definition(case):
 
 
 def test_total_pt_examples():
-    mk = lambda pt: make_particle(pt, 0, 0)
+    mk = lambda pt: Particle(pt, 0, 0)
     assert compute_total_pt([]) == 0
     assert compute_total_pt([mk(3), mk(4), mk(5)]) == 12
     assert compute_total_pt([mk(40000), mk(40000)]) == 65535
@@ -196,7 +195,7 @@ def test_signal_selection_empty():
 
 
 def test_signal_selection_species_mask():
-    muon = make_particle(10, 0, 0, Species.MUON)
+    muon = Particle(10, 0, 0, Species.MUON)
     out = select_signal_candidates(clist([muon]), CFG)
     assert out.candidates == ()
 
@@ -204,8 +203,8 @@ def test_signal_selection_species_mask():
 def test_signal_selection_clamped_boundary():
     # a tiny total pt drives k/total above the max clamp, so the effective
     # cone is exactly signal_cone_r2_max = 130^2
-    at_edge = make_particle(1, 130, 0)
-    past_edge = make_particle(1, 131, 0)
+    at_edge = Particle(1, 130, 0)
+    past_edge = Particle(1, 131, 0)
     lst = clist([at_edge, past_edge])
     assert signal_cone_r2(lst.total_pt, CFG) == CFG.signal_cone_r2_max
     out = select_signal_candidates(lst, CFG)
@@ -214,9 +213,9 @@ def test_signal_selection_clamped_boundary():
 
 def test_signal_selection_min_clamp():
     # a huge total pt shrinks k/total below the min clamp
-    heavy = make_particle(60000, 0, 0)
-    inside = make_particle(1, 31, 0)  # 961 <= 1024
-    outside = make_particle(1, 33, 0)  # 1089 > 1024
+    heavy = Particle(60000, 0, 0)
+    inside = Particle(1, 31, 0)  # 961 <= 1024
+    outside = Particle(1, 33, 0)  # 1089 > 1024
     lst = clist([heavy, inside, outside])
     assert signal_cone_r2(lst.total_pt, CFG) == CFG.signal_cone_r2_min
     out = select_signal_candidates(lst, CFG)
@@ -225,7 +224,7 @@ def test_signal_selection_min_clamp():
 
 species_st = st.sampled_from(list(Species))
 cand_st = st.builds(
-    lambda pt, eta, phi, sp: make_particle(pt, eta, phi, sp),
+    Particle,
     st.integers(0, 2000),
     st.integers(-300, 300),
     st.integers(-300, 300),
@@ -242,7 +241,7 @@ def test_signal_selection_matches_division_form(cands):
         p
         for p in lst.candidates
         if p.species in CFG.allowed_signal_species
-        and (p.pos.eta**2 + p.pos.phi**2) <= r2_sig
+        and (p.eta**2 + p.phi**2) <= r2_sig
     )
     assert out.candidates == want
 
@@ -262,15 +261,15 @@ def test_signal_selection_subsequence_and_idempotent(cands):
 
 
 def test_tau_params_single_candidate_identity():
-    p = make_particle(10, 100, -50)
+    p = Particle(10, 100, -50)
     params = compute_tau_params(clist([p]), CFG)
     assert params == TauParams(sum_pt=10, eta_w=100, phi_w=-50)
 
 
 def test_tau_params_weighted_average():
     # pts {1,3}, etas {0,4} -> (0 + 12) / 4 = 3
-    a = make_particle(1, 0, 7)
-    b = make_particle(3, 4, 7)
+    a = Particle(1, 0, 7)
+    b = Particle(3, 4, 7)
     params = compute_tau_params(clist([a, b]), CFG)
     assert params.eta_w == 3
     assert params.phi_w == 7
@@ -286,14 +285,14 @@ def test_tau_params_empty_is_invalid_without_division():
 
 def test_tau_params_two_divisions_per_group():
     ops = OpCounter()
-    compute_tau_params(clist([make_particle(5, 1, 1)]), CFG, ops)
+    compute_tau_params(clist([Particle(5, 1, 1)]), CFG, ops)
     assert ops.divisions == 2
 
 
 def test_tau_params_truncates_toward_zero():
     # weighted eta numerator is -1 over sum 2: trunc(-0.5) = 0, not floor -1
-    a = make_particle(1, 0, 0)
-    b = make_particle(1, -1, 0)
+    a = Particle(1, 0, 0)
+    b = Particle(1, -1, 0)
     params = compute_tau_params(clist([a, b]), CFG)
     assert params.eta_w == 0
 
@@ -302,15 +301,15 @@ def test_tau_params_phi_wraps_across_boundary():
     # seed and both candidates sit astride the periodic boundary; averaging
     # on raw phi values would be wildly wrong
     seed = seed_at(phi=1020)
-    a = make_particle(1, 0, 1015)
-    b = make_particle(1, 0, -1021)  # 12 units past the boundary from 1015
+    a = Particle(1, 0, 1015)
+    b = Particle(1, 0, -1021)  # 12 units past the boundary from 1015
     params = compute_tau_params(clist([a, b], seed), CFG)
     # offsets relative to the seed: -5 and +7 -> average +1 -> phi 1021
     assert params.phi_w == 1021
 
 
 def test_tau_params_zero_pt_group_is_invalid():
-    zero = make_particle(0, 10, 10)
+    zero = Particle(0, 10, 10)
     params = compute_tau_params(clist([zero, zero]), CFG)
     assert params == TauParams(0, 0, 0)
 
