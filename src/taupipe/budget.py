@@ -1,15 +1,18 @@
 """Frequency/latency trade-off arithmetic: time budgets to cycle budgets.
 
-The data period is fixed by the upstream readout (one new event every 150 ns)
-while the processing deadline is a cycle count that depends on the clock.
-The known operating points carry table values for the latency allowance; any
-other frequency falls back to the 760 ns processing window.
+The budgets are the trigger's fixed requirements, not settings: the data
+period is fixed by the upstream readout (``II_BUDGET_NS``, one new event every
+150 ns) while the processing deadline is a cycle count that depends on the
+clock.  The known operating points carry table values for the latency
+allowance (``LATENCY_BUDGET_CYCLES``, 275 cycles at 360 MHz and 220 at
+300 MHz); any other frequency falls back to the 760 ns processing window
+(``LATENCY_BUDGET_NS``).  Off ``NOMINAL_FREQ_MHZ`` the latency pays the
+clock-domain-crossing allowance ``CDC_OVERHEAD_CYCLES``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from dataclasses import dataclass, replace
 
 from .dataflow import PipelineMetrics
 
@@ -24,6 +27,7 @@ LATENCY_BUDGET_CYCLES = {360: 275, 300: 220}
 # The clock the stage timing rows were measured at; any other clock pays the
 # clock-domain-crossing allowance on latency.
 NOMINAL_FREQ_MHZ = 360
+CDC_OVERHEAD_CYCLES = 10
 
 
 def cycle_budget(time_ns: int, freq_mhz: int) -> int:
@@ -46,26 +50,34 @@ class TimingBudget:
             raise ValueError("all budget figures must be strictly positive")
 
     @classmethod
-    def for_frequency(
-        cls,
-        freq_mhz: int,
-        *,
-        ii_budget_ns: int = II_BUDGET_NS,
-        latency_table: Mapping[int, int] = LATENCY_BUDGET_CYCLES,
-    ) -> "TimingBudget":
+    def for_frequency(cls, freq_mhz: int) -> "TimingBudget":
         """Budget at a frequency: table latency allowance, derived II allowance.
 
-        A frequency missing from ``latency_table`` gets the cycles of the
-        760 ns processing window.
+        A frequency missing from ``LATENCY_BUDGET_CYCLES`` gets the cycles of
+        the 760 ns processing window.
         """
-        latency = latency_table.get(freq_mhz)
+        latency = LATENCY_BUDGET_CYCLES.get(freq_mhz)
         if latency is None:
             latency = cycle_budget(LATENCY_BUDGET_NS, freq_mhz)
         return cls(
             frequency_mhz=freq_mhz,
             latency_budget_cycles=latency,
-            ii_budget_cycles=cycle_budget(ii_budget_ns, freq_mhz),
+            ii_budget_cycles=cycle_budget(II_BUDGET_NS, freq_mhz),
         )
+
+
+def operating_point(
+    metrics: PipelineMetrics, freq_mhz: int
+) -> tuple[PipelineMetrics, TimingBudget]:
+    """Metrics and budget at ``freq_mhz``; off the nominal clock the
+    clock-domain-crossing allowance is added to latency."""
+    if freq_mhz != NOMINAL_FREQ_MHZ:
+        metrics = replace(
+            metrics,
+            latency_cycles=metrics.latency_cycles + CDC_OVERHEAD_CYCLES,
+            cdc_overhead_cycles=metrics.cdc_overhead_cycles + CDC_OVERHEAD_CYCLES,
+        )
+    return metrics, TimingBudget.for_frequency(freq_mhz)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .budget import LATENCY_BUDGET_CYCLES, NOMINAL_FREQ_MHZ, evaluate_feasibility
+from .budget import LATENCY_BUDGET_CYCLES, NOMINAL_FREQ_MHZ, evaluate_feasibility, operating_point
 from .core import PAD_PARTICLE, Event
 from .dataflow import PipelineMetrics, trigger_timing
 from .eventio import (
@@ -109,6 +109,8 @@ def _simulate(run_cfg: RunConfig, events: Sequence[Event], merge: str, clean: st
 def cmd_run(args: argparse.Namespace) -> int:
     run_cfg = _load_run_config(args.config)
     events, source_desc = _load_events(args)
+    if not events:
+        raise InputError(f"run needs at least 1 event, got {len(events)}")
     merge, clean = _variants(args, run_cfg)
     outputs, metrics = _simulate(run_cfg, events, merge, clean)
 
@@ -126,7 +128,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 sys.stderr.write("counterexample event:\n" + write_events([minimized]))
                 break
 
-    metrics, budget = run_cfg.operating_point(metrics, args.freq)
+    metrics, budget = operating_point(metrics, args.freq)
     report = evaluate_feasibility(metrics, budget)
 
     if args.report:
@@ -207,7 +209,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     columns = []  # per clock, the (metrics, budget) of every pair
     for freq in freq_values:
         try:
-            columns.append([run_cfg.operating_point(base, freq) for base in bases])
+            columns.append([operating_point(base, freq) for base in bases])
         except ValueError as exc:  # a clock too slow for one cycle of a budget
             raise InputError(f"--freqs {freq}: {exc}")
 

@@ -65,8 +65,6 @@ _CLEAN_TIMING = {"A": (13, 13), "B": (15, 13)}
 # where the chain's total latency drops below the sum of stage latencies.
 MERGE_STREAM_OFFSET = 4
 
-DEFAULT_CDC_OVERHEAD_CYCLES = 10
-
 
 @dataclass(frozen=True)
 class StageSpec:

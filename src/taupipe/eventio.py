@@ -33,15 +33,7 @@ from .core import (
     make_event,
     wrap_phi,
 )
-from .dataflow import (
-    DEFAULT_CDC_OVERHEAD_CYCLES,
-    EngineConfig,
-    PipelineMetrics,
-    StageSpec,
-    TRIGGER_STAGE_NAMES,
-    default_stage_specs,
-)
-from .budget import II_BUDGET_NS, LATENCY_BUDGET_CYCLES, NOMINAL_FREQ_MHZ, TimingBudget, cycle_budget
+from .dataflow import EngineConfig, StageSpec, TRIGGER_STAGE_NAMES, default_stage_specs
 from .stages import CLEAN_SOLUTIONS, MERGE_SOLUTIONS, TriggerConfig
 
 EVENT_FORMAT = "taupipe-events"
@@ -287,7 +279,7 @@ def _gen_busy(rng: SplitMix64, event_id: int) -> Event:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a batch run needs: algorithm, variants, timing, budgets.
+    """Everything a batch run needs: algorithm, variants and timing.
 
     The record checks its own fields, so a bad setting fails here, named,
     whether it comes from a config file or from code.
@@ -300,28 +292,12 @@ class RunConfig:
     # field -> value, applied on top of whichever solution rows are run.
     stage_overrides: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
     engine: EngineConfig = field(default_factory=EngineConfig)
-    cdc_overhead_cycles: int = DEFAULT_CDC_OVERHEAD_CYCLES
-    ii_budget_ns: int = II_BUDGET_NS
-    latency_budgets: Mapping[int, int] = field(
-        default_factory=lambda: dict(LATENCY_BUDGET_CYCLES)
-    )
 
     def __post_init__(self) -> None:
         if self.merge_solution not in MERGE_SOLUTIONS:
             raise ValueError(f"merge_solution must be one of {MERGE_SOLUTIONS}")
         if self.clean_solution not in CLEAN_SOLUTIONS:
             raise ValueError(f"clean_solution must be one of {CLEAN_SOLUTIONS}")
-        if self.cdc_overhead_cycles < 0:
-            raise ValueError("cdc_overhead_cycles must be non-negative")
-        if self.ii_budget_ns <= 0:
-            raise ValueError("ii_budget_ns must be positive")
-        for freq, cycles in sorted(self.latency_budgets.items()):
-            if cycles <= 0:
-                raise ValueError(f"latency_budget_{freq} must be positive, got {cycles}")
-            if cycle_budget(self.ii_budget_ns, freq) < 1:
-                raise ValueError(
-                    f"ii_budget_ns {self.ii_budget_ns} is less than one cycle at {freq} MHz"
-                )
         # StageSpec checks each field on its own, so overrides that fit these
         # rows fit every solution's rows.
         self.specs_for(self.merge_solution, self.clean_solution)
@@ -335,29 +311,11 @@ class RunConfig:
             specs[name] = replace(specs[name], **settings)
         return specs
 
-    def operating_point(
-        self, metrics: PipelineMetrics, freq_mhz: int
-    ) -> tuple[PipelineMetrics, TimingBudget]:
-        """Metrics and budget at ``freq_mhz``; off the nominal clock the
-        clock-domain-crossing allowance is added to latency."""
-        if freq_mhz != NOMINAL_FREQ_MHZ:
-            metrics = replace(
-                metrics,
-                latency_cycles=metrics.latency_cycles + self.cdc_overhead_cycles,
-                cdc_overhead_cycles=metrics.cdc_overhead_cycles + self.cdc_overhead_cycles,
-            )
-        budget = TimingBudget.for_frequency(
-            freq_mhz, ii_budget_ns=self.ii_budget_ns, latency_table=self.latency_budgets
-        )
-        return metrics, budget
 
-
-# Config keys of each record; ``latency_budget_<MHz>`` keys set rows of the
-# latency budget table and ``stage.<name>.<field>`` keys stage overrides.
+# Config keys of each record; ``stage.<name>.<field>`` keys set stage overrides.
 _TRIGGER_KEYS = frozenset(f.name for f in fields(TriggerConfig))
 _ENGINE_KEYS = frozenset(f.name for f in fields(EngineConfig))
-_RUN_KEYS = frozenset(("merge_solution", "clean_solution", "cdc_overhead_cycles", "ii_budget_ns"))
-_BUDGET_KEYS = {f"latency_budget_{freq}": freq for freq in LATENCY_BUDGET_CYCLES}
+_RUN_KEYS = frozenset(("merge_solution", "clean_solution"))
 
 _STAGE_FIELD_BY_KEY = {
     "latency": "latency_cycles",
@@ -428,7 +386,6 @@ def load_config(text: str) -> RunConfig:
     trigger: dict[str, object] = {}
     engine: dict[str, object] = {}
     run: dict[str, object] = {}
-    budgets = dict(LATENCY_BUDGET_CYCLES)
     overrides: dict[str, dict[str, int]] = {}
     lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
@@ -456,8 +413,6 @@ def load_config(text: str) -> RunConfig:
                 engine[key] = _parse_value(key, value)
             elif key in _RUN_KEYS:
                 run[key] = _parse_value(key, value)
-            elif key in _BUDGET_KEYS:
-                budgets[_BUDGET_KEYS[key]] = _parse_value(key, value)
             else:
                 raise ValueError(f"unknown config key {key!r}")
         except ValueError as exc:
@@ -470,7 +425,6 @@ def load_config(text: str) -> RunConfig:
             run,
             trigger=_build(TriggerConfig, trigger, {k: lines[k] for k in trigger}),
             engine=_build(EngineConfig, engine, {k: lines[k] for k in engine}),
-            latency_budgets=budgets,
             stage_overrides=overrides,
         ),
         {k: lines[k] for k in run_keys},

@@ -8,12 +8,11 @@ integer equality unless noted) and the stated wall-clock ceiling.
 import time
 
 from helpers import fig5_taus, random_merge_lists, random_tau_slots, stage_op_counts
-from taupipe.budget import TimingBudget, cycle_budget, evaluate_feasibility
+from taupipe.budget import TimingBudget, cycle_budget, evaluate_feasibility, operating_point
 from taupipe.core import MAX_CANDIDATES, AngularCoord, OpCounter, delta_r2
 from taupipe.dataflow import EngineConfig, default_stage_specs, trigger_timing
 from taupipe.cli import main as cli_main
 from taupipe.eventio import (
-    RunConfig,
     SplitMix64,
     gen_events,
     parse_events,
@@ -137,7 +136,7 @@ def test_c6_frequency_tradeoff_reproduction():
     assert feas_360.budget.ii_budget_cycles == 54
     assert feas_360.feasible
 
-    metrics_300, budget_300 = RunConfig().operating_point(metrics_360, 300)
+    metrics_300, budget_300 = operating_point(metrics_360, 300)
     assert metrics_300.latency_cycles == metrics_360.latency_cycles + 10
     assert metrics_300.ii_cycles == metrics_360.ii_cycles
     feas_300 = evaluate_feasibility(metrics_300, budget_300)

@@ -1,12 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from taupipe.budget import (
-    LATENCY_BUDGET_CYCLES,
-    TimingBudget,
-    cycle_budget,
-    evaluate_feasibility,
-)
+from taupipe.budget import TimingBudget, cycle_budget, evaluate_feasibility
 from taupipe.dataflow import PipelineMetrics
 
 
@@ -53,15 +48,6 @@ def test_budget_fallback_for_unlisted_frequency():
     b = TimingBudget.for_frequency(240)
     assert b.ii_budget_cycles == cycle_budget(150, 240) == 36
     assert b.latency_budget_cycles == cycle_budget(760, 240) == 182
-
-
-def test_budget_overrides():
-    table = {**LATENCY_BUDGET_CYCLES, 300: 999}
-    assert TimingBudget.for_frequency(300, latency_table=table).latency_budget_cycles == 999
-    assert TimingBudget.for_frequency(360, latency_table=table).latency_budget_cycles == 275
-    # a frequency the table lacks falls back to the 760 ns window
-    assert TimingBudget.for_frequency(300, latency_table={}).latency_budget_cycles == 228
-    assert LATENCY_BUDGET_CYCLES[300] == 220  # table untouched
 
 
 def test_feasibility_table_vi_optimized_point():

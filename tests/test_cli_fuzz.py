@@ -15,9 +15,9 @@ FILES = {
     "@events": write_events([make_event(0, [Particle(80, 0, 0), Particle(10, 3, 4)])]),
     "@bad-events": "taupipe-events 1\n0 0 50 0 0 bogus\n",
     "@config": "fifo_depth = 4\nstage.merging.latency = 30\n",
-    "@tight-config": "latency_budget_360 = 10\nlatency_budget_300 = 10\n",
+    "@tight-config": "stage.tau_parameters.latency = 150\n",
     "@bad-config": "fifo_depth = 0\n",
-    "@small-ii-config": "ii_budget_ns = 3\n",
+    "@budget-key-config": "ii_budget_ns = 3\n",  # a constant, so an unknown key
 }
 BAD_UTF8 = b"taupipe-events 1\n0 0 50 0 \xff 0\n"
 PATHS = [*FILES, "@bad-utf8", "@dir", "@missing", "@report", "@report-in-missing-dir"]

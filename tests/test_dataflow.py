@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import tick_reference
+from taupipe.budget import operating_point
 from taupipe.cli import _simulate
 from taupipe.dataflow import (
     TRIGGER_STAGE_NAMES,
@@ -266,14 +267,13 @@ def test_latency_monotone_in_stage_latency():
 def test_cdc_allowance():
     # off the nominal clock latency pays the allowance, II does not
     m = trigger_timing(default_stage_specs(), "B", EngineConfig(), 3)
-    shifted, budget = RunConfig().operating_point(m, 300)
+    shifted, budget = operating_point(m, 300)
     assert shifted.latency_cycles == m.latency_cycles + 10
     assert shifted.ii_cycles == m.ii_cycles
     assert shifted.cdc_overhead_cycles == 10
     assert shifted.start == m.start
     assert (budget.latency_budget_cycles, budget.ii_budget_cycles) == (220, 45)
-    assert RunConfig().operating_point(m, 360)[0] == m
-    assert RunConfig(cdc_overhead_cycles=0).operating_point(m, 300)[0] == m
+    assert operating_point(m, 360)[0] == m
 
 
 def test_engine_config_validation():

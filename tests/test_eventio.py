@@ -1,8 +1,14 @@
+import re
+from pathlib import Path
+
 import pytest
 
 from taupipe.core import ETA_MAX, N_INPUT, N_SEEDS, PHI_HALF, PT_MAX, Species
 from taupipe.dataflow import StageSpec
 from taupipe.eventio import (
+    _ENGINE_KEYS,
+    _RUN_KEYS,
+    _TRIGGER_KEYS,
     ConfigError,
     EventFileError,
     RunConfig,
@@ -207,8 +213,6 @@ def test_empty_config_defaults():
     assert specs["merging"] == StageSpec("merging", 33, 33, start_offset_cycles=4)
     assert specs["cleaning"] == StageSpec("cleaning", 15, 13)
     assert rc.trigger == TriggerConfig()
-    assert rc.cdc_overhead_cycles == 10
-    assert rc.latency_budgets == {360: 275, 300: 220}
 
 
 def test_config_solution_a_tables():
@@ -220,18 +224,26 @@ def test_config_solution_a_tables():
     assert specs["cleaning"].ii_cycles == 13
 
 
-# The framing and the pt/eta/phi ranges are constants, not config keys.
+# The framing, the pt/eta/phi ranges and the budgets are constants, not
+# config keys.
 FIXED_KEYS = (
     "n_input", "n_seeds", "n_filter_blocks", "block_size", "max_candidates", "max_taus",
     "pt_max", "phi_range", "eta_max",
+    "ii_budget_ns", "latency_budget_360", "latency_budget_300", "cdc_overhead_cycles",
 )
 
 
 def test_config_unknown_key():
-    # budget keys match the budget table's frequencies, not any digits
     for key in ("fizz", "latency_budget_240", "latency_budget_¹") + FIXED_KEYS:
         with pytest.raises(ConfigError, match=f"line 1: unknown config key '{key}'"):
             load_config(f"{key} = 3\n")
+
+
+def test_readme_config_paragraph_names_exactly_the_config_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("**Config**"):].split("\n\n")[0]
+    named = {t for t in re.findall(r"`([^`]*)`", paragraph) if re.fullmatch(r"[a-z][a-z0-9_]*", t)}
+    assert named - {"run", "explore"} == _TRIGGER_KEYS | _ENGINE_KEYS | _RUN_KEYS
 
 
 def test_config_violated_invariant_is_quoted():
@@ -287,15 +299,10 @@ def test_config_bad_solution():
     [
         ({"merge_solution": "C"}, "merge_solution must be one of"),
         ({"clean_solution": "C"}, "clean_solution must be one of"),
-        ({"cdc_overhead_cycles": -1}, "cdc_overhead_cycles must be non-negative"),
-        ({"ii_budget_ns": 0}, "ii_budget_ns must be positive"),
-        ({"ii_budget_ns": 3}, "ii_budget_ns 3 is less than one cycle at 300 MHz"),
-        ({"latency_budgets": {360: 275, 300: 0}}, "latency_budget_300 must be positive, got 0"),
         ({"stage_overrides": {"merging": {"ii_cycles": 0}}}, "ii_cycles must be >= 1"),
         ({"stage_overrides": {"nowhere": {"ii_cycles": 2}}}, "unknown stage 'nowhere'"),
     ],
-    ids=["merge", "clean", "cdc", "ii-budget", "ii-budget-cycles", "latency-budget",
-         "stage-field", "unknown-stage"],
+    ids=["merge", "clean", "stage-field", "unknown-stage"],
 )
 def test_run_config_built_in_code_checks_its_fields(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -306,16 +313,6 @@ def test_config_format_version():
     assert load_config("format_version = 1\n") == RunConfig()
     with pytest.raises(ConfigError, match="format_version"):
         load_config("format_version = 2\n")
-
-
-def test_config_budget_keys():
-    from taupipe.dataflow import trigger_timing
-
-    rc = load_config("latency_budget_300 = 230\nii_budget_ns = 120\n")
-    metrics = trigger_timing(rc.specs_for("B", "B"), "B", rc.engine, 2)
-    _, budget = rc.operating_point(metrics, 300)
-    assert budget.latency_budget_cycles == 230
-    assert budget.ii_budget_cycles == 36  # 120 ns at 300 MHz
 
 
 # --- line numbers -----------------------------------------------------------------
