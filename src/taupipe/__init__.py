@@ -32,7 +32,6 @@ from .stages import (
     select_signal_candidates,
 )
 from .dataflow import (
-    EngineConfig,
     PipelineMetrics,
     StageSpec,
     StageStats,

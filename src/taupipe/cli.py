@@ -97,7 +97,7 @@ def _variants(args: argparse.Namespace, run_cfg: RunConfig) -> tuple[str, str]:
 
 def _timing(run_cfg: RunConfig, n_events: int, merge: str, clean: str) -> PipelineMetrics:
     specs = run_cfg.specs_for(merge, clean)
-    return trigger_timing(specs, merge, run_cfg.engine, n_events)
+    return trigger_timing(specs, merge, run_cfg.fifo_depth, n_events)
 
 
 def _simulate(run_cfg: RunConfig, events: Sequence[Event], merge: str, clean: str):

@@ -8,13 +8,14 @@ Firing contract.  Stage ``s`` begins iteration ``k`` at the earliest cycle
 ``t`` satisfying all of:
 
 * initiation spacing: ``t >= start(s, k-1) + ii + hop`` where ``hop`` is the
-  per-iteration handshake overhead of the stage's input hop;
+  stage's ``hop_cycles``, the per-iteration handshake overhead of its input
+  hop;
 * input availability: ``t >= ready + hop``, where ``ready`` is the
   producer's completion time of iteration ``k`` for a store-and-forward stage
   (``start_offset_cycles == 0``), or the producer's start time plus
   ``start_offset_cycles`` for a streaming stage (the offset asserts how much
   upstream progress makes downstream reads safe); the first stage reads
-  event ``k`` from the source, which offers it at cycle ``k * feed_period``;
+  from the source, which offers every event at once (cycle 0);
 * causality, for a streaming stage: ``t >= start(s-1, k) + latency(s-1) -
   latency(s)``, so the stage completes no earlier than its producer does
   (no hop is added: the producer's last output is read within the stage's
@@ -68,17 +69,19 @@ MERGE_STREAM_OFFSET = 4
 
 @dataclass(frozen=True)
 class StageSpec:
-    """Static timing descriptor of one pipeline stage."""
+    """Static timing descriptor of one pipeline stage; ``hop_cycles`` is the
+    handshake overhead of its input hop."""
 
     name: str
     latency_cycles: int
     ii_cycles: int
     start_offset_cycles: int = 0
+    hop_cycles: int = 0
 
     def __post_init__(self) -> None:
         if self.ii_cycles < 1:
             raise ValueError(f"stage {self.name}: ii_cycles must be >= 1")
-        if self.latency_cycles < 0 or self.start_offset_cycles < 0:
+        if min(self.latency_cycles, self.start_offset_cycles, self.hop_cycles) < 0:
             raise ValueError(f"stage {self.name}: cycle counts must be non-negative")
 
 
@@ -111,57 +114,48 @@ class PipelineMetrics:
 
 
 def run_pipeline(
-    specs: Sequence[StageSpec],
-    hops: Sequence[int],
-    depths: Sequence[int],
-    n_events: int,
-    feed_period: int = 0,
+    specs: Sequence[StageSpec], depths: Sequence[int], n_events: int
 ) -> PipelineMetrics:
     """Timing of ``n_events`` iterations through a chain of stages.
 
-    ``hops[s]`` is stage ``s``'s input handshake overhead and ``depths[s]``
-    the capacity, in iterations, of the buffer from stage ``s`` to stage
-    ``s + 1``.  ``feed_period`` spaces event arrivals at the source (0 feeds
-    each event as soon as the first stage accepts it, which is how the
-    pipeline's own initiation interval is measured).  See the module
+    ``depths[s]`` is the capacity, in iterations, of the buffer from stage
+    ``s`` to stage ``s + 1``.  The source offers every event at once, so the
+    first stage accepts each one as soon as it can, which is how the
+    pipeline's own initiation interval is measured.  See the module
     docstring for the contract and the recurrence.
     """
     n_stages = len(specs)
     if n_stages == 0:
         raise ValueError("pipeline needs at least one stage")
-    if len(hops) != n_stages or len(depths) != n_stages - 1:
+    if len(depths) != n_stages - 1:
         raise ValueError(
-            f"chain of {n_stages} stages needs {n_stages} hop overheads and "
-            f"{n_stages - 1} buffer depths, got {len(hops)} and {len(depths)}"
+            f"chain of {n_stages} stages needs {n_stages - 1} buffer depths, got {len(depths)}"
         )
-    if any(h < 0 for h in hops):
-        raise ValueError("hop overheads must be non-negative")
     if any(d < 1 for d in depths):
         raise ValueError("buffer depths must be >= 1")
-    if feed_period < 0 or n_events < 0:
-        raise ValueError("feed_period and n_events must be non-negative")
+    if n_events < 0:
+        raise ValueError("n_events must be non-negative")
 
     # Cycles from the producer's start (the source's offer for stage 0) until
     # stage s may begin, and from one start of stage s to its next.  The
     # causality bound only binds a streaming stage: a store-and-forward
     # stage already waits for the producer's completion plus the hop.
-    lead = [hops[0]] + [
+    lead = [specs[0].hop_cycles] + [
         max(
-            (spec.start_offset_cycles or producer.latency_cycles) + hop,
+            (spec.start_offset_cycles or producer.latency_cycles) + spec.hop_cycles,
             producer.latency_cycles - spec.latency_cycles,
         )
-        for producer, spec, hop in zip(specs, specs[1:], hops[1:])
+        for producer, spec in zip(specs, specs[1:])
     ]
-    step = [spec.ii_cycles + hop for spec, hop in zip(specs, hops)]
+    step = [spec.ii_cycles + spec.hop_cycles for spec in specs]
     start = [[0] * n_events for _ in specs]
     in_stall = [0] * n_stages
     out_stall = [0] * n_stages
     last = n_stages - 1
     for k in range(n_events):
-        offered = k * feed_period
         for s in range(n_stages):
             spacing = start[s][k - 1] + step[s] if k else 0
-            in_ok = (start[s - 1][k] if s else offered) + lead[s]
+            in_ok = (start[s - 1][k] if s else 0) + lead[s]
             ready = in_ok if in_ok > spacing else spacing
             t = ready
             if s < last and k >= depths[s]:
@@ -172,11 +166,11 @@ def run_pipeline(
             in_stall[s] += ready - spacing
             out_stall[s] += t - ready
 
-    # Event k enters stage 0 hops[0] cycles after its transfer begins and
+    # Event k enters stage 0 lead[0] cycles after its transfer begins and
     # leaves the sink sink_latency cycles after the sink begins it.
     sink_latency = specs[last].latency_cycles
     latency = max(
-        (snk + sink_latency - (src - hops[0]) for snk, src in zip(start[last], start[0])),
+        (snk + sink_latency - (src - lead[0]) for snk, src in zip(start[last], start[0])),
         default=0,
     )
     return PipelineMetrics(
@@ -196,7 +190,8 @@ def default_stage_specs(
 
     Latency/II pairs are the per-stage timing of the partitioned design; the
     merging and cleaning rows depend on the selected solution (A or B).
-    The merging stage carries the default streaming offset.
+    The merging stage carries the default streaming offset.  The hops add up
+    to the 8-cycle arrangement/control allowance, split 1-2 cycles per hop.
     """
     try:
         m_lat, m_ii = _MERGE_TIMING[merge_solution]
@@ -204,64 +199,40 @@ def default_stage_specs(
     except KeyError as exc:
         raise ValueError(f"unknown solution {exc.args[0]!r}, expected 'A' or 'B'") from exc
     return {
-        "seeding": StageSpec("seeding", 43, 43),
-        "filtering": StageSpec("filtering", 38, 38),
-        "merging": StageSpec("merging", m_lat, m_ii, start_offset_cycles=MERGE_STREAM_OFFSET),
-        "signal_selection": StageSpec("signal_selection", 37, 36),
-        "tau_parameters": StageSpec("tau_parameters", 59, 35),
-        "tau_reconstruction": StageSpec("tau_reconstruction", 1, 1),
-        "cleaning": StageSpec("cleaning", c_lat, c_ii),
+        "seeding": StageSpec("seeding", 43, 43, hop_cycles=1),
+        "filtering": StageSpec("filtering", 38, 38, hop_cycles=1),
+        "merging": StageSpec(
+            "merging", m_lat, m_ii, start_offset_cycles=MERGE_STREAM_OFFSET, hop_cycles=1
+        ),
+        "signal_selection": StageSpec("signal_selection", 37, 36, hop_cycles=1),
+        "tau_parameters": StageSpec("tau_parameters", 59, 35, hop_cycles=1),
+        "tau_reconstruction": StageSpec("tau_reconstruction", 1, 1, hop_cycles=1),
+        "cleaning": StageSpec("cleaning", c_lat, c_ii, hop_cycles=2),
     }
 
 
-# Handshake overhead of each stage's input hop; the total along the chain is
-# the 8-cycle arrangement/control allowance, split 1-2 cycles per hop.
-DEFAULT_HOP_OVERHEADS = (1, 1, 1, 1, 1, 1, 2)
+DEFAULT_FIFO_DEPTH = 32
 
 
-@dataclass(frozen=True)
-class EngineConfig:
-    """Buffer and handshake parameters of the simulated pipeline."""
-
-    fifo_depth: int = 32
-    hop_overheads: tuple[int, ...] = DEFAULT_HOP_OVERHEADS
-    feed_period: int = 0
-
-    def __post_init__(self) -> None:
-        if self.fifo_depth < 1:
-            raise ValueError("fifo_depth must be >= 1")
-        if len(self.hop_overheads) != len(TRIGGER_STAGE_NAMES):
-            raise ValueError(
-                f"hop_overheads needs {len(TRIGGER_STAGE_NAMES)} entries, "
-                f"got {len(self.hop_overheads)}"
-            )
-        if any(h < 0 for h in self.hop_overheads):
-            raise ValueError("hop_overheads must be non-negative")
-        if self.feed_period < 0:
-            raise ValueError("feed_period must be non-negative")
-
-
-def channel_depths(merge_solution: str, engine: EngineConfig) -> tuple[int, ...]:
+def channel_depths(merge_solution: str, fifo_depth: int) -> tuple[int, ...]:
     """Capacity, in iterations, of each hop of the trigger chain.
 
-    Every hop is a FIFO of ``engine.fifo_depth`` except filtering to merging
-    under merge solution B, a ping-pong buffer: two banks of one iteration
-    each, whatever the FIFO depth.
+    Every hop is a FIFO of ``fifo_depth`` except filtering to merging under
+    merge solution B, a ping-pong buffer: two banks of one iteration each,
+    whatever the FIFO depth.
     """
     return tuple(
-        2 if producer == "filtering" and merge_solution == "B" else engine.fifo_depth
+        2 if producer == "filtering" and merge_solution == "B" else fifo_depth
         for producer in TRIGGER_STAGE_NAMES[:-1]
     )
 
 
 def trigger_timing(
-    specs: Mapping[str, StageSpec], merge_solution: str, engine: EngineConfig, n_events: int
+    specs: Mapping[str, StageSpec], merge_solution: str, fifo_depth: int, n_events: int
 ) -> PipelineMetrics:
     """Timing of ``n_events`` events through the seven-stage trigger chain."""
     return run_pipeline(
         [specs[name] for name in TRIGGER_STAGE_NAMES],
-        engine.hop_overheads,
-        channel_depths(merge_solution, engine),
+        channel_depths(merge_solution, fifo_depth),
         n_events,
-        engine.feed_period,
     )

@@ -33,7 +33,7 @@ from .core import (
     make_event,
     wrap_phi,
 )
-from .dataflow import EngineConfig, StageSpec, TRIGGER_STAGE_NAMES, default_stage_specs
+from .dataflow import DEFAULT_FIFO_DEPTH, StageSpec, TRIGGER_STAGE_NAMES, default_stage_specs
 from .stages import CLEAN_SOLUTIONS, MERGE_SOLUTIONS, TriggerConfig
 
 EVENT_FORMAT = "taupipe-events"
@@ -291,9 +291,12 @@ class RunConfig:
     # Explicit ``stage.<name>.<field>`` settings: stage name -> StageSpec
     # field -> value, applied on top of whichever solution rows are run.
     stage_overrides: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
-    engine: EngineConfig = field(default_factory=EngineConfig)
+    # Capacity, in iterations, of every FIFO between two stages.
+    fifo_depth: int = DEFAULT_FIFO_DEPTH
 
     def __post_init__(self) -> None:
+        if self.fifo_depth < 1:
+            raise ValueError("fifo_depth must be >= 1")
         if self.merge_solution not in MERGE_SOLUTIONS:
             raise ValueError(f"merge_solution must be one of {MERGE_SOLUTIONS}")
         if self.clean_solution not in CLEAN_SOLUTIONS:
@@ -314,13 +317,13 @@ class RunConfig:
 
 # Config keys of each record; ``stage.<name>.<field>`` keys set stage overrides.
 _TRIGGER_KEYS = frozenset(f.name for f in fields(TriggerConfig))
-_ENGINE_KEYS = frozenset(f.name for f in fields(EngineConfig))
-_RUN_KEYS = frozenset(("merge_solution", "clean_solution"))
+_RUN_KEYS = frozenset(("merge_solution", "clean_solution", "fifo_depth"))
 
 _STAGE_FIELD_BY_KEY = {
     "latency": "latency_cycles",
     "ii": "ii_cycles",
     "start_offset": "start_offset_cycles",
+    "hop": "hop_cycles",
 }
 
 
@@ -336,11 +339,6 @@ def _parse_value(key: str, value: str) -> object:
     """The typed value of a config key; every key not listed here is an integer."""
     if key == "allowed_signal_species":
         return frozenset(Species(v.strip()) for v in value.split(",") if v.strip())
-    if key == "hop_overheads":
-        try:
-            return tuple(_decimal(v.strip()) for v in value.split(",") if v.strip())
-        except ValueError:
-            raise ValueError("hop_overheads needs comma-separated integers") from None
     if key in ("merge_solution", "clean_solution"):
         return value.upper()
     try:
@@ -355,7 +353,7 @@ def _stage_setting(key: str, value: str) -> tuple[str, dict[str, int]]:
     if len(parts) != 3 or parts[1] not in TRIGGER_STAGE_NAMES or parts[2] not in _STAGE_FIELD_BY_KEY:
         raise ValueError(
             f"unknown stage key {key!r}; expected "
-            f"stage.<{'|'.join(TRIGGER_STAGE_NAMES)}>.<latency|ii|start_offset>"
+            f"stage.<{'|'.join(TRIGGER_STAGE_NAMES)}>.<{'|'.join(_STAGE_FIELD_BY_KEY)}>"
         )
     return parts[1], {_STAGE_FIELD_BY_KEY[parts[2]]: _parse_value(key, value)}
 
@@ -384,7 +382,6 @@ def load_config(text: str) -> RunConfig:
     names the line and quotes the violated constraint.
     """
     trigger: dict[str, object] = {}
-    engine: dict[str, object] = {}
     run: dict[str, object] = {}
     overrides: dict[str, dict[str, int]] = {}
     lines: dict[str, int] = {}
@@ -409,8 +406,6 @@ def load_config(text: str) -> RunConfig:
                     raise ValueError(f"unsupported config format_version {value}")
             elif key in _TRIGGER_KEYS:
                 trigger[key] = _parse_value(key, value)
-            elif key in _ENGINE_KEYS:
-                engine[key] = _parse_value(key, value)
             elif key in _RUN_KEYS:
                 run[key] = _parse_value(key, value)
             else:
@@ -418,13 +413,12 @@ def load_config(text: str) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
 
-    run_keys = lines.keys() - trigger.keys() - engine.keys() - {"format_version"}
+    run_keys = lines.keys() - trigger.keys() - {"format_version"}
     return _build(
         RunConfig,
         dict(
             run,
             trigger=_build(TriggerConfig, trigger, {k: lines[k] for k in trigger}),
-            engine=_build(EngineConfig, engine, {k: lines[k] for k in engine}),
             stage_overrides=overrides,
         ),
         {k: lines[k] for k in run_keys},
@@ -443,7 +437,7 @@ def build_report(
     event_ids: Sequence[int],
     tau_lists: Sequence[Sequence],
     metrics,
-    feasibility=None,
+    feasibility,
 ) -> list[dict]:
     """Assemble report records: header, one per event, one metrics object."""
     records: list[dict] = [{"format": REPORT_FORMAT, "version": REPORT_FORMAT_VERSION}]
@@ -470,18 +464,13 @@ def build_report(
             }
             for s in metrics.stage_stats
         ],
+        "frequency_mhz": feasibility.budget.frequency_mhz,
+        "latency_budget_cycles": feasibility.budget.latency_budget_cycles,
+        "ii_budget_cycles": feasibility.budget.ii_budget_cycles,
+        "latency_slack_cycles": feasibility.latency_slack_cycles,
+        "ii_slack_cycles": feasibility.ii_slack_cycles,
+        "feasible": feasibility.feasible,
     }
-    if feasibility is not None:
-        m.update(
-            {
-                "frequency_mhz": feasibility.budget.frequency_mhz,
-                "latency_budget_cycles": feasibility.budget.latency_budget_cycles,
-                "ii_budget_cycles": feasibility.budget.ii_budget_cycles,
-                "latency_slack_cycles": feasibility.latency_slack_cycles,
-                "ii_slack_cycles": feasibility.ii_slack_cycles,
-                "feasible": feasibility.feasible,
-            }
-        )
     records.append(m)
     return records
 

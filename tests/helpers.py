@@ -121,7 +121,7 @@ def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
     return counts
 
 
-def tick_reference(specs, hops, depths, n_events, feed_period=0):
+def tick_reference(specs, depths, n_events):
     """Cycle-stepping reference of the dataflow firing contract: the start
     cycle of every stage and iteration, and the stall counts of each stage.
 
@@ -130,6 +130,7 @@ def tick_reference(specs, hops, depths, n_events, feed_period=0):
     buffer place a consumer frees only from the next cycle.  Buffers are
     occupancy counters; no timing is derived in closed form.  A streaming
     stage also waits until it would complete no earlier than its producer.
+    The source offers every event at cycle 0.
     """
     n_stages = len(specs)
     starts = [[] for _ in specs]
@@ -143,14 +144,14 @@ def tick_reference(specs, hops, depths, n_events, feed_period=0):
             k = len(starts[s])
             if k == n_events:
                 continue
-            if k and t < starts[s][k - 1] + spec.ii_cycles + hops[s]:
+            if k and t < starts[s][k - 1] + spec.ii_cycles + spec.hop_cycles:
                 continue
             if s == 0:
-                ready = k * feed_period + hops[s]
+                ready = spec.hop_cycles
             elif len(starts[s - 1]) > k:
                 producer = starts[s - 1][k]
                 upstream = specs[s - 1].latency_cycles
-                ready = producer + (spec.start_offset_cycles or upstream) + hops[s]
+                ready = producer + (spec.start_offset_cycles or upstream) + spec.hop_cycles
                 if spec.start_offset_cycles:
                     ready = max(ready, producer + upstream - spec.latency_cycles)
             else:

@@ -6,11 +6,12 @@ integer equality unless noted) and the stated wall-clock ceiling.
 """
 
 import time
+from dataclasses import replace
 
 from helpers import fig5_taus, random_merge_lists, random_tau_slots, stage_op_counts
 from taupipe.budget import TimingBudget, cycle_budget, evaluate_feasibility, operating_point
 from taupipe.core import MAX_CANDIDATES, AngularCoord, OpCounter, delta_r2
-from taupipe.dataflow import EngineConfig, default_stage_specs, trigger_timing
+from taupipe.dataflow import DEFAULT_FIFO_DEPTH, default_stage_specs, trigger_timing
 from taupipe.cli import main as cli_main
 from taupipe.eventio import (
     SplitMix64,
@@ -110,13 +111,13 @@ def test_c5_pipeline_composition():
     specs = default_stage_specs("A", "A")  # the original partitioning table
     latencies = [s.latency_cycles for s in specs.values()]
     assert sum(latencies) == 229 and max(latencies) == 59
-    metrics = trigger_timing(specs, "A", EngineConfig(), 8)
-    again = trigger_timing(specs, "A", EngineConfig(), 8)
+    metrics = trigger_timing(specs, "A", DEFAULT_FIFO_DEPTH, 8)
+    again = trigger_timing(specs, "A", DEFAULT_FIFO_DEPTH, 8)
     assert metrics == again  # deterministic
     assert 59 <= metrics.latency_cycles < 237
     assert metrics.ii_cycles <= 45
-    zero_hop = EngineConfig(hop_overheads=(0,) * 7)
-    ii_bare = trigger_timing(specs, "A", zero_hop, 8).ii_cycles
+    zero_hop = {name: replace(spec, hop_cycles=0) for name, spec in specs.items()}
+    ii_bare = trigger_timing(zero_hop, "A", DEFAULT_FIFO_DEPTH, 8).ii_cycles
     assert ii_bare == max(s.ii_cycles for s in specs.values()) == 43
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -130,7 +131,7 @@ def test_c5_pipeline_composition():
 
 def test_c6_frequency_tradeoff_reproduction():
     t0 = time.perf_counter()
-    metrics_360 = trigger_timing(default_stage_specs(), "B", EngineConfig(), 8)
+    metrics_360 = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH, 8)
     feas_360 = evaluate_feasibility(metrics_360, TimingBudget.for_frequency(360))
     assert feas_360.budget.latency_budget_cycles == 275
     assert feas_360.budget.ii_budget_cycles == 54

@@ -297,6 +297,22 @@ def test_run_keeps_stage_override_under_merge_flag(tmp_path, capsys):
     assert "latency: 200 cycles  ii: 44 cycles" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "setting, figures",
+    [
+        # the defaults give 200/44; cleaning's hop of 2 is latency only
+        ("stage.cleaning.hop = 0", "latency: 198 cycles  ii: 44 cycles"),
+        # seeding's spacing loop, 43 + 1, sets the II, so its hop is both
+        ("stage.seeding.hop = 0", "latency: 199 cycles  ii: 43 cycles"),
+    ],
+)
+def test_run_takes_stage_hops_from_the_config(tmp_path, capsys, setting, figures):
+    cfgfile = tmp_path / "hop.cfg"
+    cfgfile.write_text(f"{setting}\n")
+    assert run_cli(["run", "--gen", "1:50:busy", "--config", str(cfgfile)]) == 0
+    assert figures in capsys.readouterr().out
+
+
 def test_run_merge_b_checks_its_own_cap_order_on_cone_overflow(tmp_path, capsys):
     # whole-plane cones overflow every seed's candidate cap, where the two
     # merge solutions keep different candidates
@@ -337,12 +353,11 @@ def test_run_writes_a_minimised_counterexample_on_divergence(monkeypatch, capsys
     "setting, message",
     [
         ("fifo_depth = 0", "fifo_depth must be >= 1"),
-        ("feed_period = -1", "feed_period must be non-negative"),
-        ("hop_overheads = 1,1", "hop_overheads needs 7 entries"),
         ("stage.merging.ii = 0", "ii_cycles must be >= 1"),
         ("stage.merging.latency = -3", "cycle counts must be non-negative"),
+        ("stage.cleaning.hop = -1", "stage cleaning: cycle counts must be non-negative"),
         # a later valid key of the same record is not blamed
-        ("hop_overheads = 1,-1,1,1,1,1,1\nfifo_depth = 4", "hop_overheads must be non-negative"),
+        ("merge_solution = C\nfifo_depth = 4", "merge_solution must be one of"),
         ("stage.merging.ii = 0\nstage.merging.latency = 5", "ii_cycles must be >= 1"),
     ],
 )

@@ -7,8 +7,8 @@ from helpers import tick_reference
 from taupipe.budget import operating_point
 from taupipe.cli import _simulate
 from taupipe.dataflow import (
+    DEFAULT_FIFO_DEPTH,
     TRIGGER_STAGE_NAMES,
-    EngineConfig,
     StageSpec,
     channel_depths,
     default_stage_specs,
@@ -21,10 +21,11 @@ from taupipe.stages import TriggerConfig, run_stages
 CFG = TriggerConfig()
 
 
-def chain(specs, n, hops=None, depths=None, feed_period=0):
-    hops = hops or [0] * len(specs)
+def chain(specs, n, hops=None, depths=None):
+    if hops:
+        specs = [replace(spec, hop_cycles=hop) for spec, hop in zip(specs, hops)]
     depths = depths or [32] * (len(specs) - 1)
-    return run_pipeline(specs, hops, depths, n, feed_period)
+    return run_pipeline(specs, depths, n)
 
 
 # --- stage specs --------------------------------------------------------------
@@ -35,6 +36,8 @@ def test_stage_spec_validation():
         StageSpec("s", 10, 0)
     with pytest.raises(ValueError):
         StageSpec("s", -1, 1)
+    with pytest.raises(ValueError, match="cycle counts must be non-negative"):
+        StageSpec("s", 1, 1, hop_cycles=-1)
     StageSpec("s", 38, 34)  # latency < ii is not required the other way around
 
 
@@ -67,24 +70,23 @@ def test_fifo_order():
 
 
 def test_channel_depths():
-    engine = EngineConfig(fifo_depth=5)
-    assert channel_depths("A", engine) == (5,) * 6
-    assert channel_depths("A", EngineConfig(fifo_depth=1)) == (1,) * 6
+    assert channel_depths("A", 5) == (5,) * 6
+    assert channel_depths("A", 1) == (1,) * 6
 
 
 def test_pipo_channel_used_for_merge_b_edge():
     # the filtering-to-merging ping-pong buffer holds two iterations under
     # merge B, whatever the FIFO depth; under merge A that hop is a FIFO
     for depth in (1, 5, 32):
-        engine = EngineConfig(fifo_depth=depth)
-        assert channel_depths("B", engine) == (depth, 2) + (depth,) * 4
-        assert channel_depths("A", engine)[1] == depth
+        assert channel_depths("B", depth) == (depth, 2) + (depth,) * 4
+        assert channel_depths("A", depth)[1] == depth
 
 
 def _buffer_occupancies(specs, hops, depth, n):
     """Occupancy of the buffer of a two-stage chain each time the producer
     begins an iteration, counted before the consumer acts in that cycle."""
-    producer, consumer = run_pipeline(specs, hops, [depth], n).start
+    specs = [replace(spec, hop_cycles=hop) for spec, hop in zip(specs, hops)]
+    producer, consumer = run_pipeline(specs, [depth], n).start
     return [
         sum(p <= t for p in producer) - sum(c < t for c in consumer) for t in producer
     ]
@@ -98,22 +100,20 @@ def test_channels_never_exceed_capacity():
     # filtering into merging under merge B, with the ping-pong depth
     specs = default_stage_specs("B", "B")
     pair = [specs["filtering"], specs["merging"]]
-    depth_b = channel_depths("B", EngineConfig())[1]
+    depth_b = channel_depths("B", DEFAULT_FIFO_DEPTH)[1]
     assert max(_buffer_occupancies(pair, [1, 1], depth_b, 12)) <= depth_b
 
 
 def test_run_pipeline_validation():
     specs = [StageSpec("a", 1, 1), StageSpec("b", 1, 1)]
     with pytest.raises(ValueError):
-        run_pipeline([], [], [], 1)
+        run_pipeline([], [], 1)
     with pytest.raises(ValueError):
-        run_pipeline(specs, [0], [1], 1)
+        run_pipeline(specs, [1, 1], 1)
     with pytest.raises(ValueError):
-        run_pipeline(specs, [0, 0], [0], 1)
+        run_pipeline(specs, [0], 1)
     with pytest.raises(ValueError):
-        run_pipeline(specs, [0, -1], [1], 1)
-    with pytest.raises(ValueError):
-        run_pipeline(specs, [0, 0], [1], 1, feed_period=-1)
+        run_pipeline(specs, [1], -1)
 
 
 stage_specs = st.builds(
@@ -122,6 +122,7 @@ stage_specs = st.builds(
     latency_cycles=st.integers(0, 60),
     ii_cycles=st.integers(1, 60),
     start_offset_cycles=st.one_of(st.just(0), st.integers(0, 20)),
+    hop_cycles=st.integers(0, 3),
 )
 
 
@@ -130,12 +131,10 @@ def chains(draw):
     specs = draw(st.lists(stage_specs, min_size=1, max_size=7))
     specs = [replace(s, name=f"s{i}") for i, s in enumerate(specs)]
     n = len(specs)
-    hops = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     # 2 is also how the ping-pong buffer behaves
     depths = draw(st.lists(st.sampled_from([1, 2, 3, 32]), min_size=n - 1, max_size=n - 1))
-    feed_period = draw(st.one_of(st.just(0), st.integers(0, 80)))
     n_events = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 40)))
-    return specs, hops, depths, n_events, feed_period
+    return specs, depths, n_events
 
 
 @settings(max_examples=300, deadline=None)
@@ -156,18 +155,6 @@ def test_single_stage_latency():
 
 def test_two_stage_chain_latency():
     assert chain([StageSpec("a", 3, 1), StageSpec("b", 4, 1)], 1).latency_cycles == 7
-
-
-def test_paced_feed_matches_ii():
-    metrics = chain([StageSpec("s", 10, 10)], 5, feed_period=10)
-    assert metrics.ii_cycles == 10
-    stats = metrics.stage_stats[0]
-    assert stats.input_stall_cycles == 0
-    assert stats.output_stall_cycles == 0
-
-
-def test_feed_slower_than_pipeline_sets_spacing():
-    assert chain([StageSpec("s", 2, 1)], 4, feed_period=9).ii_cycles == 9
 
 
 def test_measured_ii_is_bottleneck_stage():
@@ -194,7 +181,7 @@ def _streaming_b_b_chain(n):
     specs = default_stage_specs("B", "B")
     specs["merging"] = replace(specs["merging"], latency_cycles=1)
     return [specs[name] for name in TRIGGER_STAGE_NAMES], trigger_timing(
-        specs, "B", EngineConfig(), n
+        specs, "B", DEFAULT_FIFO_DEPTH, n
     )
 
 
@@ -217,7 +204,7 @@ def test_causal_bound_adds_no_hop():
     # give 201 and 199.
     for merge, clean, latency in (("B", "B", 200), ("A", "A", 198)):
         specs = RunConfig(stage_overrides={"merging": {"latency_cycles": 1}}).specs_for(merge, clean)
-        assert trigger_timing(specs, merge, EngineConfig(), 6).latency_cycles == latency
+        assert trigger_timing(specs, merge, DEFAULT_FIFO_DEPTH, 6).latency_cycles == latency
 
 
 def test_engine_is_deterministic():
@@ -237,9 +224,10 @@ def test_engine_outputs_equal_staged_functional_path():
 
 
 def test_default_trigger_chain_latency_figures():
-    engine = EngineConfig()
     runs = {
-        (merge, clean): trigger_timing(default_stage_specs(merge, clean), merge, engine, 6)
+        (merge, clean): trigger_timing(
+            default_stage_specs(merge, clean), merge, DEFAULT_FIFO_DEPTH, 6
+        )
         for merge, clean in (("A", "A"), ("B", "B"))
     }
     assert runs[("A", "A")].latency_cycles == 203
@@ -248,25 +236,32 @@ def test_default_trigger_chain_latency_figures():
     assert runs[("B", "B")].ii_cycles == 44
 
 
+def test_default_hops_are_the_8_cycle_allowance():
+    for merge in "AB":
+        for clean in "AB":
+            hops = [s.hop_cycles for s in default_stage_specs(merge, clean).values()]
+            assert hops == [1, 1, 1, 1, 1, 1, 2]
+            assert sum(hops) == 8
+
+
 def test_zero_handshake_ii_equals_max_stage_ii():
-    engine = EngineConfig(hop_overheads=(0,) * 7)
-    metrics = trigger_timing(default_stage_specs(), "B", engine, 6)
-    assert metrics.ii_cycles == max(s.ii_cycles for s in default_stage_specs().values()) == 43
+    specs = {n: replace(s, hop_cycles=0) for n, s in default_stage_specs().items()}
+    metrics = trigger_timing(specs, "B", DEFAULT_FIFO_DEPTH, 6)
+    assert metrics.ii_cycles == max(s.ii_cycles for s in specs.values()) == 43
 
 
 def test_latency_monotone_in_stage_latency():
-    engine = EngineConfig()
     base_specs = default_stage_specs()
-    base = trigger_timing(base_specs, "B", engine, 4).latency_cycles
+    base = trigger_timing(base_specs, "B", DEFAULT_FIFO_DEPTH, 4).latency_cycles
     for name in TRIGGER_STAGE_NAMES:
         specs = dict(base_specs)
         specs[name] = replace(specs[name], latency_cycles=specs[name].latency_cycles + 5)
-        assert trigger_timing(specs, "B", engine, 4).latency_cycles >= base
+        assert trigger_timing(specs, "B", DEFAULT_FIFO_DEPTH, 4).latency_cycles >= base
 
 
 def test_cdc_allowance():
     # off the nominal clock latency pays the allowance, II does not
-    m = trigger_timing(default_stage_specs(), "B", EngineConfig(), 3)
+    m = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH, 3)
     shifted, budget = operating_point(m, 300)
     assert shifted.latency_cycles == m.latency_cycles + 10
     assert shifted.ii_cycles == m.ii_cycles
@@ -274,12 +269,3 @@ def test_cdc_allowance():
     assert shifted.start == m.start
     assert (budget.latency_budget_cycles, budget.ii_budget_cycles) == (220, 45)
     assert operating_point(m, 360)[0] == m
-
-
-def test_engine_config_validation():
-    with pytest.raises(ValueError):
-        EngineConfig(fifo_depth=0)
-    with pytest.raises(ValueError):
-        EngineConfig(hop_overheads=(1, 2))
-    with pytest.raises(ValueError):
-        EngineConfig(hop_overheads=(1,) * 6 + (-1,))

@@ -6,7 +6,6 @@ import pytest
 from taupipe.core import ETA_MAX, N_INPUT, N_SEEDS, PHI_HALF, PT_MAX, Species
 from taupipe.dataflow import StageSpec
 from taupipe.eventio import (
-    _ENGINE_KEYS,
     _RUN_KEYS,
     _TRIGGER_KEYS,
     ConfigError,
@@ -210,8 +209,9 @@ def test_empty_config_defaults():
     rc = load_config("")
     assert rc.merge_solution == "B" and rc.clean_solution == "B"
     specs = rc.specs_for(rc.merge_solution, rc.clean_solution)
-    assert specs["merging"] == StageSpec("merging", 33, 33, start_offset_cycles=4)
-    assert specs["cleaning"] == StageSpec("cleaning", 15, 13)
+    assert specs["merging"] == StageSpec("merging", 33, 33, start_offset_cycles=4, hop_cycles=1)
+    assert specs["cleaning"] == StageSpec("cleaning", 15, 13, hop_cycles=2)
+    assert rc.fifo_depth == 32
     assert rc.trigger == TriggerConfig()
 
 
@@ -231,10 +231,14 @@ FIXED_KEYS = (
     "pt_max", "phi_range", "eta_max",
     "ii_budget_ns", "latency_budget_360", "latency_budget_300", "cdc_overhead_cycles",
 )
+# The hops are fields of the stage table (``stage.<name>.hop``), and the
+# source offers every event at once, so neither is an engine key.
+TIMING_KEYS = ("hop_overheads", "feed_period")
 
 
 def test_config_unknown_key():
-    for key in ("fizz", "latency_budget_240", "latency_budget_¹") + FIXED_KEYS:
+    unknown = ("fizz", "latency_budget_240", "latency_budget_¹") + FIXED_KEYS + TIMING_KEYS
+    for key in unknown:
         with pytest.raises(ConfigError, match=f"line 1: unknown config key '{key}'"):
             load_config(f"{key} = 3\n")
 
@@ -243,7 +247,7 @@ def test_readme_config_paragraph_names_exactly_the_config_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = readme[readme.index("**Config**"):].split("\n\n")[0]
     named = {t for t in re.findall(r"`([^`]*)`", paragraph) if re.fullmatch(r"[a-z][a-z0-9_]*", t)}
-    assert named - {"run", "explore"} == _TRIGGER_KEYS | _ENGINE_KEYS | _RUN_KEYS
+    assert named - {"run", "explore"} == _TRIGGER_KEYS | _RUN_KEYS
 
 
 def test_config_violated_invariant_is_quoted():
@@ -256,7 +260,7 @@ def test_config_violated_invariant_is_quoted():
 def test_config_stage_override():
     rc = load_config("stage.seeding.latency = 50\nstage.seeding.ii = 47\n")
     specs = rc.specs_for(rc.merge_solution, rc.clean_solution)
-    assert specs["seeding"] == StageSpec("seeding", 50, 47)
+    assert specs["seeding"] == StageSpec("seeding", 50, 47, hop_cycles=1)
 
 
 def test_config_bad_stage_key():
@@ -270,18 +274,17 @@ def test_config_species_list():
 
 
 def test_config_engine_keys():
-    rc = load_config("fifo_depth = 8\nhop_overheads = 0,0,0,0,0,0,0\nfeed_period = 54\n")
-    assert rc.engine.fifo_depth == 8
-    assert rc.engine.hop_overheads == (0,) * 7
-    assert rc.engine.feed_period == 54
+    rc = load_config("fifo_depth = 8\nstage.cleaning.hop = 0\n")
+    assert rc.fifo_depth == 8
+    assert rc.specs_for("B", "B")["cleaning"].hop_cycles == 0
 
 
 @pytest.mark.parametrize("spelling", NON_DECIMAL, ids=NON_DECIMAL_IDS)
 def test_config_takes_only_ascii_decimal(spelling):
     with pytest.raises(ConfigError, match=r"^line 1: key 'fifo_depth' needs an integer"):
         load_config(f"fifo_depth = {spelling}\n")
-    with pytest.raises(ConfigError, match=r"^line 1: hop_overheads needs comma-separated integers"):
-        load_config(f"hop_overheads = 1,1,1,{spelling},1,1,1\n")
+    with pytest.raises(ConfigError, match=r"^line 1: key 'stage.cleaning.hop' needs an integer"):
+        load_config(f"stage.cleaning.hop = {spelling}\n")
 
 
 def test_config_duplicate_key():
@@ -333,7 +336,7 @@ def test_parsers_name_the_physical_line(char):
 
 def test_crlf_files_parse():
     assert len(parse_events("taupipe-events 1\r\n7 3 50 10 -20 photon\r\n")) == 1
-    assert load_config("fifo_depth = 8\r\nfeed_period = 2\r\n").engine.fifo_depth == 8
+    assert load_config("fifo_depth = 8\r\nmin_seed_pt = 2\r\n").fifo_depth == 8
     with pytest.raises(ConfigError, match=r"^line 2: unknown config key 'fizz'"):
         load_config("fifo_depth = 8\r\nfizz = 1\r\n")
 
@@ -343,12 +346,12 @@ def test_crlf_files_parse():
 
 def test_report_roundtrip_bytes():
     from taupipe.budget import TimingBudget, evaluate_feasibility
-    from taupipe.dataflow import EngineConfig, default_stage_specs, trigger_timing
+    from taupipe.dataflow import DEFAULT_FIFO_DEPTH, default_stage_specs, trigger_timing
     from taupipe.eventio import build_report
     from taupipe.stages import run_stages
 
     events = gen_events(2, 5, "clustered", CFG)
-    metrics = trigger_timing(default_stage_specs(), "B", EngineConfig(), len(events))
+    metrics = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH, len(events))
     feas = evaluate_feasibility(metrics, TimingBudget.for_frequency(360))
     records = build_report(
         [ev.event_id for ev in events], [run_stages(ev, CFG) for ev in events], metrics, feas

@@ -34,6 +34,7 @@ CONFIG_KEYS = [
     "stage.merging.latency",
     "stage.cleaning.ii",
     "stage.seeding.start_offset",
+    "stage.tau_parameters.hop",
     "stage.nowhere.ii",
 ]
 
