@@ -194,17 +194,9 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if any(f <= 0 for f in freq_values):
         raise InputError("--freqs values must be positive")
 
-    if args.events:
-        events, source_desc = _load_events(args)
-        n_events = len(events)
-    else:
-        # timing depends on the event count only, so the events need not exist
-        spec = args.gen or "1:50:clustered"
-        n_events, source_desc = _gen_spec(spec)[1], f"gen {spec}"
-    if n_events < 2:
-        raise InputError(f"explore needs at least 2 events to measure an II, got {n_events}")
+    # latency and II are properties of the design: the timing runs no events
     pairs = [(merge, clean) for merge in MERGE_SOLUTIONS for clean in CLEAN_SOLUTIONS]
-    bases = [_timing(run_cfg, n_events, merge, clean) for merge, clean in pairs]
+    bases = [_timing(run_cfg, 0, merge, clean) for merge, clean in pairs]
 
     columns = []  # per clock, the (metrics, budget) of every pair
     for freq in freq_values:
@@ -213,7 +205,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
         except ValueError as exc:  # a clock too slow for one cycle of a budget
             raise InputError(f"--freqs {freq}: {exc}")
 
-    print(f"operating point exploration ({source_desc})")
+    print("operating point exploration")
     print(f"{'':32s}" + "".join(f"{f'{freq} MHz':>12s}" for freq in freq_values))
 
     def row(label: str, values) -> None:
@@ -248,13 +240,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_source(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--events", metavar="FILE", help="event file to process")
-        p.add_argument("--gen", metavar="SEED:COUNT:PROFILE", help="generate events")
-        p.add_argument("--config", metavar="FILE", help="config file (key = value)")
-
     p_run = sub.add_parser("run", help="run the pipeline and report metrics")
-    add_source(p_run)
+    p_run.add_argument("--events", metavar="FILE", help="event file to process")
+    p_run.add_argument("--gen", metavar="SEED:COUNT:PROFILE", help="generate events")
+    p_run.add_argument("--config", metavar="FILE", help="config file (key = value)")
     p_run.add_argument("--merge", choices=MERGE_SOLUTIONS, help="merge solution override")
     p_run.add_argument("--clean", choices=CLEAN_SOLUTIONS, help="clean solution override")
     p_run.add_argument("--freq", type=_int_arg, choices=tuple(LATENCY_BUDGET_CYCLES),
@@ -267,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser(
         "explore", help="per-frequency budgets and feasibility of every solution pair"
     )
-    add_source(p_exp)
+    p_exp.add_argument("--config", metavar="FILE", help="config file (key = value)")
     p_exp.add_argument("--freqs", required=True, metavar="LIST",
                        help="comma-separated MHz values, e.g. 360,300")
     p_exp.set_defaults(func=cmd_explore)

@@ -15,7 +15,7 @@ Firing contract.  Stage ``s`` begins iteration ``k`` at the earliest cycle
   (``start_offset_cycles == 0``), or the producer's start time plus
   ``start_offset_cycles`` for a streaming stage (the offset asserts how much
   upstream progress makes downstream reads safe); the first stage reads
-  from the source, which offers every event at once (cycle 0);
+  from the source, which offers event ``k`` at cycle ``k * P``;
 * causality, for a streaming stage: ``t >= start(s-1, k) + latency(s-1) -
   latency(s)``, so the stage completes no earlier than its producer does
   (no hop is added: the producer's last output is read within the stage's
@@ -25,21 +25,23 @@ Firing contract.  Stage ``s`` begins iteration ``k`` at the earliest cycle
   (else backpressure).
 
 Outputs of iteration ``k`` become visible ``latency_cycles`` after its start.
-Per-event latency is measured from the start of the event's transfer into the
-first stage to the last stage's completion; the reported initiation interval
-is the spacing of the last two sink completions, 0 for fewer than two events.
-When a buffer rather than a stage limits throughput, the sink spacing need not
-settle to one value, so the reported interval can depend on the event count.
-
-Timing depends on the number of events only, never on their data, and the
-contract makes the chain a timed event graph: start times follow a max-plus
-recurrence (Baccelli, Cohen, Olsder and Quadrat, *Synchronization and
-Linearity*, 1992).  Every bound refers to an earlier iteration of the same
-stage, to the same iteration of the producer, or to the consumer ``depth >=
-1`` iterations back, so one pass in iteration-major, stage-minor order
-computes each start time exactly, and a linear chain cannot deadlock.  The
-cycles a stage waits past its spacing count as input stalls while its input
-is not ready (availability or causality), and as output stalls after that.
+Timing depends on the stage table and the buffer depths, never on the data,
+and the contract makes the chain a timed event graph (Baccelli, Cohen, Olsder
+and Quadrat, *Synchronization and Linearity*, 1992).  With ``lead[s]`` the
+cycles from the producer's start (the source's offer for stage 0) until stage
+``s`` may begin, and ``step[s] = ii + hop``, its cycle time is the largest
+mean of a circuit: a stage's spacing loop, ``step[s]``, or a hop's
+forward-and-back circuit, ``(lead[s+1] + 1) / depth[s]``.  A circuit over
+several hops is a sum of single-hop circuits, so its mean is no larger.  The
+source paces events at ``P``, that cycle time rounded up to whole cycles, the
+fastest pace at which no event queues.  Every bound then holds without a
+wait: stage ``s`` begins event ``k`` at ``k * P + prefix[s]``, where
+``prefix[s] = lead[0] + ... + lead[s]``, so every event's latency, from its
+offer to the last stage's completion, is ``prefix[-1]`` plus the last
+stage's latency, and the initiation interval is ``P`` at any event count.
+The cycles a stage waits past its spacing are input stalls: ``prefix[s]``
+for event 0 and ``P - step[s]`` for each later one.  No stage waits for
+output space, so output stalls are 0.
 """
 
 from __future__ import annotations
@@ -94,14 +96,11 @@ class StageStats:
 
 @dataclass(frozen=True)
 class PipelineMetrics:
-    """Measured end-to-end timing of one simulation run.
+    """End-to-end timing of a run, in the closed form of the module docstring.
 
-    ``start[s][k]`` is the cycle at which stage ``s`` begins iteration ``k``,
-    the recurrence's own matrix; latency and II are derived from it.
-    ``latency_cycles`` is the worst per-event latency; ``ii_cycles`` is the
-    spacing of the last two sink completions (0 when fewer than two events
-    were processed).  When a buffer limits throughput the sink spacing can
-    alternate, and then ``ii_cycles`` depends on the event count.
+    ``latency_cycles`` is every event's latency and ``ii_cycles`` the pace
+    ``P``; both are properties of the design, whatever the event count.
+    ``stage_stats`` holds the stall counts of the run's events.
     ``cdc_overhead_cycles`` records any clock-domain crossing allowance
     already folded into ``latency_cycles``.
     """
@@ -109,7 +108,6 @@ class PipelineMetrics:
     latency_cycles: int
     ii_cycles: int
     stage_stats: tuple[StageStats, ...]
-    start: tuple[tuple[int, ...], ...]
     cdc_overhead_cycles: int = 0
 
 
@@ -119,10 +117,10 @@ def run_pipeline(
     """Timing of ``n_events`` iterations through a chain of stages.
 
     ``depths[s]`` is the capacity, in iterations, of the buffer from stage
-    ``s`` to stage ``s + 1``.  The source offers every event at once, so the
-    first stage accepts each one as soon as it can, which is how the
-    pipeline's own initiation interval is measured.  See the module
-    docstring for the contract and the recurrence.
+    ``s`` to stage ``s + 1``.  The source offers event ``k`` at cycle
+    ``k * P``, where ``P`` is the returned II; only the stall counts depend
+    on ``n_events``.  See the module docstring for the contract and the
+    closed form.
     """
     n_stages = len(specs)
     if n_stages == 0:
@@ -148,38 +146,22 @@ def run_pipeline(
         for producer, spec in zip(specs, specs[1:])
     ]
     step = [spec.ii_cycles + spec.hop_cycles for spec in specs]
-    start = [[0] * n_events for _ in specs]
-    in_stall = [0] * n_stages
-    out_stall = [0] * n_stages
-    last = n_stages - 1
-    for k in range(n_events):
-        for s in range(n_stages):
-            spacing = start[s][k - 1] + step[s] if k else 0
-            in_ok = (start[s - 1][k] if s else 0) + lead[s]
-            ready = in_ok if in_ok > spacing else spacing
-            t = ready
-            if s < last and k >= depths[s]:
-                freed = start[s + 1][k - depths[s]] + 1
-                if freed > t:
-                    t = freed
-            start[s][k] = t
-            in_stall[s] += ready - spacing
-            out_stall[s] += t - ready
-
-    # Event k enters stage 0 lead[0] cycles after its transfer begins and
-    # leaves the sink sink_latency cycles after the sink begins it.
-    sink_latency = specs[last].latency_cycles
-    latency = max(
-        (snk + sink_latency - (src - lead[0]) for snk, src in zip(start[last], start[0])),
-        default=0,
-    )
+    # A hop's circuit, from the producer's start through the consumer's start
+    # to the producer's start depth iterations on, takes lead + 1 cycles;
+    # -(-a // b) is the integer ceiling of a / b.
+    period = max(step + [-(-(lead[s + 1] + 1) // d) for s, d in enumerate(depths)])
+    # Stage s begins event k at k * period + prefix: event 0 waits prefix past
+    # cycle 0, every later event period - step past its spacing.
+    stats = []
+    prefix = 0
+    for spec, lead_s, step_s in zip(specs, lead, step):
+        prefix += lead_s
+        waited = prefix + (n_events - 1) * (period - step_s) if n_events else 0
+        stats.append(StageStats(spec.name, waited, 0))
     return PipelineMetrics(
-        latency_cycles=latency,
-        ii_cycles=start[last][-1] - start[last][-2] if n_events > 1 else 0,
-        stage_stats=tuple(
-            StageStats(spec.name, in_stall[s], out_stall[s]) for s, spec in enumerate(specs)
-        ),
-        start=tuple(map(tuple, start)),
+        latency_cycles=prefix + specs[-1].latency_cycles,
+        ii_cycles=period,
+        stage_stats=tuple(stats),
     )
 
 

@@ -121,7 +121,7 @@ def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
     return counts
 
 
-def tick_reference(specs, depths, n_events):
+def tick_reference(specs, depths, n_events, period):
     """Cycle-stepping reference of the dataflow firing contract: the start
     cycle of every stage and iteration, and the stall counts of each stage.
 
@@ -130,7 +130,8 @@ def tick_reference(specs, depths, n_events):
     buffer place a consumer frees only from the next cycle.  Buffers are
     occupancy counters; no timing is derived in closed form.  A streaming
     stage also waits until it would complete no earlier than its producer.
-    The source offers every event at cycle 0.
+    The source offers event k at cycle k * period (every event at cycle 0
+    for period 0).
     """
     n_stages = len(specs)
     starts = [[] for _ in specs]
@@ -147,7 +148,7 @@ def tick_reference(specs, depths, n_events):
             if k and t < starts[s][k - 1] + spec.ii_cycles + spec.hop_cycles:
                 continue
             if s == 0:
-                ready = spec.hop_cycles
+                ready = k * period + spec.hop_cycles
             elif len(starts[s - 1]) > k:
                 producer = starts[s - 1][k]
                 upstream = specs[s - 1].latency_cycles

@@ -10,7 +10,6 @@ def metrics(latency, ii):
         latency_cycles=latency,
         ii_cycles=ii,
         stage_stats=(),
-        start=(),
     )
 
 

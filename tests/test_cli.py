@@ -53,10 +53,15 @@ def test_run_requires_exactly_one_source(tmp_path):
     assert run_cli(["run", "--events", str(ev), "--gen", "1:1:uniform"]) == 2
 
 
-def test_run_bad_gen_spec():
-    assert run_cli(["run", "--gen", "1:10"]) == 2
-    assert run_cli(["run", "--gen", "1:ten:uniform"]) == 2
-    assert run_cli(["run", "--gen", "1:10:weird"]) == 2
+def test_run_bad_gen_spec(capsys):
+    for spec, message in (
+        ("1:10", "--gen expects SEED:COUNT:PROFILE"),
+        ("1:ten:uniform", "--gen seed and count must be integers, got '1:ten:uniform'"),
+        ("1:10:odd", "--gen profile must be one of ('uniform', 'clustered', 'busy'), got 'odd'"),
+        ("1:-1:busy", "--gen count must be non-negative"),
+    ):
+        assert run_cli(["run", "--gen", spec]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_run_variant_combinations_agree(tmp_path):
@@ -81,6 +86,51 @@ def test_run_variant_combinations_agree(tmp_path):
             r for r in parse_report(report.read_text()) if r.get("type") == "event"
         ]
     assert out[("A", "A")] == out[("B", "B")]
+
+
+@pytest.mark.parametrize(
+    "setting, counts, figures",
+    [
+        # tau_parameters' spacing loop, 50 + 1, sets the II
+        (
+            "stage.tau_parameters.ii = 50",
+            (5, 12, 50, 400),
+            "latency: 200 cycles  ii: 51 cycles  (cdc +0)\n"
+            "budget @360 MHz: latency 275, ii 54 -> feasible (slack 75/3)",
+        ),
+        # tau_reconstruction begins 102 cycles after tau_parameters and frees
+        # a place of the two-place FIFO one cycle later: 103 cycles per 2 events
+        (
+            "fifo_depth = 2\nstage.tau_parameters.latency = 101",
+            (50, 51),
+            "latency: 242 cycles  ii: 52 cycles  (cdc +0)\n"
+            "budget @360 MHz: latency 275, ii 54 -> feasible (slack 33/2)",
+        ),
+        # the same circuit ahead of tau_reconstruction with a one-place FIFO
+        (
+            "fifo_depth = 1",
+            (5, 50),
+            "latency: 200 cycles  ii: 61 cycles  (cdc +0)\n"
+            "budget @360 MHz: latency 275, ii 54 -> INFEASIBLE (slack 75/-7)",
+        ),
+    ],
+    ids=["stage-limited", "buffer-limited", "one-place-fifo"],
+)
+def test_run_timing_does_not_depend_on_the_event_count(tmp_path, capsys, setting, counts, figures):
+    cfgfile = tmp_path / "timing.cfg"
+    cfgfile.write_text(f"{setting}\n")
+    for n in counts:
+        argv = ["run", "--gen", f"1:{n}:uniform", "--config", str(cfgfile), "--no-oracle-check"]
+        code = run_cli(argv)
+        assert figures in capsys.readouterr().out, n
+        assert code == (1 if "INFEASIBLE" in figures else 0)
+
+
+def test_run_one_event_has_the_design_ii(capsys):
+    assert run_cli(["run", "--gen", "1:1:busy"]) == 0
+    out = capsys.readouterr().out
+    assert "latency: 200 cycles  ii: 44 cycles" in out
+    assert "feasible (slack 75/10)" in out
 
 
 def test_run_infeasible_budget_exits_one(tmp_path, capsys):
@@ -111,7 +161,7 @@ def test_explore_known_operating_points(capsys):
 
 
 EXPLORE_360_300 = """\
-operating point exploration (gen 1:50:clustered)
+operating point exploration
                                      360 MHz     300 MHz
 latency budget, cycles                   275         220
 ii budget, cycles                         54          45
@@ -132,49 +182,24 @@ merge B, clean B: feasible               yes         yes
 
 
 def test_explore_without_a_source_generates_no_events(monkeypatch, capsys):
-    # timing depends on the event count only, so the default 50 events are
-    # never built
+    # latency and II are properties of the design, so no event is built
     def no_events(*args, **kwargs):
-        raise AssertionError("explore generated events")
+        raise AssertionError("explore built events")
 
     monkeypatch.setattr(cli, "gen_events", no_events)
+    monkeypatch.setattr(cli, "parse_events", no_events)
     assert run_cli(["explore", "--freqs", "360,300"]) == 0
     assert capsys.readouterr().out == EXPLORE_360_300
 
 
-def test_explore_gen_reads_only_the_count(monkeypatch, capsys):
-    def no_events(*args, **kwargs):
-        raise AssertionError("explore generated events")
-
-    monkeypatch.setattr(cli, "gen_events", no_events)
-    assert run_cli(["explore", "--freqs", "360,300", "--gen", "1:2000:busy"]) == 0
-    assert capsys.readouterr().out == EXPLORE_360_300.replace("1:50:clustered", "1:2000:busy")
-
-
 @pytest.mark.parametrize(
-    "spec, message",
-    [
-        ("1:2000", "--gen expects SEED:COUNT:PROFILE"),
-        ("1:x:busy", "--gen seed and count must be integers, got '1:x:busy'"),
-        ("1:5:nope", "--gen profile must be one of ('uniform', 'clustered', 'busy'), got 'nope'"),
-        ("1:-1:busy", "--gen count must be non-negative"),
-        # an II is the spacing of consecutive events: one event measures none
-        ("1:0:busy", "explore needs at least 2 events to measure an II, got 0"),
-        ("1:1:busy", "explore needs at least 2 events to measure an II, got 1"),
-    ],
+    "source", [["--gen", "1:50:clustered"], ["--events", "e.txt"]], ids=["gen", "events"]
 )
-def test_explore_rejects_bad_gen_specs(capsys, spec, message):
-    assert run_cli(["explore", "--freqs", "360", "--gen", spec]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
-
-
-def test_explore_refuses_a_one_event_file(tmp_path, capsys):
-    path = tmp_path / "one.txt"
-    path.write_text(write_events([make_event(0, [Particle(50, 0, 0)])]))
-    assert run_cli(["explore", "--freqs", "360", "--events", str(path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == "error: explore needs at least 2 events to measure an II, got 1\n"
+def test_explore_takes_no_event_source(capsys, source):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["explore", "--freqs", "360", *source])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(source)}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("source", ["gen", "events"])
@@ -213,7 +238,7 @@ def test_explore_bad_freqs(capsys):
             "--gen seed and count must be integers, got '\u0661:\u0662:busy'",
         ),
         (
-            ["explore", "--gen", "1:2:busy", "--freqs", "+300,3_60"],
+            ["explore", "--freqs", "+300,3_60"],
             "--freqs values must be integers, got '+300,3_60'",
         ),
         (["run", "--gen", "1:2:busy", "--freq", "+300"], "--freq: invalid int value: '+300'"),
@@ -261,7 +286,7 @@ def test_run_rejects_bad_config(tmp_path, capsys):
 def test_explore_applies_stage_overrides_to_every_pair(tmp_path, capsys):
     cfgfile = tmp_path / "merge20.cfg"
     cfgfile.write_text("stage.merging.latency = 20\n")
-    code = run_cli(["explore", "--freqs", "360", "--gen", "2:50:clustered", "--config", str(cfgfile)])
+    code = run_cli(["explore", "--freqs", "360", "--config", str(cfgfile)])
     out = capsys.readouterr().out
     assert code == 0
     rows = {l[:32].strip(): l[32:].split() for l in out.splitlines()[2:]}

@@ -23,18 +23,15 @@ BAD_UTF8 = b"taupipe-events 1\n0 0 50 0 \xff 0\n"
 PATHS = [*FILES, "@bad-utf8", "@dir", "@missing", "@report", "@report-in-missing-dir"]
 
 path = st.sampled_from(PATHS)
-SOURCE = {
-    "--events": path,
-    "--gen": st.sampled_from(
-        ["1:2:busy", "0:0:uniform", "3:3:clustered", "2:1:busy", "1:2", "x:1:busy",
-         "1:-1:busy", "1:1:weird", ""]
-    ),
-    "--config": path,
-}
 # The options of each subcommand; a value of None is a flag without a value.
 OPTIONS = {
     "run": {
-        **SOURCE,
+        "--events": path,
+        "--gen": st.sampled_from(
+            ["1:2:busy", "0:0:uniform", "3:3:clustered", "2:1:busy", "1:2", "x:1:busy",
+             "1:-1:busy", "1:1:weird", ""]
+        ),
+        "--config": path,
         "--merge": st.sampled_from(["A", "B", "C"]),
         "--clean": st.sampled_from(["A", "B", "c"]),
         "--freq": st.sampled_from(["360", "300", "240", "x"]),
@@ -42,7 +39,7 @@ OPTIONS = {
         "--no-oracle-check": st.none(),
     },
     "explore": {
-        **SOURCE,
+        "--config": path,
         "--freqs": st.sampled_from(["360,300", "300", "", "0", "6", "-5", "a,b", "240,100000"]),
     },
 }

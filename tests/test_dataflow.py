@@ -28,6 +28,19 @@ def chain(specs, n, hops=None, depths=None):
     return run_pipeline(specs, depths, n)
 
 
+def paced_starts(specs, depths, n, period=None):
+    """Start cycles of the cycle reference, its source paced at ``period``
+    (by default the II that ``run_pipeline`` returns)."""
+    if period is None:
+        period = run_pipeline(specs, depths, n).ii_cycles
+    return tick_reference(specs, depths, n, period)[0]
+
+
+def latencies(specs, starts, period):
+    """Each event's latency, from its offer to the last stage's completion."""
+    return [t + specs[-1].latency_cycles - k * period for k, t in enumerate(starts[-1])]
+
+
 # --- stage specs --------------------------------------------------------------
 
 
@@ -45,13 +58,17 @@ def test_stage_spec_validation():
 
 
 def test_fifo_backpressure_at_depth():
-    # a fast producer ahead of a slow consumer fills a two-place buffer
-    specs = [StageSpec("fast", 1, 1), StageSpec("slow", 10, 10)]
-    tight = chain(specs, 6, depths=[2]).stage_stats[0]
-    roomy = chain(specs, 6, depths=[32]).stage_stats[0]
-    assert roomy.output_stall_cycles == 0
-    # iterations 3..5 each wait 9 cycles for the consumer to free a place
-    assert tight.output_stall_cycles == 3 * 9
+    # the consumer begins 10 cycles after the producer and frees the place
+    # one cycle later, so a buffer of d places allows one event per 11/d
+    # cycles; the paced source never meets backpressure
+    specs = [StageSpec("long", 10, 1), StageSpec("short", 5, 1)]
+    for depth, ii in ((1, 11), (2, 6), (3, 4), (11, 1), (32, 1)):
+        metrics = chain(specs, 6, depths=[depth])
+        assert metrics.ii_cycles == ii
+        assert metrics.stage_stats[0].output_stall_cycles == 0
+    # paced one cycle faster, the producer waits for a free place
+    _, stats = tick_reference(specs, [2], 6, 5)
+    assert stats[0].output_stall_cycles > 0
 
 
 def test_fifo_pop_empty_is_stall():
@@ -63,10 +80,13 @@ def test_fifo_pop_empty_is_stall():
 
 
 def test_fifo_order():
-    # iterations leave every buffer in the order they entered it
+    # iterations leave every buffer in the order they entered it, one pace
+    # apart
     specs = [StageSpec("a", 1, 1), StageSpec("b", 7, 3), StageSpec("c", 2, 5)]
-    for starts in chain(specs, 8, depths=[4, 4]).start:
-        assert list(starts) == sorted(set(starts))
+    ii = chain(specs, 8, depths=[4, 4]).ii_cycles
+    assert ii == 5
+    for starts in paced_starts(specs, [4, 4], 8):
+        assert list(starts) == [k * ii + starts[0] for k in range(8)]
 
 
 def test_channel_depths():
@@ -82,11 +102,11 @@ def test_pipo_channel_used_for_merge_b_edge():
         assert channel_depths("A", depth)[1] == depth
 
 
-def _buffer_occupancies(specs, hops, depth, n):
+def _buffer_occupancies(specs, hops, depth, n, period=None):
     """Occupancy of the buffer of a two-stage chain each time the producer
     begins an iteration, counted before the consumer acts in that cycle."""
     specs = [replace(spec, hop_cycles=hop) for spec, hop in zip(specs, hops)]
-    producer, consumer = run_pipeline(specs, [depth], n).start
+    producer, consumer = paced_starts(specs, [depth], n, period)
     return [
         sum(p <= t for p in producer) - sum(c < t for c in consumer) for t in producer
     ]
@@ -95,13 +115,31 @@ def _buffer_occupancies(specs, hops, depth, n):
 def test_channels_never_exceed_capacity():
     fast_slow = [StageSpec("fast", 1, 1), StageSpec("slow", 9, 7)]
     for depth in (1, 2, 3, 4):
-        occupancy = _buffer_occupancies(fast_slow, [0, 1], depth, 12)
-        assert max(occupancy) == depth  # the producer runs ahead until the buffer is full
+        # at the II the consumer keeps up; a source that offers every event
+        # at once lets the producer run ahead until the buffer is full
+        assert max(_buffer_occupancies(fast_slow, [0, 1], depth, 12)) == 1
+        assert max(_buffer_occupancies(fast_slow, [0, 1], depth, 12, period=0)) == depth
     # filtering into merging under merge B, with the ping-pong depth
     specs = default_stage_specs("B", "B")
     pair = [specs["filtering"], specs["merging"]]
     depth_b = channel_depths("B", DEFAULT_FIFO_DEPTH)[1]
-    assert max(_buffer_occupancies(pair, [1, 1], depth_b, 12)) <= depth_b
+    for period in (None, 0):
+        assert max(_buffer_occupancies(pair, [1, 1], depth_b, 12, period)) <= depth_b
+
+
+def test_buffer_circuit_rounds_the_pace_up():
+    # two events per 102 + 1 cycles is 51.5 cycles each; a whole-cycle pace
+    # of 51 would queue, so the II is 52 and the verdict against an integer
+    # budget stays exact
+    specs = [StageSpec("a", 101, 1), StageSpec("b", 1, 1, hop_cycles=1)]
+    assert chain(specs, 5, depths=[2]).ii_cycles == 52
+
+
+def test_zero_events_have_the_design_timing_and_no_stalls():
+    specs = [StageSpec("a", 4, 3), StageSpec("b", 9, 7)]
+    none, one = chain(specs, 0), chain(specs, 1)
+    assert (none.latency_cycles, none.ii_cycles) == (one.latency_cycles, one.ii_cycles) == (13, 7)
+    assert [(s.input_stall_cycles, s.output_stall_cycles) for s in none.stage_stats] == [(0, 0)] * 2
 
 
 def test_run_pipeline_validation():
@@ -131,17 +169,30 @@ def chains(draw):
     specs = draw(st.lists(stage_specs, min_size=1, max_size=7))
     specs = [replace(s, name=f"s{i}") for i, s in enumerate(specs)]
     n = len(specs)
-    # 2 is also how the ping-pong buffer behaves
-    depths = draw(st.lists(st.sampled_from([1, 2, 3, 32]), min_size=n - 1, max_size=n - 1))
-    n_events = draw(st.one_of(st.sampled_from([0, 1]), st.integers(0, 40)))
+    # small depths make the buffers limit the pace; 2 is also how the
+    # ping-pong buffer behaves
+    depth = st.one_of(st.integers(1, 3), st.integers(1, 32))
+    depths = draw(st.lists(depth, min_size=n - 1, max_size=n - 1))
+    n_events = draw(st.one_of(st.just(1), st.integers(1, 40)))
     return specs, depths, n_events
 
 
 @settings(max_examples=300, deadline=None)
 @given(chains())
 def test_run_pipeline_matches_cycle_reference(case):
+    specs, depths, n = case
     metrics = run_pipeline(*case)
-    assert (metrics.start, metrics.stage_stats) == tick_reference(*case)
+    ii = metrics.ii_cycles
+    starts, stats = tick_reference(*case, ii)
+    # paced at the II, no event waits longer than the first: stage s begins
+    # event k at k * II + prefix[s]
+    for stage_starts in starts:
+        assert list(stage_starts) == [k * ii + stage_starts[0] for k in range(n)]
+    assert max(latencies(specs, starts, ii)) == metrics.latency_cycles
+    assert stats == metrics.stage_stats
+    # one cycle faster, events queue: the II is the fastest pace that does not
+    fast = latencies(specs, tick_reference(specs, depths, 64, ii - 1)[0], ii - 1)
+    assert fast[63] > fast[0]
 
 
 # --- engine timing ---------------------------------------------------------------
@@ -149,8 +200,8 @@ def test_run_pipeline_matches_cycle_reference(case):
 
 def test_single_stage_latency():
     metrics = chain([StageSpec("s", 5, 5)], 1)
-    assert metrics.start == ((0,),)
-    assert metrics.latency_cycles == 5
+    assert paced_starts([StageSpec("s", 5, 5)], [], 1) == ((0,),)
+    assert (metrics.latency_cycles, metrics.ii_cycles) == (5, 5)
 
 
 def test_two_stage_chain_latency():
@@ -177,24 +228,22 @@ def test_streaming_offset_shortens_latency():
     assert overlapped == 20
 
 
-def _streaming_b_b_chain(n):
+def _streaming_b_b_chain():
     specs = default_stage_specs("B", "B")
     specs["merging"] = replace(specs["merging"], latency_cycles=1)
-    return [specs[name] for name in TRIGGER_STAGE_NAMES], trigger_timing(
-        specs, "B", DEFAULT_FIFO_DEPTH, n
-    )
+    return [specs[name] for name in TRIGGER_STAGE_NAMES], channel_depths("B", DEFAULT_FIFO_DEPTH)
 
 
-def _two_stage_streaming_chain(n):
-    specs = [StageSpec("a", 20, 5), StageSpec("b", 10, 5, start_offset_cycles=6)]
-    return specs, chain(specs, n)
+def _two_stage_streaming_chain():
+    return [StageSpec("a", 20, 5), StageSpec("b", 10, 5, start_offset_cycles=6)], [32]
 
 
 @pytest.mark.parametrize("build", [_streaming_b_b_chain, _two_stage_streaming_chain])
 def test_no_stage_completes_before_its_producer(build):
-    specs, metrics = build(6)
+    specs, depths = build()
+    starts = paced_starts(specs, depths, 6)
     for s in range(1, len(specs)):
-        for consumer, producer in zip(metrics.start[s], metrics.start[s - 1]):
+        for consumer, producer in zip(starts[s], starts[s - 1]):
             assert consumer + specs[s].latency_cycles >= producer + specs[s - 1].latency_cycles
 
 
@@ -218,7 +267,9 @@ def test_engine_outputs_equal_staged_functional_path():
     run_cfg = RunConfig()
     for merge, clean in (("A", "B"), ("B", "A"), ("B", "B")):
         outputs, metrics = _simulate(run_cfg, events, merge, clean)
-        assert len(outputs) == len(metrics.start[-1]) == len(events)
+        assert len(outputs) == len(events)
+        assert metrics == trigger_timing(default_stage_specs(merge, clean), merge,
+                                         DEFAULT_FIFO_DEPTH, len(events))
         for ev, got in zip(events, outputs):
             assert got == run_stages(ev, CFG, merge, clean)
 
@@ -266,6 +317,6 @@ def test_cdc_allowance():
     assert shifted.latency_cycles == m.latency_cycles + 10
     assert shifted.ii_cycles == m.ii_cycles
     assert shifted.cdc_overhead_cycles == 10
-    assert shifted.start == m.start
+    assert shifted.stage_stats == m.stage_stats
     assert (budget.latency_budget_cycles, budget.ii_budget_cycles) == (220, 45)
     assert operating_point(m, 360)[0] == m
