@@ -53,15 +53,10 @@ def test_run_requires_exactly_one_source(tmp_path):
     assert run_cli(["run", "--events", str(ev), "--gen", "1:1:uniform"]) == 2
 
 
-def test_run_bad_gen_spec(capsys):
-    for spec, message in (
-        ("1:10", "--gen expects SEED:COUNT:PROFILE"),
-        ("1:ten:uniform", "--gen seed and count must be integers, got '1:ten:uniform'"),
-        ("1:10:odd", "--gen profile must be one of ('uniform', 'clustered', 'busy'), got 'odd'"),
-        ("1:-1:busy", "--gen count must be non-negative"),
-    ):
-        assert run_cli(["run", "--gen", spec]) == 2
-        assert capsys.readouterr().err == f"error: {message}\n"
+def test_run_bad_gen_spec():
+    assert run_cli(["run", "--gen", "1:10"]) == 2
+    assert run_cli(["run", "--gen", "1:ten:uniform"]) == 2
+    assert run_cli(["run", "--gen", "1:10:weird"]) == 2
 
 
 def test_run_variant_combinations_agree(tmp_path):
@@ -200,6 +195,26 @@ def test_explore_takes_no_event_source(capsys, source):
         run_cli(["explore", "--freqs", "360", *source])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {' '.join(source)}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("1:2000", "--gen expects SEED:COUNT:PROFILE"),
+        ("1:x:busy", "--gen seed and count must be integers, got '1:x:busy'"),
+        ("1:5:nope", "--gen profile must be one of ('uniform', 'clustered', 'busy'), got 'nope'"),
+        ("1:-1:busy", "--gen count must be non-negative"),
+    ],
+)
+def test_explore_rejects_bad_gen_specs(capsys, spec, message):
+    # explore reads no events, so argparse refuses --gen before the spec is
+    # read; run, which reads them, names what is wrong with the spec
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["explore", "--freqs", "360", "--gen", spec])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: --gen {spec}" in capsys.readouterr().err
+    assert run_cli(["run", "--gen", spec]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("source", ["gen", "events"])
