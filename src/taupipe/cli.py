@@ -89,12 +89,6 @@ def _load_events(args: argparse.Namespace) -> tuple[list[Event], str]:
     return gen_events(*_gen_spec(args.gen)), f"gen {args.gen}"
 
 
-def _variants(args: argparse.Namespace, run_cfg: RunConfig) -> tuple[str, str]:
-    merge = args.merge or run_cfg.merge_solution
-    clean = args.clean or run_cfg.clean_solution
-    return merge, clean
-
-
 def _timing(run_cfg: RunConfig, n_events: int, merge: str, clean: str) -> PipelineMetrics:
     specs = run_cfg.specs_for(merge, clean)
     return trigger_timing(specs, merge, run_cfg.fifo_depth, n_events)
@@ -111,7 +105,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     events, source_desc = _load_events(args)
     if not events:
         raise InputError(f"run needs at least 1 event, got {len(events)}")
-    merge, clean = _variants(args, run_cfg)
+    merge, clean = args.merge, args.clean
     outputs, metrics = _simulate(run_cfg, events, merge, clean)
 
     trigger = run_cfg.trigger
@@ -244,8 +238,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--events", metavar="FILE", help="event file to process")
     p_run.add_argument("--gen", metavar="SEED:COUNT:PROFILE", help="generate events")
     p_run.add_argument("--config", metavar="FILE", help="config file (key = value)")
-    p_run.add_argument("--merge", choices=MERGE_SOLUTIONS, help="merge solution override")
-    p_run.add_argument("--clean", choices=CLEAN_SOLUTIONS, help="clean solution override")
+    p_run.add_argument("--merge", choices=tuple(MERGE_SOLUTIONS), default="B",
+                       help="merge solution (default B)")
+    p_run.add_argument("--clean", choices=tuple(CLEAN_SOLUTIONS), default="B",
+                       help="clean solution (default B)")
     p_run.add_argument("--freq", type=_int_arg, choices=tuple(LATENCY_BUDGET_CYCLES),
                        default=NOMINAL_FREQ_MHZ, help="operating frequency in MHz")
     p_run.add_argument("--report", metavar="FILE", help="write the machine-readable report")

@@ -49,6 +49,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .core import MAX_CANDIDATES
+
 TRIGGER_STAGE_NAMES = (
     "seeding",
     "filtering",
@@ -59,8 +61,16 @@ TRIGGER_STAGE_NAMES = (
     "cleaning",
 )
 
+# Fixed setup cost of merge solution B's round-robin state machine:
+# size-register capture, index/count/availability reset.  One emitted item
+# per cycle after that, so the full worst case takes 3 + 30 = 33 cycles.
+MERGE_B_SETUP_CYCLES = 3
+
 # Per-solution timing rows for the two stages that ship in two variants.
-_MERGE_TIMING = {"A": (38, 34), "B": (33, 33)}
+_MERGE_TIMING = {
+    "A": (38, 34),
+    "B": (MERGE_B_SETUP_CYCLES + MAX_CANDIDATES, MERGE_B_SETUP_CYCLES + MAX_CANDIDATES),
+}
 _CLEAN_TIMING = {"A": (13, 13), "B": (15, 13)}
 
 # Default streaming offset of the merging stage: it begins draining the

@@ -34,7 +34,7 @@ from .core import (
     wrap_phi,
 )
 from .dataflow import DEFAULT_FIFO_DEPTH, StageSpec, TRIGGER_STAGE_NAMES, default_stage_specs
-from .stages import CLEAN_SOLUTIONS, MERGE_SOLUTIONS, TriggerConfig
+from .stages import TriggerConfig
 
 EVENT_FORMAT = "taupipe-events"
 EVENT_FORMAT_VERSION = 1
@@ -279,15 +279,13 @@ def _gen_busy(rng: SplitMix64, event_id: int) -> Event:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a batch run needs: algorithm, variants and timing.
+    """Everything a batch run needs besides the solution pair: algorithm and timing.
 
     The record checks its own fields, so a bad setting fails here, named,
     whether it comes from a config file or from code.
     """
 
     trigger: TriggerConfig = field(default_factory=TriggerConfig)
-    merge_solution: str = "B"
-    clean_solution: str = "B"
     # Explicit ``stage.<name>.<field>`` settings: stage name -> StageSpec
     # field -> value, applied on top of whichever solution rows are run.
     stage_overrides: Mapping[str, Mapping[str, int]] = field(default_factory=dict)
@@ -297,13 +295,9 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.fifo_depth < 1:
             raise ValueError("fifo_depth must be >= 1")
-        if self.merge_solution not in MERGE_SOLUTIONS:
-            raise ValueError(f"merge_solution must be one of {MERGE_SOLUTIONS}")
-        if self.clean_solution not in CLEAN_SOLUTIONS:
-            raise ValueError(f"clean_solution must be one of {CLEAN_SOLUTIONS}")
-        # StageSpec checks each field on its own, so overrides that fit these
-        # rows fit every solution's rows.
-        self.specs_for(self.merge_solution, self.clean_solution)
+        # StageSpec checks each field on its own, so overrides that fit the
+        # B/B rows fit every solution's rows.
+        self.specs_for("B", "B")
 
     def specs_for(self, merge_solution: str, clean_solution: str) -> dict[str, StageSpec]:
         """Stage timing of the given solutions, with the config's overrides."""
@@ -317,7 +311,7 @@ class RunConfig:
 
 # Config keys of each record; ``stage.<name>.<field>`` keys set stage overrides.
 _TRIGGER_KEYS = frozenset(f.name for f in fields(TriggerConfig))
-_RUN_KEYS = frozenset(("merge_solution", "clean_solution", "fifo_depth"))
+_RUN_KEYS = frozenset(("fifo_depth",))
 
 _STAGE_FIELD_BY_KEY = {
     "latency": "latency_cycles",
@@ -339,8 +333,6 @@ def _parse_value(key: str, value: str) -> object:
     """The typed value of a config key; every key not listed here is an integer."""
     if key == "allowed_signal_species":
         return frozenset(Species(v.strip()) for v in value.split(",") if v.strip())
-    if key in ("merge_solution", "clean_solution"):
-        return value.upper()
     try:
         return _decimal(value)
     except ValueError:

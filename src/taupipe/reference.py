@@ -46,7 +46,7 @@ def oracle_trigger(
     when a seed's cone holds more than ``MAX_CANDIDATES`` particles.
     """
     if merge_solution not in MERGE_SOLUTIONS:
-        raise ValueError(f"merge_solution must be one of {MERGE_SOLUTIONS}")
+        raise ValueError(f"merge_solution must be one of {tuple(MERGE_SOLUTIONS)}")
     blocks = [
         [p for p in event.particles[b * BLOCK_SIZE : (b + 1) * BLOCK_SIZE] if p.valid]
         for b in range(N_FILTER_BLOCKS)
@@ -88,19 +88,15 @@ def oracle_trigger(
         if sum_pt == 0 or sum_pt < cfg.min_tau_pt:
             continue
 
-        eta_w = _trunc(Fraction(sum(p.pt * p.eta for p in kept), sum_pt))
-        phi_off = _trunc(
+        # int() on a Fraction truncates toward zero, matching an integer divider.
+        eta_w = int(Fraction(sum(p.pt * p.eta for p in kept), sum_pt))
+        phi_off = int(
             Fraction(sum(p.pt * wrap_delta_phi(p.phi, seed.phi) for p in kept), sum_pt)
         )
         phi_w = wrap_phi(seed.phi + phi_off)
         taus[slot] = Tau(pt=sum_pt, pos=AngularCoord(eta_w, phi_w), valid=True)
 
     return oracle_clean(taus, cfg)
-
-
-def _trunc(x: Fraction) -> int:
-    # int() on Fraction truncates toward zero, matching an integer divider.
-    return int(x)
 
 
 def oracle_clean(taus: Sequence[Tau], cfg: TriggerConfig) -> tuple[Tau, ...]:

@@ -37,15 +37,6 @@ DEFAULT_SIGNAL_SPECIES = frozenset(
     {Species.CHARGED_HADRON, Species.NEUTRAL_HADRON, Species.PHOTON, Species.ELECTRON}
 )
 
-# Fixed setup cost of the round-robin merge state machine: size-register
-# capture, index/count/availability reset.  One emitted item per cycle after
-# that, so the full worst case models 3 + 30 = 33 cycles.
-MERGE_B_SETUP_CYCLES = 3
-
-MERGE_SOLUTIONS = ("A", "B")
-CLEAN_SOLUTIONS = ("A", "B")
-
-
 @dataclass(frozen=True)
 class TriggerConfig:
     """The cones and thresholds of the trigger algorithm, with desk-scale defaults.
@@ -122,15 +113,11 @@ class MergeResult:
     """Outcome of a four-to-one merge.
 
     ``items`` is the target list and ``discarded`` the items left out of it,
-    source by source.  ``modeled_cycles`` is the variant's cycle estimate:
-    for solution A the parallel trimming phase (max source size, at most one
-    read per source per cycle), for solution B the state-machine setup plus
-    one cycle per emitted item.
+    source by source.
     """
 
     items: tuple[Particle, ...]
     discarded: tuple[Particle, ...]
-    modeled_cycles: int
 
 
 def select_seeds(
@@ -206,9 +193,7 @@ def merge_solution_a(
     """Merge by greedy take-counts in list order, trimming the excess.
 
     Take counts are allocated greedily: the first list contributes up to the
-    capacity, the second up to what remains, and so on.  Sources are drained
-    in parallel, so the trimming phase never models more than one block's
-    worth of cycles.
+    capacity, the second up to what remains, and so on.
     """
     cap = MAX_CANDIDATES
     sizes = [len(lst) for lst in lists]
@@ -228,11 +213,7 @@ def merge_solution_a(
     for lst, c in zip(lists, takes):
         items.extend(lst[:c])
         discarded.extend(lst[c:])
-    return MergeResult(
-        items=tuple(items),
-        discarded=tuple(discarded),
-        modeled_cycles=max(sizes, default=0),
-    )
+    return MergeResult(items=tuple(items), discarded=tuple(discarded))
 
 
 def merge_solution_b(
@@ -271,24 +252,15 @@ def merge_solution_b(
                 taken[src] += 1
         index += 1
     discarded = tuple(p for lst, t in zip(lists, taken) for p in lst[t:])
-    return MergeResult(
-        items=tuple(items),
-        discarded=discarded,
-        modeled_cycles=MERGE_B_SETUP_CYCLES + len(items),
-    )
+    return MergeResult(items=tuple(items), discarded=discarded)
 
 
-_MERGE_FNS: dict[str, Callable[..., MergeResult]] = {
+# The two merge solutions by name.  The values are the step functions
+# themselves, so a tracer that patches functions also patches this table.
+MERGE_SOLUTIONS: dict[str, Callable[..., MergeResult]] = {
     "A": merge_solution_a,
     "B": merge_solution_b,
 }
-
-
-def merge_fn(solution: str) -> Callable[..., MergeResult]:
-    try:
-        return _MERGE_FNS[solution]
-    except KeyError:
-        raise ValueError(f"unknown merge solution {solution!r}, expected one of {MERGE_SOLUTIONS}")
 
 
 def compute_total_pt(candidates: Sequence[Particle]) -> int:
@@ -484,17 +456,11 @@ def clean_solution_a(
     return _cap_to_max_taus(survivors, taus)
 
 
-_CLEAN_FNS: dict[str, Callable[..., tuple[Tau, ...]]] = {
+# The two clean solutions by name, step functions as values like MERGE_SOLUTIONS.
+CLEAN_SOLUTIONS: dict[str, Callable[..., tuple[Tau, ...]]] = {
     "A": clean_solution_a,
     "B": clean_solution_b,
 }
-
-
-def clean_fn(solution: str) -> Callable[..., tuple[Tau, ...]]:
-    try:
-        return _CLEAN_FNS[solution]
-    except KeyError:
-        raise ValueError(f"unknown clean solution {solution!r}, expected one of {CLEAN_SOLUTIONS}")
 
 
 def run_stages(
@@ -508,10 +474,11 @@ def run_stages(
 
     This is the pipeline's functional content with no timing attached.  The
     timing model (``dataflow.trigger_timing``) runs none of these functions:
-    timing depends only on the number of events, never on their data.
+    latency and II depend on the solution pair's stage table, never on the
+    events or their count.
     """
-    merge = merge_fn(merge_solution)
-    clean = clean_fn(clean_solution)
+    merge = MERGE_SOLUTIONS[merge_solution]
+    clean = CLEAN_SOLUTIONS[clean_solution]
     seeds = select_seeds(event, cfg, ops)
     blocks = partition_blocks(event)
     taus: list[Tau] = [INVALID_TAU] * N_SEEDS

@@ -41,20 +41,34 @@ COUNTER_KEYS = {
 }
 
 
-def test_traced_bench_child_fills_every_counter(tmp_path):
-    # A subprocess, so that the tracer patches no module of this process.
+def _traced_child(tmp_path, *cli_argv):
+    """The result record of a traced ``bench/child.py`` run of ``cli_argv``;
+    a subprocess, so that the tracer patches no module of this process."""
     root = CHILD.parents[1]
     result = tmp_path / "result.json"
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
-        [sys.executable, str(CHILD), str(result), "1", "run", "--gen", "1:3:busy"],
+        [sys.executable, str(CHILD), str(result), "1", *cli_argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     out = json.loads(result.read_text())
     assert out["exit"] == 0
+    return out
+
+
+def test_traced_bench_child_fills_every_counter(tmp_path):
+    out = _traced_child(tmp_path, "run", "--gen", "1:3:busy")
     assert COUNTER_KEYS <= set(out["counts"]), out["counts"]
     assert out["counts"]["seeds"] > 0
+
+
+def test_traced_bench_child_traces_the_a_solutions(tmp_path):
+    # dense-overflow runs merge A and clean A; the tracer finds them only as
+    # values of the solution tables that run_stages indexes
+    out = _traced_child(tmp_path, "run", "--gen", "1:3:busy", "--merge", "A", "--clean", "A")
+    assert COUNTER_KEYS <= set(out["counts"]), out["counts"]
+    assert {"stages.merging", "stages.cleaning"} <= set(out["spans"]), out["spans"]
 
 
 def test_bench_run_calls_the_package_with_a_trigger_config(tmp_path):

@@ -313,12 +313,26 @@ def test_explore_applies_stage_overrides_to_every_pair(tmp_path, capsys):
         assert rows[f"merge {pair}: latency"] == [str(latency)]
 
 
-def test_explore_ignores_the_configured_solution_pair(tmp_path, capsys):
-    # merge_solution and clean_solution only pick run's default pair
+def test_solution_pair_is_not_a_config_key(tmp_path, capsys):
+    # run's --merge and --clean pick the pair; explore runs every pair
     cfgfile = tmp_path / "aa.cfg"
     cfgfile.write_text("merge_solution = A\nclean_solution = A\n")
-    assert run_cli(["explore", "--freqs", "360,300", "--config", str(cfgfile)]) == 0
-    assert capsys.readouterr().out == EXPLORE_360_300
+    for argv in (["run", "--gen", "1:5:busy"], ["explore", "--freqs", "360"]):
+        assert run_cli([*argv, "--config", str(cfgfile)]) == 2
+        assert "line 1: unknown config key 'merge_solution'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags, printed",
+    [
+        ((), "variants: merge B, clean B\nlatency: 200 cycles  ii: 44 cycles"),
+        (("--merge", "A", "--clean", "A"), "variants: merge A, clean A\nlatency: 203 cycles"),
+    ],
+    ids=["default-b", "flags-a"],
+)
+def test_run_takes_the_solution_pair_from_its_flags(capsys, flags, printed):
+    assert run_cli(["run", "--gen", "1:5:busy", *flags]) == 0
+    assert printed in capsys.readouterr().out
 
 
 def test_compare_is_not_a_subcommand(capsys):
@@ -397,7 +411,7 @@ def test_run_writes_a_minimised_counterexample_on_divergence(monkeypatch, capsys
         ("stage.merging.latency = -3", "cycle counts must be non-negative"),
         ("stage.cleaning.hop = -1", "stage cleaning: cycle counts must be non-negative"),
         # a later valid key of the same record is not blamed
-        ("merge_solution = C\nfifo_depth = 4", "merge_solution must be one of"),
+        ("fifo_depth = 0\nstage.merging.latency = 5", "fifo_depth must be >= 1"),
         ("stage.merging.ii = 0\nstage.merging.latency = 5", "ii_cycles must be >= 1"),
     ],
 )
@@ -422,7 +436,7 @@ def test_run_engine_and_stage_errors_name_the_line(tmp_path, capsys, setting, me
             4,
             "(got 200 > 100)",
         ),
-        ("merge_solution = C\nclean_solution = A", 2, "merge_solution must be one of"),
+        ("fifo_depth = 0\nstage.merging.latency = 5", 2, "fifo_depth must be >= 1"),
     ],
     ids=["format-version", "unnamed-later-key", "last-named-key", "run-config-later-key"],
 )

@@ -207,21 +207,14 @@ def test_splitmix_reference_values():
 
 def test_empty_config_defaults():
     rc = load_config("")
-    assert rc.merge_solution == "B" and rc.clean_solution == "B"
-    specs = rc.specs_for(rc.merge_solution, rc.clean_solution)
+    specs = rc.specs_for("B", "B")
     assert specs["merging"] == StageSpec("merging", 33, 33, start_offset_cycles=4, hop_cycles=1)
     assert specs["cleaning"] == StageSpec("cleaning", 15, 13, hop_cycles=2)
+    specs = rc.specs_for("A", "A")
+    assert specs["merging"] == StageSpec("merging", 38, 34, start_offset_cycles=4, hop_cycles=1)
+    assert specs["cleaning"] == StageSpec("cleaning", 13, 13, hop_cycles=2)
     assert rc.fifo_depth == 32
     assert rc.trigger == TriggerConfig()
-
-
-def test_config_solution_a_tables():
-    rc = load_config("merge_solution = A\nclean_solution = A\n")
-    specs = rc.specs_for(rc.merge_solution, rc.clean_solution)
-    assert specs["merging"].latency_cycles == 38
-    assert specs["merging"].ii_cycles == 34
-    assert specs["cleaning"].latency_cycles == 13
-    assert specs["cleaning"].ii_cycles == 13
 
 
 # The framing, the pt/eta/phi ranges and the budgets are constants, not
@@ -234,10 +227,15 @@ FIXED_KEYS = (
 # The hops are fields of the stage table (``stage.<name>.hop``), and the
 # source offers every event at once, so neither is an engine key.
 TIMING_KEYS = ("hop_overheads", "feed_period")
+# The solution pair is chosen by ``run --merge/--clean``; explore runs every pair.
+SOLUTION_KEYS = ("merge_solution", "clean_solution")
 
 
 def test_config_unknown_key():
-    unknown = ("fizz", "latency_budget_240", "latency_budget_¹") + FIXED_KEYS + TIMING_KEYS
+    unknown = (
+        ("fizz", "latency_budget_240", "latency_budget_¹") + FIXED_KEYS + TIMING_KEYS
+        + SOLUTION_KEYS
+    )
     for key in unknown:
         with pytest.raises(ConfigError, match=f"line 1: unknown config key '{key}'"):
             load_config(f"{key} = 3\n")
@@ -259,7 +257,7 @@ def test_config_violated_invariant_is_quoted():
 
 def test_config_stage_override():
     rc = load_config("stage.seeding.latency = 50\nstage.seeding.ii = 47\n")
-    specs = rc.specs_for(rc.merge_solution, rc.clean_solution)
+    specs = rc.specs_for("B", "B")
     assert specs["seeding"] == StageSpec("seeding", 50, 47, hop_cycles=1)
 
 
@@ -292,20 +290,13 @@ def test_config_duplicate_key():
         load_config("fifo_depth = 8\nfifo_depth = 9\n")
 
 
-def test_config_bad_solution():
-    with pytest.raises(ConfigError, match="merge_solution"):
-        load_config("merge_solution = C\n")
-
-
 @pytest.mark.parametrize(
     "kwargs, message",
     [
-        ({"merge_solution": "C"}, "merge_solution must be one of"),
-        ({"clean_solution": "C"}, "clean_solution must be one of"),
         ({"stage_overrides": {"merging": {"ii_cycles": 0}}}, "ii_cycles must be >= 1"),
         ({"stage_overrides": {"nowhere": {"ii_cycles": 2}}}, "unknown stage 'nowhere'"),
     ],
-    ids=["merge", "clean", "stage-field", "unknown-stage"],
+    ids=["stage-field", "unknown-stage"],
 )
 def test_run_config_built_in_code_checks_its_fields(kwargs, message):
     with pytest.raises(ValueError, match=message):

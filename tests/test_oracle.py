@@ -1,3 +1,5 @@
+import pytest
+
 from taupipe.core import MAX_TAUS, Particle, Species, make_event
 from taupipe.eventio import gen_events
 from taupipe.reference import oracle_trigger
@@ -21,6 +23,12 @@ def test_single_particle_tau_is_identity():
 def test_below_tau_threshold_yields_nothing():
     p = Particle(CFG.min_tau_pt - 1, 0, 0)
     assert oracle_trigger(make_event(0, [p]), CFG) == ()
+
+
+def test_oracle_rejects_an_unknown_merge_solution():
+    # the message names the solutions, not the table of their functions
+    with pytest.raises(ValueError, match=r"^merge_solution must be one of \('A', 'B'\)$"):
+        oracle_trigger(make_event(0, []), CFG, "C")
 
 
 def test_oracle_is_pure():
