@@ -8,11 +8,15 @@ allowance (``LATENCY_BUDGET_CYCLES``, 275 cycles at 360 MHz and 220 at
 300 MHz); any other frequency falls back to the 760 ns processing window
 (``LATENCY_BUDGET_NS``).  Off ``NOMINAL_FREQ_MHZ`` the latency pays the
 clock-domain-crossing allowance ``CDC_OVERHEAD_CYCLES``.
+
+``operating_point`` judges a design's timing at one clock and returns the
+verdict as one ``OperatingPoint`` record: budgets, allowance, slacks and
+feasibility.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .dataflow import PipelineMetrics
 
@@ -38,65 +42,45 @@ def cycle_budget(time_ns: int, freq_mhz: int) -> int:
 
 
 @dataclass(frozen=True)
-class TimingBudget:
-    """Cycle allowances at one operating frequency."""
+class OperatingPoint:
+    """A design's ``timing`` against the budgets at one clock: ``latency_cycles``
+    adds the CDC allowance, and the point is feasible iff both slacks are >= 0."""
 
     frequency_mhz: int
     latency_budget_cycles: int
     ii_budget_cycles: int
+    cdc_overhead_cycles: int
+    timing: PipelineMetrics
 
-    def __post_init__(self) -> None:
-        if min(self.frequency_mhz, self.latency_budget_cycles, self.ii_budget_cycles) <= 0:
-            raise ValueError("all budget figures must be strictly positive")
+    @property
+    def latency_cycles(self) -> int:
+        return self.timing.latency_cycles + self.cdc_overhead_cycles
 
-    @classmethod
-    def for_frequency(cls, freq_mhz: int) -> "TimingBudget":
-        """Budget at a frequency: table latency allowance, derived II allowance.
+    @property
+    def latency_slack_cycles(self) -> int:
+        return self.latency_budget_cycles - self.latency_cycles
 
-        A frequency missing from ``LATENCY_BUDGET_CYCLES`` gets the cycles of
-        the 760 ns processing window.
-        """
-        latency = LATENCY_BUDGET_CYCLES.get(freq_mhz)
-        if latency is None:
-            latency = cycle_budget(LATENCY_BUDGET_NS, freq_mhz)
-        return cls(
-            frequency_mhz=freq_mhz,
-            latency_budget_cycles=latency,
-            ii_budget_cycles=cycle_budget(II_BUDGET_NS, freq_mhz),
-        )
-
-
-def operating_point(
-    metrics: PipelineMetrics, freq_mhz: int
-) -> tuple[PipelineMetrics, TimingBudget]:
-    """Metrics and budget at ``freq_mhz``; off the nominal clock the
-    clock-domain-crossing allowance is added to latency."""
-    if freq_mhz != NOMINAL_FREQ_MHZ:
-        metrics = replace(
-            metrics,
-            latency_cycles=metrics.latency_cycles + CDC_OVERHEAD_CYCLES,
-            cdc_overhead_cycles=metrics.cdc_overhead_cycles + CDC_OVERHEAD_CYCLES,
-        )
-    return metrics, TimingBudget.for_frequency(freq_mhz)
-
-
-@dataclass(frozen=True)
-class FeasibilityReport:
-    """Achieved metrics against a budget; feasible iff both slacks are >= 0."""
-
-    budget: TimingBudget
-    latency_slack_cycles: int
-    ii_slack_cycles: int
+    @property
+    def ii_slack_cycles(self) -> int:
+        return self.ii_budget_cycles - self.timing.ii_cycles
 
     @property
     def feasible(self) -> bool:
         return self.latency_slack_cycles >= 0 and self.ii_slack_cycles >= 0
 
 
-def evaluate_feasibility(metrics: PipelineMetrics, budget: TimingBudget) -> FeasibilityReport:
-    """Judge measured latency and II against the cycle budgets."""
-    return FeasibilityReport(
-        budget=budget,
-        latency_slack_cycles=budget.latency_budget_cycles - metrics.latency_cycles,
-        ii_slack_cycles=budget.ii_budget_cycles - metrics.ii_cycles,
+def operating_point(timing: PipelineMetrics, freq_mhz: int) -> OperatingPoint:
+    """``timing`` at ``freq_mhz``: the table latency allowance, or else the
+    cycles of the 760 ns window, the II allowance of the 150 ns period, and
+    the clock-domain-crossing allowance off the nominal clock."""
+    latency = LATENCY_BUDGET_CYCLES.get(freq_mhz) or cycle_budget(LATENCY_BUDGET_NS, freq_mhz)
+    ii = cycle_budget(II_BUDGET_NS, freq_mhz)
+    if min(latency, ii) <= 0:
+        raise ValueError("all budget figures must be strictly positive")
+    return OperatingPoint(
+        frequency_mhz=freq_mhz,
+        latency_budget_cycles=latency,
+        ii_budget_cycles=ii,
+        cdc_overhead_cycles=0 if freq_mhz == NOMINAL_FREQ_MHZ else CDC_OVERHEAD_CYCLES,
+        timing=timing,
     )

@@ -11,7 +11,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .budget import LATENCY_BUDGET_CYCLES, NOMINAL_FREQ_MHZ, evaluate_feasibility, operating_point
+from .budget import LATENCY_BUDGET_CYCLES, NOMINAL_FREQ_MHZ, operating_point
 from .core import PAD_PARTICLE, Event
 from .dataflow import PipelineMetrics, trigger_timing
 from .eventio import (
@@ -106,7 +106,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not events:
         raise InputError(f"run needs at least 1 event, got {len(events)}")
     merge, clean = args.merge, args.clean
-    outputs, metrics = _simulate(run_cfg, events, merge, clean)
+    outputs, timing = _simulate(run_cfg, events, merge, clean)
 
     trigger = run_cfg.trigger
 
@@ -122,11 +122,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 sys.stderr.write("counterexample event:\n" + write_events([minimized]))
                 break
 
-    metrics, budget = operating_point(metrics, args.freq)
-    report = evaluate_feasibility(metrics, budget)
+    point = operating_point(timing, args.freq)
 
     if args.report:
-        records = build_report([ev.event_id for ev in events], outputs, metrics, report)
+        records = build_report([ev.event_id for ev in events], outputs, point)
         try:
             Path(args.report).write_text(serialize_report(records))
         except OSError as exc:
@@ -135,14 +134,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     print(f"events: {len(events)} ({source_desc})")
     print(f"variants: merge {merge}, clean {clean}")
     print(
-        f"latency: {metrics.latency_cycles} cycles  ii: {metrics.ii_cycles} cycles  "
-        f"(cdc +{metrics.cdc_overhead_cycles})"
+        f"latency: {point.latency_cycles} cycles  ii: {point.timing.ii_cycles} cycles  "
+        f"(cdc +{point.cdc_overhead_cycles})"
     )
     print(
-        f"budget @{budget.frequency_mhz} MHz: latency {budget.latency_budget_cycles}, "
-        f"ii {budget.ii_budget_cycles} -> "
-        f"{'feasible' if report.feasible else 'INFEASIBLE'} "
-        f"(slack {report.latency_slack_cycles}/{report.ii_slack_cycles})"
+        f"budget @{point.frequency_mhz} MHz: latency {point.latency_budget_cycles}, "
+        f"ii {point.ii_budget_cycles} -> "
+        f"{'feasible' if point.feasible else 'INFEASIBLE'} "
+        f"(slack {point.latency_slack_cycles}/{point.ii_slack_cycles})"
     )
     if args.no_oracle_check:
         print("oracle check: skipped")
@@ -153,7 +152,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.report:
         print(f"report: {args.report}")
 
-    if divergent is not None or not report.feasible:
+    if divergent is not None or not point.feasible:
         return 1
     return 0
 
@@ -192,7 +191,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     pairs = [(merge, clean) for merge in MERGE_SOLUTIONS for clean in CLEAN_SOLUTIONS]
     bases = [_timing(run_cfg, 0, merge, clean) for merge, clean in pairs]
 
-    columns = []  # per clock, the (metrics, budget) of every pair
+    columns = []  # per clock, the operating point of every pair
     for freq in freq_values:
         try:
             columns.append([operating_point(base, freq) for base in bases])
@@ -205,17 +204,16 @@ def cmd_explore(args: argparse.Namespace) -> int:
     def row(label: str, values) -> None:
         print(f"{label:32s}" + "".join(f"{v:>12}" for v in values))
 
-    budgets = [column[0][1] for column in columns]
-    row("latency budget, cycles", [b.latency_budget_cycles for b in budgets])
-    row("ii budget, cycles", [b.ii_budget_cycles for b in budgets])
-    row("cdc overhead, cycles", [column[0][0].cdc_overhead_cycles for column in columns])
+    firsts = [column[0] for column in columns]  # budgets and allowance hold for every pair
+    row("latency budget, cycles", [p.latency_budget_cycles for p in firsts])
+    row("ii budget, cycles", [p.ii_budget_cycles for p in firsts])
+    row("cdc overhead, cycles", [p.cdc_overhead_cycles for p in firsts])
     for i, (merge, clean) in enumerate(pairs):
         points = [column[i] for column in columns]
         label = f"merge {merge}, clean {clean}:"
-        row(f"{label} latency", [m.latency_cycles for m, _ in points])
-        row(f"{label} ii", [m.ii_cycles for m, _ in points])
-        reports = [evaluate_feasibility(metrics, budget) for metrics, budget in points]
-        row(f"{label} feasible", ["yes" if r.feasible else "no" for r in reports])
+        row(f"{label} latency", [p.latency_cycles for p in points])
+        row(f"{label} ii", [p.timing.ii_cycles for p in points])
+        row(f"{label} feasible", ["yes" if p.feasible else "no" for p in points])
     return 0
 
 

@@ -111,14 +111,11 @@ class PipelineMetrics:
     ``latency_cycles`` is every event's latency and ``ii_cycles`` the pace
     ``P``; both are properties of the design, whatever the event count.
     ``stage_stats`` holds the stall counts of the run's events.
-    ``cdc_overhead_cycles`` records any clock-domain crossing allowance
-    already folded into ``latency_cycles``.
     """
 
     latency_cycles: int
     ii_cycles: int
     stage_stats: tuple[StageStats, ...]
-    cdc_overhead_cycles: int = 0
 
 
 def run_pipeline(

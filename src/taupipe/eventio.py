@@ -425,13 +425,9 @@ def _canonical_json(obj: object) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def build_report(
-    event_ids: Sequence[int],
-    tau_lists: Sequence[Sequence],
-    metrics,
-    feasibility,
-) -> list[dict]:
-    """Assemble report records: header, one per event, one metrics object."""
+def build_report(event_ids: Sequence[int], tau_lists: Sequence[Sequence], point) -> list[dict]:
+    """Assemble report records: header, one per event, and the metrics of
+    the operating point ``point`` (a ``budget.OperatingPoint``)."""
     records: list[dict] = [{"format": REPORT_FORMAT, "version": REPORT_FORMAT_VERSION}]
     for event_id, taus in zip(event_ids, tau_lists):
         records.append(
@@ -445,23 +441,23 @@ def build_report(
         )
     m = {
         "type": "metrics",
-        "latency_cycles": metrics.latency_cycles,
-        "ii_cycles": metrics.ii_cycles,
-        "cdc_overhead_cycles": metrics.cdc_overhead_cycles,
+        "latency_cycles": point.latency_cycles,
+        "ii_cycles": point.timing.ii_cycles,
+        "cdc_overhead_cycles": point.cdc_overhead_cycles,
         "stage_stats": [
             {
                 "name": s.name,
                 "input_stall_cycles": s.input_stall_cycles,
                 "output_stall_cycles": s.output_stall_cycles,
             }
-            for s in metrics.stage_stats
+            for s in point.timing.stage_stats
         ],
-        "frequency_mhz": feasibility.budget.frequency_mhz,
-        "latency_budget_cycles": feasibility.budget.latency_budget_cycles,
-        "ii_budget_cycles": feasibility.budget.ii_budget_cycles,
-        "latency_slack_cycles": feasibility.latency_slack_cycles,
-        "ii_slack_cycles": feasibility.ii_slack_cycles,
-        "feasible": feasibility.feasible,
+        "frequency_mhz": point.frequency_mhz,
+        "latency_budget_cycles": point.latency_budget_cycles,
+        "ii_budget_cycles": point.ii_budget_cycles,
+        "latency_slack_cycles": point.latency_slack_cycles,
+        "ii_slack_cycles": point.ii_slack_cycles,
+        "feasible": point.feasible,
     }
     records.append(m)
     return records

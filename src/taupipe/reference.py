@@ -84,14 +84,16 @@ def oracle_trigger(
             if p.species in cfg.allowed_signal_species
             and delta_r2(p, seed) <= r2_sig
         ]
-        sum_pt = min(sum(p.pt for p in kept), PT_MAX)
+        weight = sum(p.pt for p in kept)
+        sum_pt = min(weight, PT_MAX)
         if sum_pt == 0 or sum_pt < cfg.min_tau_pt:
             continue
 
-        # int() on a Fraction truncates toward zero, matching an integer divider.
-        eta_w = int(Fraction(sum(p.pt * p.eta for p in kept), sum_pt))
+        # Means weighted by the unsaturated pt sum; int() on a Fraction
+        # truncates toward zero, matching an integer divider.
+        eta_w = int(Fraction(sum(p.pt * p.eta for p in kept), weight))
         phi_off = int(
-            Fraction(sum(p.pt * wrap_delta_phi(p.phi, seed.phi) for p in kept), sum_pt)
+            Fraction(sum(p.pt * wrap_delta_phi(p.phi, seed.phi) for p in kept), weight)
         )
         phi_w = wrap_phi(seed.phi + phi_off)
         taus[slot] = Tau(pt=sum_pt, pos=AngularCoord(eta_w, phi_w), valid=True)

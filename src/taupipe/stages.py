@@ -85,8 +85,10 @@ class CandidateList:
 class TauParams:
     """Weighted-average properties of one candidate group.
 
-    A group whose pt sum is zero (in particular an empty one) has no average:
-    no division is performed and both positions are 0.
+    ``sum_pt`` is the saturating pt sum; the positions are weighted by the
+    unsaturated one, so they average the candidates' positions.  A group
+    whose pt sum is zero (in particular an empty one) has no average: no
+    division is performed and both positions are 0.
     """
 
     sum_pt: int
@@ -332,25 +334,29 @@ def compute_tau_params(
 
     eta is averaged directly; phi is averaged on wrapped offsets relative to
     the seed's phi and re-wrapped to an absolute azimuth, so groups straddling
-    the periodic boundary average correctly.  Costs exactly two divisions per
-    group with a non-zero pt sum, and none otherwise.
+    the periodic boundary average correctly.  The means divide by the
+    unsaturated pt sum, so each lies among the candidates' values; ``sum_pt``
+    is the saturating ``total_pt``.  Costs exactly two divisions per group
+    with a non-zero pt sum, and none otherwise.
     """
     sum_pt = clist.total_pt
     if sum_pt == 0:
         return TauParams(sum_pt=0, eta_w=0, phi_w=0)
     seed_phi = clist.seed.phi
+    weight = 0
     num_eta = 0
     num_phi = 0
     for p in clist.candidates:
         off = wrap_delta_phi(p.phi, seed_phi)
         if ops is not None:
             ops.multiplications += 2
+        weight += p.pt
         num_eta += p.pt * p.eta
         num_phi += p.pt * off
     if ops is not None:
         ops.divisions += 2
-    eta_w = trunc_div(num_eta, sum_pt)
-    phi_off = trunc_div(num_phi, sum_pt)
+    eta_w = trunc_div(num_eta, weight)
+    phi_off = trunc_div(num_phi, weight)
     phi_w = wrap_phi(seed_phi + phi_off)
     return TauParams(sum_pt=sum_pt, eta_w=eta_w, phi_w=phi_w)
 

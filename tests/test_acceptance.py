@@ -9,7 +9,7 @@ import time
 from dataclasses import replace
 
 from helpers import fig5_taus, random_merge_lists, random_tau_slots, stage_op_counts
-from taupipe.budget import TimingBudget, cycle_budget, evaluate_feasibility, operating_point
+from taupipe.budget import cycle_budget, operating_point
 from taupipe.core import BLOCK_SIZE, MAX_CANDIDATES, AngularCoord, OpCounter, delta_r2
 from taupipe.dataflow import (
     DEFAULT_FIFO_DEPTH,
@@ -137,22 +137,21 @@ def test_c5_pipeline_composition():
 def test_c6_frequency_tradeoff_reproduction():
     t0 = time.perf_counter()
     metrics_360 = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH, 8)
-    feas_360 = evaluate_feasibility(metrics_360, TimingBudget.for_frequency(360))
-    assert feas_360.budget.latency_budget_cycles == 275
-    assert feas_360.budget.ii_budget_cycles == 54
-    assert feas_360.feasible
+    point_360 = operating_point(metrics_360, 360)
+    assert point_360.latency_budget_cycles == 275
+    assert point_360.ii_budget_cycles == 54
+    assert point_360.feasible
 
-    metrics_300, budget_300 = operating_point(metrics_360, 300)
-    assert metrics_300.latency_cycles == metrics_360.latency_cycles + 10
-    assert metrics_300.ii_cycles == metrics_360.ii_cycles
-    feas_300 = evaluate_feasibility(metrics_300, budget_300)
-    assert feas_300.budget.latency_budget_cycles == 220
-    assert feas_300.budget.ii_budget_cycles == 45
-    assert feas_300.feasible
+    point_300 = operating_point(metrics_360, 300)
+    assert point_300.latency_cycles == metrics_360.latency_cycles + 10
+    assert point_300.timing.ii_cycles == metrics_360.ii_cycles
+    assert point_300.latency_budget_cycles == 220
+    assert point_300.ii_budget_cycles == 45
+    assert point_300.feasible
     _report(
         "C6",
-        f"300 MHz latency {metrics_300.latency_cycles} = {metrics_360.latency_cycles}+10 "
-        f"<= 220, ii {metrics_300.ii_cycles} <= 45; 360 MHz fits (275, 54)",
+        f"300 MHz latency {point_300.latency_cycles} = {metrics_360.latency_cycles}+10 "
+        f"<= 220, ii {point_300.timing.ii_cycles} <= 45; 360 MHz fits (275, 54)",
         time.perf_counter() - t0,
     )
 

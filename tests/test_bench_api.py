@@ -58,9 +58,10 @@ def _traced_child(tmp_path, *cli_argv):
 
 
 def test_traced_bench_child_fills_every_counter(tmp_path):
-    out = _traced_child(tmp_path, "run", "--gen", "1:3:busy")
+    out = _traced_child(tmp_path, "run", "--gen", "1:3:busy", "--report", "report.jsonl")
     assert COUNTER_KEYS <= set(out["counts"]), out["counts"]
     assert out["counts"]["seeds"] > 0
+    assert {"eventio.report", "dataflow.run"} <= set(out["spans"]), out["spans"]
 
 
 def test_traced_bench_child_traces_the_a_solutions(tmp_path):

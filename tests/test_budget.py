@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from taupipe.budget import TimingBudget, cycle_budget, evaluate_feasibility
+from taupipe.budget import cycle_budget, operating_point
 from taupipe.dataflow import PipelineMetrics
 
 
@@ -37,39 +37,41 @@ def test_slower_clock_never_gains_cycles(t):
 
 
 def test_budget_table_values():
-    b360 = TimingBudget.for_frequency(360)
-    b300 = TimingBudget.for_frequency(300)
-    assert (b360.latency_budget_cycles, b360.ii_budget_cycles) == (275, 54)
-    assert (b300.latency_budget_cycles, b300.ii_budget_cycles) == (220, 45)
+    p360 = operating_point(metrics(0, 0), 360)
+    p300 = operating_point(metrics(0, 0), 300)
+    assert (p360.latency_budget_cycles, p360.ii_budget_cycles) == (275, 54)
+    assert (p300.latency_budget_cycles, p300.ii_budget_cycles) == (220, 45)
 
 
 def test_budget_fallback_for_unlisted_frequency():
-    b = TimingBudget.for_frequency(240)
-    assert b.ii_budget_cycles == cycle_budget(150, 240) == 36
-    assert b.latency_budget_cycles == cycle_budget(760, 240) == 182
+    p = operating_point(metrics(0, 0), 240)
+    assert p.ii_budget_cycles == cycle_budget(150, 240) == 36
+    assert p.latency_budget_cycles == cycle_budget(760, 240) == 182
 
 
 def test_feasibility_table_vi_optimized_point():
-    report = evaluate_feasibility(metrics(210, 45), TimingBudget.for_frequency(300))
-    assert report.feasible
-    assert report.latency_slack_cycles == 10
-    assert report.ii_slack_cycles == 0
+    # 200 cycles at the nominal clock plus the 10-cycle CDC allowance
+    point = operating_point(metrics(200, 45), 300)
+    assert point.latency_cycles == 210
+    assert point.feasible
+    assert point.latency_slack_cycles == 10
+    assert point.ii_slack_cycles == 0
 
 
 def test_feasibility_initial_point():
-    report = evaluate_feasibility(metrics(203, 45), TimingBudget.for_frequency(360))
-    assert report.feasible
+    point = operating_point(metrics(203, 45), 360)
+    assert point.feasible
 
 
 def test_feasibility_boundary_plus_one():
-    report = evaluate_feasibility(metrics(221, 45), TimingBudget.for_frequency(300))
-    assert not report.feasible
-    assert report.latency_slack_cycles == -1
-    assert report.ii_slack_cycles == 0
+    point = operating_point(metrics(211, 45), 300)
+    assert not point.feasible
+    assert point.latency_slack_cycles == -1
+    assert point.ii_slack_cycles == 0
 
 
 @given(st.integers(0, 400), st.integers(0, 100))
 def test_feasible_iff_both_slacks_nonnegative(lat, ii):
-    report = evaluate_feasibility(metrics(lat, ii), TimingBudget.for_frequency(300))
-    assert report.feasible == (report.latency_slack_cycles >= 0 and report.ii_slack_cycles >= 0)
-    assert report.feasible == (lat <= 220 and ii <= 45)
+    point = operating_point(metrics(lat, ii), 300)
+    assert point.feasible == (point.latency_slack_cycles >= 0 and point.ii_slack_cycles >= 0)
+    assert point.feasible == (lat + 10 <= 220 and ii <= 45)

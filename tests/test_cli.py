@@ -291,6 +291,18 @@ def test_run_from_event_file(tmp_path, capsys):
     assert "events: 1" in capsys.readouterr().out
 
 
+def test_run_saturated_group_reports_an_average_position(tmp_path, capsys):
+    # three particles of pt 40000 at eta 4000 saturate the group's pt sum;
+    # the tau still sits at their eta, not at 3 * 40000 * 4000 / PT_MAX
+    ev = make_event(0, [Particle(40000, 4000, 100)] * 3)
+    path, report = tmp_path / "events.txt", tmp_path / "r.jsonl"
+    path.write_text(write_events([ev]))
+    assert run_cli(["run", "--events", str(path), "--report", str(report)]) == 0
+    assert "oracle check: ok (1 events)" in capsys.readouterr().out
+    [event] = [r for r in parse_report(report.read_text()) if r.get("type") == "event"]
+    assert event["taus"] == [{"pt": 65535, "eta": 4000, "phi": 100}]
+
+
 def test_run_rejects_bad_config(tmp_path, capsys):
     cfgfile = tmp_path / "bad.cfg"
     cfgfile.write_text("frobnicate = 1\n")

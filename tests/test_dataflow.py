@@ -313,10 +313,10 @@ def test_latency_monotone_in_stage_latency():
 def test_cdc_allowance():
     # off the nominal clock latency pays the allowance, II does not
     m = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH, 3)
-    shifted, budget = operating_point(m, 300)
-    assert shifted.latency_cycles == m.latency_cycles + 10
-    assert shifted.ii_cycles == m.ii_cycles
-    assert shifted.cdc_overhead_cycles == 10
-    assert shifted.stage_stats == m.stage_stats
-    assert (budget.latency_budget_cycles, budget.ii_budget_cycles) == (220, 45)
-    assert operating_point(m, 360)[0] == m
+    point = operating_point(m, 300)
+    assert point.timing == m
+    assert point.latency_cycles == m.latency_cycles + 10
+    assert point.cdc_overhead_cycles == 10
+    assert (point.latency_budget_cycles, point.ii_budget_cycles) == (220, 45)
+    nominal = operating_point(m, 360)
+    assert (nominal.cdc_overhead_cycles, nominal.latency_cycles) == (0, m.latency_cycles)

@@ -336,16 +336,17 @@ def test_crlf_files_parse():
 
 
 def test_report_roundtrip_bytes():
-    from taupipe.budget import TimingBudget, evaluate_feasibility
+    from taupipe.budget import operating_point
     from taupipe.dataflow import DEFAULT_FIFO_DEPTH, default_stage_specs, trigger_timing
     from taupipe.eventio import build_report
     from taupipe.stages import run_stages
 
     events = gen_events(2, 5, "clustered", CFG)
     metrics = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH, len(events))
-    feas = evaluate_feasibility(metrics, TimingBudget.for_frequency(360))
     records = build_report(
-        [ev.event_id for ev in events], [run_stages(ev, CFG) for ev in events], metrics, feas
+        [ev.event_id for ev in events],
+        [run_stages(ev, CFG) for ev in events],
+        operating_point(metrics, 360),
     )
     text = serialize_report(records)
     assert serialize_report(parse_report(text)) == text

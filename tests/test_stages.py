@@ -9,6 +9,7 @@ from taupipe.core import (
     N_SEEDS,
     PAD_PARTICLE,
     PHI_HALF,
+    PT_MAX,
     AngularCoord,
     Event,
     OpCounter,
@@ -16,6 +17,7 @@ from taupipe.core import (
     Species,
     delta_r2,
     make_event,
+    wrap_delta_phi,
 )
 from taupipe.stages import (
     CandidateList,
@@ -312,6 +314,24 @@ def test_tau_params_zero_pt_group_is_invalid():
     zero = Particle(0, 10, 10)
     params = compute_tau_params(clist([zero, zero]), CFG)
     assert params == TauParams(0, 0, 0)
+
+
+@given(
+    st.builds(seed_at, st.integers(-ETA_MAX, ETA_MAX), st.integers(-PHI_HALF, PHI_HALF - 1)),
+    st.lists(
+        st.builds(Particle, st.integers(1, PT_MAX), st.integers(-ETA_MAX, ETA_MAX),
+                  st.integers(-PHI_HALF, PHI_HALF - 1)),
+        min_size=1, max_size=30,
+    ),
+)
+def test_tau_params_position_lies_among_the_candidates(seed, cands):
+    # the means stay inside the group even once its pt sum saturates
+    params = compute_tau_params(clist(cands, seed), CFG)
+    assert params.sum_pt == min(sum(p.pt for p in cands), PT_MAX)
+    etas = [p.eta for p in cands]
+    assert min(etas) <= params.eta_w <= max(etas)
+    offsets = [wrap_delta_phi(p.phi, seed.phi) for p in cands]
+    assert min(offsets) <= wrap_delta_phi(params.phi_w, seed.phi) <= max(offsets)
 
 
 # --- reconstruction ----------------------------------------------------------
