@@ -133,21 +133,16 @@ def wrap_delta_phi(a: int, b: int) -> int:
     return wrap_phi(a - b)
 
 
-def delta_r2(
-    p: Particle | AngularCoord, q: Particle | AngularCoord, *, ops: OpCounter | None = None
-) -> int:
+def delta_r2(p: Particle | AngularCoord, q: Particle | AngularCoord) -> int:
     """Squared angular distance deta^2 + dphi^2 with a wrapped phi difference.
 
     Each argument is a particle (a seed is one) or a tau's position: only
-    ``.eta`` and ``.phi`` are read.  Costs exactly two multiplications per
-    evaluation.  Inside the ranges the largest value is (2 * ETA_MAX)^2 +
-    PHI_HALF^2 = 68,157,440 < 2^27, so a 27-bit register holds every
-    distance and nothing saturates.
+    ``.eta`` and ``.phi`` are read.  Inside the ranges the largest value is
+    (2 * ETA_MAX)^2 + PHI_HALF^2 = 68,157,440 < 2^27, so a 27-bit register
+    holds every distance and nothing saturates.
     """
     deta = p.eta - q.eta
     dphi = (p.phi - q.phi + PHI_HALF) % PHI_RANGE - PHI_HALF  # wrap_delta_phi, inlined
-    if ops is not None:
-        ops.multiplications += 2
     return deta * deta + dphi * dphi
 
 

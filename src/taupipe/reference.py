@@ -34,7 +34,18 @@ from .core import (
     wrap_delta_phi,
     wrap_phi,
 )
-from .stages import INVALID_TAU, MERGE_SOLUTIONS, Tau, TriggerConfig, signal_cone_r2
+from .stages import INVALID_TAU, MERGE_SOLUTIONS, Tau, TriggerConfig
+
+
+def signal_cone_r2(total_pt: int, cfg: TriggerConfig) -> int:
+    """Signal cone radius squared: inverse-pt shrinking, clamped both ways.
+
+    clamp(signal_cone_k / max(total_pt, 1), r2_min, r2_max) with truncating
+    integer division.  ``stages.select_signal_candidates`` uses the
+    division-free equivalent.
+    """
+    q = cfg.signal_cone_k // max(total_pt, 1)
+    return max(cfg.signal_cone_r2_min, min(cfg.signal_cone_r2_max, q))
 
 
 def oracle_trigger(

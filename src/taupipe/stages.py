@@ -3,14 +3,29 @@
 Step order: seed selection, per-block cone filtering, four-to-one candidate
 merging (two interchangeable solutions), signal-candidate selection, weighted
 parameter averaging, tau reconstruction, and proximity cleaning (again two
-solutions).  Every function is a pure function of its inputs plus the config;
-the optional ``ops`` argument collects datapath operation counts.
+solutions).  Every function is a pure function of its inputs plus the config.
+
+The optional ``ops`` argument collects datapath operation counts.  Each step
+charges its operations once, outside its loops, from sizes it already has; a
+distance costs 2 multiplications, and lo/hi are the signal cone's clamps:
+
+- seeding: 1 comparison per valid charged particle;
+- filtering: a distance and 1 comparison per valid particle;
+- merging: 1 comparison per source (A), or per source and index step (B);
+- signal selection: 1 comparison per candidate; per allowed candidate a
+  distance and 1 comparison, 1 comparison more if d > lo, and 1
+  multiplication and 1 comparison more if lo < d <= hi;
+- averaging: 2 multiplications per candidate and 2 divisions per group with
+  a non-zero pt sum;
+- reconstruction: 1 comparison;
+- cleaning: per pair of valid taus, a distance and 2 comparisons (B) or 1 (A).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Callable, Sequence
 
 from .core import (
@@ -130,14 +145,10 @@ def select_seeds(
     Output is graded by descending pt with ascending slot breaking ties.
     Fewer qualifying particles simply yield a shorter tuple.
     """
-    qualified: list[Particle] = []
-    for p in event.particles:
-        if not p.valid or not p.species.charged:
-            continue
-        if ops is not None:
-            ops.comparisons += 1
-        if p.pt >= cfg.min_seed_pt:
-            qualified.append(p)
+    charged = [p for p in event.particles if p.valid and p.species.charged]
+    if ops is not None:
+        ops.comparisons += len(charged)
+    qualified = [p for p in charged if p.pt >= cfg.min_seed_pt]
     # The sort is stable, so equal pts keep their slot order.
     qualified.sort(key=lambda p: -p.pt)
     return tuple(qualified[:N_SEEDS])
@@ -195,27 +206,16 @@ def merge_solution_a(
     """Merge by greedy take-counts in list order, trimming the excess.
 
     Take counts are allocated greedily: the first list contributes up to the
-    capacity, the second up to what remains, and so on.
+    capacity, the second up to what remains, and so on.  So the target is the
+    first ``MAX_CANDIDATES`` items of the lists read in order.
     """
-    cap = MAX_CANDIDATES
-    sizes = [len(lst) for lst in lists]
-    for s in sizes:
-        if s > BLOCK_SIZE:
-            raise ValueError(f"source list of {s} items exceeds block size {BLOCK_SIZE}")
-    takes: list[int] = []
-    remaining = cap
-    for s in sizes:
-        if ops is not None:
-            ops.comparisons += 1
-        c = min(s, remaining)
-        takes.append(c)
-        remaining -= c
-    items: list[Particle] = []
-    discarded: list[Particle] = []
-    for lst, c in zip(lists, takes):
-        items.extend(lst[:c])
-        discarded.extend(lst[c:])
-    return MergeResult(items=tuple(items), discarded=tuple(discarded))
+    for lst in lists:
+        if len(lst) > BLOCK_SIZE:
+            raise ValueError(f"source list of {len(lst)} items exceeds block size {BLOCK_SIZE}")
+    if ops is not None:
+        ops.comparisons += len(lists)
+    flat = [p for lst in lists for p in lst]
+    return MergeResult(items=tuple(flat[:MAX_CANDIDATES]), discarded=tuple(flat[MAX_CANDIDATES:]))
 
 
 def merge_solution_b(
@@ -244,8 +244,6 @@ def merge_solution_b(
     index = 0
     max_size = max(sizes, default=0)
     while index < max_size and len(items) < cap:
-        if ops is not None:
-            ops.comparisons += len(sizes)
         for src, size in enumerate(sizes):
             if len(items) == cap:
                 break
@@ -253,6 +251,8 @@ def merge_solution_b(
                 items.append(lists[src][index])
                 taken[src] += 1
         index += 1
+    if ops is not None:
+        ops.comparisons += len(sizes) * index
     discarded = tuple(p for lst, t in zip(lists, taken) for p in lst[t:])
     return MergeResult(items=tuple(items), discarded=discarded)
 
@@ -273,17 +273,6 @@ def compute_total_pt(candidates: Sequence[Particle]) -> int:
     return total
 
 
-def signal_cone_r2(total_pt: int, cfg: TriggerConfig) -> int:
-    """Signal cone radius squared: inverse-pt shrinking, clamped both ways.
-
-    clamp(signal_cone_k / max(total_pt, 1), r2_min, r2_max) with truncating
-    integer division.  Exposed for reference checks; the selection predicate
-    itself uses the division-free equivalent.
-    """
-    q = cfg.signal_cone_k // max(total_pt, 1)
-    return max(cfg.signal_cone_r2_min, min(cfg.signal_cone_r2_max, q))
-
-
 def select_signal_candidates(
     clist: CandidateList,
     cfg: TriggerConfig,
@@ -301,26 +290,20 @@ def select_signal_candidates(
     hi = cfg.signal_cone_r2_max
     k = cfg.signal_cone_k
     kept: list[Particle] = []
+    # Distances of the candidates of an allowed species, for the op count.
+    dists: list[int] = []
     for p in clist.candidates:
-        if ops is not None:
-            ops.comparisons += 1
         if p.species not in cfg.allowed_signal_species:
             continue
-        d = delta_r2(p, clist.seed, ops=ops)
-        if ops is not None:
-            ops.comparisons += 1
-        if d <= lo:
+        d = delta_r2(p, clist.seed)
+        dists.append(d)
+        if d <= lo or (d <= hi and d * t <= k):
             kept.append(p)
-            continue
-        if ops is not None:
-            ops.comparisons += 1
-        if d > hi:
-            continue
-        if ops is not None:
-            ops.multiplications += 1
-            ops.comparisons += 1
-        if d * t <= k:
-            kept.append(p)
+    if ops is not None:
+        past_lo = [d for d in dists if d > lo]
+        in_band = sum(1 for d in past_lo if d <= hi)
+        ops.multiplications += 2 * len(dists) + in_band
+        ops.comparisons += len(clist.candidates) + len(dists) + len(past_lo) + in_band
     total = compute_total_pt(kept)
     return CandidateList(seed=clist.seed, candidates=tuple(kept), total_pt=total)
 
@@ -348,12 +331,11 @@ def compute_tau_params(
     num_phi = 0
     for p in clist.candidates:
         off = wrap_delta_phi(p.phi, seed_phi)
-        if ops is not None:
-            ops.multiplications += 2
         weight += p.pt
         num_eta += p.pt * p.eta
         num_phi += p.pt * off
     if ops is not None:
+        ops.multiplications += 2 * len(clist.candidates)
         ops.divisions += 2
     eta_w = trunc_div(num_eta, weight)
     phi_off = trunc_div(num_phi, weight)
@@ -394,20 +376,16 @@ def build_cleaning_matrix(
     n = len(taus)
     if n != N_SEEDS:
         raise ValueError(f"cleaning expects exactly {N_SEEDS} tau slots, got {n}")
-    cells: set[tuple[int, int]] = set()
-    for i in range(n):
-        if not taus[i].valid:
-            continue
-        for j in range(i + 1, n):
-            if not taus[j].valid:
-                continue
-            d = delta_r2(taus[i].pos, taus[j].pos, ops=ops)
-            if ops is not None:
-                ops.comparisons += 2
-            if d > cfg.proximity_r2:
-                continue
-            cells.add((i, j) if _less_pt(taus, i, j) else (j, i))
-    return frozenset(cells)
+    valid = [i for i in range(n) if taus[i].valid]
+    if ops is not None:
+        pairs = len(valid) * (len(valid) - 1) // 2
+        ops.multiplications += 2 * pairs
+        ops.comparisons += 2 * pairs
+    return frozenset(
+        (i, j) if _less_pt(taus, i, j) else (j, i)
+        for i, j in combinations(valid, 2)
+        if delta_r2(taus[i].pos, taus[j].pos) <= cfg.proximity_r2
+    )
 
 
 def _cap_to_max_taus(survivor_slots: Sequence[int], taus: Sequence[Tau]) -> tuple[Tau, ...]:
@@ -449,14 +427,12 @@ def clean_solution_a(
         (i for i in range(n) if taus[i].valid),
         key=lambda i: (-taus[i].pt, i),
     )
-    dropped: set[int] = set()
-    for pos, i in enumerate(graded):
-        for j in graded[pos + 1 :]:
-            d = delta_r2(taus[i].pos, taus[j].pos, ops=ops)
-            if ops is not None:
-                ops.comparisons += 1
-            if d <= cfg.proximity_r2:
-                dropped.add(j)
+    if ops is not None:
+        pairs = len(graded) * (len(graded) - 1) // 2
+        ops.multiplications += 2 * pairs
+        ops.comparisons += pairs
+    near = cfg.proximity_r2
+    dropped = {j for i, j in combinations(graded, 2) if delta_r2(taus[i].pos, taus[j].pos) <= near}
     survivors = [i for i in graded if i not in dropped]
     survivors.sort()
     return _cap_to_max_taus(survivors, taus)

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 from helpers import fig5_taus, random_merge_lists, random_tau_slots, stage_op_counts
 from taupipe.budget import cycle_budget, operating_point
-from taupipe.core import BLOCK_SIZE, MAX_CANDIDATES, AngularCoord, OpCounter, delta_r2
+from taupipe.core import BLOCK_SIZE, MAX_CANDIDATES, OpCounter
 from taupipe.dataflow import (
     DEFAULT_FIFO_DEPTH,
     MERGE_B_SETUP_CYCLES,
@@ -188,12 +188,11 @@ def test_c7_merge_cycle_models():
 
 def test_c8_cost_accounting():
     t0 = time.perf_counter()
-    ops = OpCounter()
-    delta_r2(AngularCoord(5, 6), AngularCoord(7, 8), ops=ops)
-    assert ops.multiplications == 2
-
+    # each probe below computes one distance
     rows = stage_op_counts(CFG)
     assert rows["filtering"].multiplications == 2
+    assert rows["signal_selection"].multiplications == 2
+    assert rows["cleaning"].multiplications == 2
     assert rows["tau_parameters"].divisions == 2
     assert all(r.divisions == 0 for name, r in rows.items() if name != "tau_parameters")
 

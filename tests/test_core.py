@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from taupipe.core import (
     ETA_MAX,
     AngularCoord,
-    OpCounter,
     PAD_PARTICLE,
     PHI_HALF,
     PHI_RANGE,
@@ -75,13 +74,6 @@ def test_delta_r2_345():
 def test_delta_r2_wrapped_phi():
     # wrapped dphi is -48, squared 2304
     assert delta_r2(AngularCoord(0, 1000), AngularCoord(0, -1000)) == 2304
-
-
-def test_delta_r2_counts_two_multiplications():
-    ops = OpCounter()
-    delta_r2(AngularCoord(1, 2), AngularCoord(3, 4), ops=ops)
-    assert ops.multiplications == 2
-    assert ops.divisions == 0
 
 
 def test_delta_r2_largest_distance_fits_27_bits():

@@ -17,7 +17,7 @@ import pytest
 
 from taupipe.cli import main
 from taupipe.core import OpCounter
-from taupipe.eventio import gen_events, write_events
+from taupipe.eventio import gen_events, load_config, write_events
 from taupipe.stages import TriggerConfig, run_stages
 
 DENSE_CONFIG = (
@@ -81,3 +81,22 @@ def test_op_totals_pinned():
     for event in gen_events(1, 50, "busy", cfg):
         run_stages(event, cfg, "B", "B", ops)
     assert ops == OpCounter(157801, 1424, 92268)
+
+
+@pytest.mark.parametrize(
+    "config, profile, merge, clean, totals",
+    [
+        ("", "busy", "A", "A", (157801, 1424, 86688)),
+        ("", "clustered", "A", "B", (73824, 1460, 52078)),
+        ("", "clustered", "B", "A", (73824, 1460, 62914)),
+        (DENSE_CONFIG, "busy", "A", "A", (224308, 1518, 172870)),
+        (DENSE_CONFIG, "busy", "B", "B", (223185, 1500, 205219)),
+    ],
+    ids=["busy-AA", "clustered-AB", "clustered-BA", "whole-plane-AA", "whole-plane-BB"],
+)
+def test_op_totals_pinned_per_pair(config, profile, merge, clean, totals):
+    cfg = load_config(config).trigger
+    ops = OpCounter()
+    for event in gen_events(1, 50, profile):
+        run_stages(event, cfg, merge, clean, ops)
+    assert ops == OpCounter(*totals)

@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, strategies as st
 
-from taupipe.core import MAX_CANDIDATES, Particle
+from taupipe.core import MAX_CANDIDATES, OpCounter, Particle
 from taupipe.dataflow import MERGE_B_SETUP_CYCLES, default_stage_specs
 from taupipe.reference import oracle_merge
 from taupipe.stages import TriggerConfig, merge_solution_a, merge_solution_b
@@ -22,7 +22,10 @@ def test_merge_a_four_empty():
 
 def test_merge_a_greedy_allocation():
     lists = [items(8, t) for t in range(4)]
-    r = merge_solution_a(lists, CFG)
+    ops = OpCounter()
+    r = merge_solution_a(lists, CFG, ops)
+    # one take-count comparison per source
+    assert ops == OpCounter(0, 0, 4)
     # greedy take counts (8, 8, 8, 6): all of the first three, first 6 of the last
     assert list(r.items) == lists[0] + lists[1] + lists[2] + lists[3][:6]
     assert list(r.discarded) == lists[3][6:]
@@ -36,25 +39,33 @@ def test_merge_a_single_full_source():
 
 
 def test_merge_b_four_empty():
-    r = merge_solution_b([[], [], [], []], CFG)
+    ops = OpCounter()
+    r = merge_solution_b([[], [], [], []], CFG, ops)
     assert r.items == () and r.discarded == ()
+    assert ops == OpCounter(0, 0, 0)
 
 
 def test_merge_b_hand_executed_machine():
     # lists ([a1,a2],[b1],[],[d1]) -> round 0 emits a1,b1,d1; round 1 emits a2
-    r = merge_solution_b([["a1", "a2"], ["b1"], [], ["d1"]], CFG)
+    ops = OpCounter()
+    r = merge_solution_b([["a1", "a2"], ["b1"], [], ["d1"]], CFG, ops)
     assert list(r.items) == ["a1", "b1", "d1", "a2"]
+    # two index steps, each comparing the index with all four sizes
+    assert ops.comparisons == 8
 
 
 def test_merge_b_full_lists_round_robin():
     lists = [items(32, t) for t in range(4)]
-    r = merge_solution_b(lists, CFG)
+    ops = OpCounter()
+    r = merge_solution_b(lists, CFG, ops)
     want = []
     for rnd in range(7):
         want.extend(lists[t][rnd] for t in range(4))
     want.extend([lists[0][7], lists[1][7]])
     assert list(r.items) == want
     assert len(r.items) == 30
+    # eight index steps of four comparisons each
+    assert ops.comparisons == 32
 
 
 def test_merge_b_discards_each_sources_unread_suffix():

@@ -1,9 +1,12 @@
+import ast
+import inspect
 from dataclasses import fields
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import stage_op_counts
+from taupipe import stages
 from taupipe.core import (
     ETA_MAX,
     N_SEEDS,
@@ -30,8 +33,8 @@ from taupipe.stages import (
     reconstruct_tau,
     select_seeds,
     select_signal_candidates,
-    signal_cone_r2,
 )
+from taupipe.reference import signal_cone_r2
 
 CFG = TriggerConfig()
 
@@ -237,7 +240,8 @@ cand_st = st.builds(
 @given(st.lists(cand_st, max_size=30))
 def test_signal_selection_matches_division_form(cands):
     lst = clist(cands)
-    out = select_signal_candidates(lst, CFG)
+    ops = OpCounter()
+    out = select_signal_candidates(lst, CFG, ops)
     r2_sig = signal_cone_r2(lst.total_pt, CFG)
     want = tuple(
         p
@@ -246,6 +250,16 @@ def test_signal_selection_matches_division_form(cands):
         and (p.eta**2 + p.phi**2) <= r2_sig
     )
     assert out.candidates == want
+    # one species test per candidate; per allowed one a distance and the
+    # d <= lo test; past lo the d <= hi test; inside (lo, hi] d*T <= k
+    lo, hi = CFG.signal_cone_r2_min, CFG.signal_cone_r2_max
+    allowed = [p for p in lst.candidates if p.species in CFG.allowed_signal_species]
+    dists = [delta_r2(p, lst.seed) for p in allowed]
+    past_lo = sum(1 for d in dists if d > lo)
+    in_band = sum(1 for d in dists if lo < d <= hi)
+    assert ops == OpCounter(
+        2 * len(dists) + in_band, 0, len(lst.candidates) + len(dists) + past_lo + in_band
+    )
 
 
 @given(st.lists(cand_st, max_size=30))
@@ -379,3 +393,27 @@ def test_trigger_config_holds_cones_and_thresholds_only():
 def test_config_cone_order_invariant():
     with pytest.raises(ValueError, match="signal_cone_r2_min"):
         TriggerConfig(signal_cone_r2_min=200, signal_cone_r2_max=100)
+
+
+# --- operation counting -----------------------------------------------------
+
+
+def test_stages_count_outside_loops():
+    # Each step charges its operations once, from sizes it already has: no
+    # ``ops.<field> += ...`` inside a loop body, and at most one
+    # ``if ops is not None:`` block per function.
+    tree = ast.parse(inspect.getsource(stages))
+    for loop in ast.walk(tree):
+        if not isinstance(loop, (ast.For, ast.While)):
+            continue
+        for node in ast.walk(loop):
+            if isinstance(node, ast.AugAssign) and ast.unparse(node.target).startswith("ops."):
+                pytest.fail(f"stages.py:{node.lineno} counts operations inside a loop")
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            guards = [
+                n
+                for n in ast.walk(fn)
+                if isinstance(n, ast.If) and ast.unparse(n.test) == "ops is not None"
+            ]
+            assert len(guards) <= 1, f"{fn.name} has {len(guards)} ops blocks"
