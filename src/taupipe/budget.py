@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dataflow import PipelineMetrics
+from .dataflow import ChainTiming
 
 II_BUDGET_NS = 150
 LATENCY_BUDGET_NS = 760
@@ -50,7 +50,7 @@ class OperatingPoint:
     latency_budget_cycles: int
     ii_budget_cycles: int
     cdc_overhead_cycles: int
-    timing: PipelineMetrics
+    timing: ChainTiming
 
     @property
     def latency_cycles(self) -> int:
@@ -69,7 +69,7 @@ class OperatingPoint:
         return self.latency_slack_cycles >= 0 and self.ii_slack_cycles >= 0
 
 
-def operating_point(timing: PipelineMetrics, freq_mhz: int) -> OperatingPoint:
+def operating_point(timing: ChainTiming, freq_mhz: int) -> OperatingPoint:
     """``timing`` at ``freq_mhz``: the table latency allowance, or else the
     cycles of the 760 ns window, the II allowance of the 150 ns period, and
     the clock-domain-crossing allowance off the nominal clock."""

@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .budget import LATENCY_BUDGET_CYCLES, NOMINAL_FREQ_MHZ, operating_point
 from .core import PAD_PARTICLE, Event
-from .dataflow import PipelineMetrics, trigger_timing
+from .dataflow import ChainTiming, trigger_timing
 from .eventio import (
     ConfigError,
     EventFileError,
@@ -89,15 +89,14 @@ def _load_events(args: argparse.Namespace) -> tuple[list[Event], str]:
     return gen_events(*_gen_spec(args.gen)), f"gen {args.gen}"
 
 
-def _timing(run_cfg: RunConfig, n_events: int, merge: str, clean: str) -> PipelineMetrics:
-    specs = run_cfg.specs_for(merge, clean)
-    return trigger_timing(specs, merge, run_cfg.fifo_depth, n_events)
+def _timing(run_cfg: RunConfig, merge: str, clean: str) -> ChainTiming:
+    return trigger_timing(run_cfg.specs_for(merge, clean), merge, run_cfg.fifo_depth)
 
 
 def _simulate(run_cfg: RunConfig, events: Sequence[Event], merge: str, clean: str):
     """Tau outputs per event and the pipeline timing of the given solutions."""
     outputs = tuple(run_stages(ev, run_cfg.trigger, merge, clean) for ev in events)
-    return outputs, _timing(run_cfg, len(events), merge, clean)
+    return outputs, _timing(run_cfg, merge, clean)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -187,9 +186,8 @@ def cmd_explore(args: argparse.Namespace) -> int:
     if any(f <= 0 for f in freq_values):
         raise InputError("--freqs values must be positive")
 
-    # latency and II are properties of the design: the timing runs no events
     pairs = [(merge, clean) for merge in MERGE_SOLUTIONS for clean in CLEAN_SOLUTIONS]
-    bases = [_timing(run_cfg, 0, merge, clean) for merge, clean in pairs]
+    bases = [_timing(run_cfg, merge, clean) for merge, clean in pairs]
 
     columns = []  # per clock, the operating point of every pair
     for freq in freq_values:

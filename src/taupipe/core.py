@@ -146,14 +146,6 @@ def delta_r2(p: Particle | AngularCoord, q: Particle | AngularCoord) -> int:
     return deta * deta + dphi * dphi
 
 
-def saturating_pt_add(a: int, b: int) -> int:
-    """Unsigned fixed-point addition that clamps at ``PT_MAX``, never wraps."""
-    if a < 0 or b < 0:
-        raise ValueError("pt values are unsigned")
-    s = a + b
-    return s if s <= PT_MAX else PT_MAX
-
-
 def trunc_div(num: int, den: int) -> int:
     """Integer division truncating toward zero, as an integer divider would."""
     if den == 0:

@@ -41,12 +41,15 @@ offer to the last stage's completion, is ``prefix[-1]`` plus the last
 stage's latency, and the initiation interval is ``P`` at any event count.
 The cycles a stage waits past its spacing are input stalls: ``prefix[s]``
 for event 0 and ``P - step[s]`` for each later one.  No stage waits for
-output space, so output stalls are 0.
+output space, so output stalls are 0.  ``run_pipeline`` returns ``lead``,
+``step`` and the depths as one ``ChainTiming`` record, which derives these
+figures.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .core import MAX_CANDIDATES
@@ -98,36 +101,54 @@ class StageSpec:
 
 
 @dataclass(frozen=True)
-class StageStats:
-    name: str
-    input_stall_cycles: int
-    output_stall_cycles: int
+class ChainTiming:
+    """Timing of a chain of stages, in the closed form of the module docstring.
 
-
-@dataclass(frozen=True)
-class PipelineMetrics:
-    """End-to-end timing of a run, in the closed form of the module docstring.
-
-    ``latency_cycles`` is every event's latency and ``ii_cycles`` the pace
-    ``P``; both are properties of the design, whatever the event count.
-    ``stage_stats`` holds the stall counts of the run's events.
+    ``lead[s]`` is the cycles from the producer's start (the source's offer
+    for stage 0) until stage ``s`` may begin, ``step[s]`` the cycles from
+    one start of stage ``s`` to its next, and ``depths[s]`` the capacity, in
+    iterations, of the buffer from stage ``s`` to stage ``s + 1``.  Latency
+    and II are properties of the design, whatever the event count.
     """
 
-    latency_cycles: int
-    ii_cycles: int
-    stage_stats: tuple[StageStats, ...]
+    names: tuple[str, ...]
+    lead: tuple[int, ...]
+    step: tuple[int, ...]
+    depths: tuple[int, ...]
+    sink_latency_cycles: int
+
+    @property
+    def ii_cycles(self) -> int:
+        """The pace ``P``: the largest circuit mean, rounded up to whole cycles."""
+        # A hop's circuit, from the producer's start through the consumer's
+        # start to the producer's start depth iterations on, takes lead + 1
+        # cycles; -(-a // b) is the integer ceiling of a / b.
+        hops = [-(-(lead + 1) // d) for lead, d in zip(self.lead[1:], self.depths)]
+        return max(self.step + tuple(hops))
+
+    @property
+    def latency_cycles(self) -> int:
+        """Every event's latency, from its offer to the last stage's completion."""
+        return sum(self.lead) + self.sink_latency_cycles
+
+    def input_stalls(self, n: int) -> tuple[int, ...]:
+        """Cycles each stage waits past its spacing over ``n`` events: event 0
+        waits ``prefix[s]`` past cycle 0, every later one ``P - step[s]``."""
+        if not n:
+            return (0,) * len(self.names)
+        pace = self.ii_cycles
+        return tuple(
+            prefix + (n - 1) * (pace - step)
+            for prefix, step in zip(accumulate(self.lead), self.step)
+        )
 
 
-def run_pipeline(
-    specs: Sequence[StageSpec], depths: Sequence[int], n_events: int
-) -> PipelineMetrics:
-    """Timing of ``n_events`` iterations through a chain of stages.
+def run_pipeline(specs: Sequence[StageSpec], depths: Sequence[int]) -> ChainTiming:
+    """Timing of a chain of stages.
 
     ``depths[s]`` is the capacity, in iterations, of the buffer from stage
-    ``s`` to stage ``s + 1``.  The source offers event ``k`` at cycle
-    ``k * P``, where ``P`` is the returned II; only the stall counts depend
-    on ``n_events``.  See the module docstring for the contract and the
-    closed form.
+    ``s`` to stage ``s + 1``.  See the module docstring for the contract and
+    the closed form.
     """
     n_stages = len(specs)
     if n_stages == 0:
@@ -138,12 +159,7 @@ def run_pipeline(
         )
     if any(d < 1 for d in depths):
         raise ValueError("buffer depths must be >= 1")
-    if n_events < 0:
-        raise ValueError("n_events must be non-negative")
-
-    # Cycles from the producer's start (the source's offer for stage 0) until
-    # stage s may begin, and from one start of stage s to its next.  The
-    # causality bound only binds a streaming stage: a store-and-forward
+    # The causality bound only binds a streaming stage: a store-and-forward
     # stage already waits for the producer's completion plus the hop.
     lead = [specs[0].hop_cycles] + [
         max(
@@ -152,23 +168,12 @@ def run_pipeline(
         )
         for producer, spec in zip(specs, specs[1:])
     ]
-    step = [spec.ii_cycles + spec.hop_cycles for spec in specs]
-    # A hop's circuit, from the producer's start through the consumer's start
-    # to the producer's start depth iterations on, takes lead + 1 cycles;
-    # -(-a // b) is the integer ceiling of a / b.
-    period = max(step + [-(-(lead[s + 1] + 1) // d) for s, d in enumerate(depths)])
-    # Stage s begins event k at k * period + prefix: event 0 waits prefix past
-    # cycle 0, every later event period - step past its spacing.
-    stats = []
-    prefix = 0
-    for spec, lead_s, step_s in zip(specs, lead, step):
-        prefix += lead_s
-        waited = prefix + (n_events - 1) * (period - step_s) if n_events else 0
-        stats.append(StageStats(spec.name, waited, 0))
-    return PipelineMetrics(
-        latency_cycles=prefix + specs[-1].latency_cycles,
-        ii_cycles=period,
-        stage_stats=tuple(stats),
+    return ChainTiming(
+        names=tuple(spec.name for spec in specs),
+        lead=tuple(lead),
+        step=tuple(spec.ii_cycles + spec.hop_cycles for spec in specs),
+        depths=tuple(depths),
+        sink_latency_cycles=specs[-1].latency_cycles,
     )
 
 
@@ -217,11 +222,9 @@ def channel_depths(merge_solution: str, fifo_depth: int) -> tuple[int, ...]:
 
 
 def trigger_timing(
-    specs: Mapping[str, StageSpec], merge_solution: str, fifo_depth: int, n_events: int
-) -> PipelineMetrics:
-    """Timing of ``n_events`` events through the seven-stage trigger chain."""
+    specs: Mapping[str, StageSpec], merge_solution: str, fifo_depth: int
+) -> ChainTiming:
+    """Timing of the seven-stage trigger chain."""
     return run_pipeline(
-        [specs[name] for name in TRIGGER_STAGE_NAMES],
-        channel_depths(merge_solution, fifo_depth),
-        n_events,
+        [specs[name] for name in TRIGGER_STAGE_NAMES], channel_depths(merge_solution, fifo_depth)
     )

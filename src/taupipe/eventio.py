@@ -444,13 +444,12 @@ def build_report(event_ids: Sequence[int], tau_lists: Sequence[Sequence], point)
         "latency_cycles": point.latency_cycles,
         "ii_cycles": point.timing.ii_cycles,
         "cdc_overhead_cycles": point.cdc_overhead_cycles,
+        # no stage waits for output space (see ``taupipe.dataflow``)
         "stage_stats": [
-            {
-                "name": s.name,
-                "input_stall_cycles": s.input_stall_cycles,
-                "output_stall_cycles": s.output_stall_cycles,
-            }
-            for s in point.timing.stage_stats
+            {"name": name, "input_stall_cycles": stalls, "output_stall_cycles": 0}
+            for name, stalls in zip(
+                point.timing.names, point.timing.input_stalls(len(event_ids))
+            )
         ],
         "frequency_mhz": point.frequency_mhz,
         "latency_budget_cycles": point.latency_budget_cycles,

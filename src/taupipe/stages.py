@@ -36,13 +36,13 @@ from .core import (
     N_SEEDS,
     PHI_HALF,
     PHI_RANGE,
+    PT_MAX,
     AngularCoord,
     Event,
     OpCounter,
     Particle,
     Species,
     delta_r2,
-    saturating_pt_add,
     trunc_div,
     wrap_delta_phi,
     wrap_phi,
@@ -200,7 +200,6 @@ def filter_block(
 
 def merge_solution_a(
     lists: Sequence[Sequence[Particle]],
-    cfg: TriggerConfig,
     ops: OpCounter | None = None,
 ) -> MergeResult:
     """Merge by greedy take-counts in list order, trimming the excess.
@@ -220,7 +219,6 @@ def merge_solution_a(
 
 def merge_solution_b(
     lists: Sequence[Sequence[Particle]],
-    cfg: TriggerConfig,
     ops: OpCounter | None = None,
 ) -> MergeResult:
     """Merge with the shared-index round-robin state machine.
@@ -266,11 +264,9 @@ MERGE_SOLUTIONS: dict[str, Callable[..., MergeResult]] = {
 
 
 def compute_total_pt(candidates: Sequence[Particle]) -> int:
-    """Saturating sum of the candidates' transverse momenta."""
-    total = 0
-    for p in candidates:
-        total = saturating_pt_add(total, p.pt)
-    return total
+    """Sum of the candidates' transverse momenta, saturating at ``PT_MAX``;
+    pts are non-negative, so clamping once equals clamping every addition."""
+    return min(sum(p.pt for p in candidates), PT_MAX)
 
 
 def select_signal_candidates(
@@ -308,11 +304,7 @@ def select_signal_candidates(
     return CandidateList(seed=clist.seed, candidates=tuple(kept), total_pt=total)
 
 
-def compute_tau_params(
-    clist: CandidateList,
-    cfg: TriggerConfig,
-    ops: OpCounter | None = None,
-) -> TauParams:
+def compute_tau_params(clist: CandidateList, ops: OpCounter | None = None) -> TauParams:
     """Pt-weighted average position of the signal candidates.
 
     eta is averaged directly; phi is averaged on wrapped offsets relative to
@@ -466,11 +458,11 @@ def run_stages(
     taus: list[Tau] = [INVALID_TAU] * N_SEEDS
     for si, seed in enumerate(seeds):
         lists = [filter_block(b, seed, cfg, ops) for b in blocks]
-        merged = merge(lists, cfg, ops)
+        merged = merge(lists, ops)
         total = compute_total_pt(merged.items)
         clist = CandidateList(seed=seed, candidates=merged.items, total_pt=total)
         selected = select_signal_candidates(clist, cfg, ops)
-        params = compute_tau_params(selected, cfg, ops)
+        params = compute_tau_params(selected, ops)
         taus[si] = reconstruct_tau(params, cfg, ops)
     return clean(tuple(taus), cfg, ops)
 

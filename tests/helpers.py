@@ -18,7 +18,6 @@ from taupipe.core import (
     Species,
     make_event,
 )
-from taupipe.dataflow import StageStats
 from taupipe.eventio import EVENT_FORMAT, EVENT_FORMAT_VERSION, EventFileError, SplitMix64
 from taupipe.stages import (
     INVALID_TAU,
@@ -108,9 +107,9 @@ def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
     probes = {
         "seeding": lambda ops: select_seeds(make_event(0, [seed]), cfg, ops),
         "filtering": lambda ops: filter_block([near], seed, cfg, ops),
-        "merging": lambda ops: merge_solution_b([[near], [], [], []], cfg, ops),
+        "merging": lambda ops: merge_solution_b([[near], [], [], []], ops),
         "signal_selection": lambda ops: select_signal_candidates(one, cfg, ops),
-        "tau_parameters": lambda ops: compute_tau_params(one, cfg, ops),
+        "tau_parameters": lambda ops: compute_tau_params(one, ops),
         "tau_reconstruction": lambda ops: reconstruct_tau(TauParams(50, 0, 0), cfg, ops),
         "cleaning": lambda ops: clean_solution_b(tuple(taus), cfg, ops),
     }
@@ -121,9 +120,10 @@ def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
     return counts
 
 
-def tick_reference(specs, depths, n_events, period):
-    """Cycle-stepping reference of the dataflow firing contract: the start
-    cycle of every stage and iteration, and the stall counts of each stage.
+def tick_reference(specs, depths, n, period):
+    """Cycle-stepping reference of the dataflow firing contract over ``n``
+    events: the start cycle of every stage and iteration, and the
+    ``(input, output)`` stall counts of each stage.
 
     Every cycle visits the stages in chain order, so a consumer sees an
     iteration its producer began in the same cycle, and a producer sees the
@@ -139,11 +139,11 @@ def tick_reference(specs, depths, n_events, period):
     in_stall = [0] * n_stages
     out_stall = [0] * n_stages
     t = -1
-    while len(starts[-1]) < n_events:
+    while len(starts[-1]) < n:
         t += 1
         for s, spec in enumerate(specs):
             k = len(starts[s])
-            if k == n_events:
+            if k == n:
                 continue
             if k and t < starts[s][k - 1] + spec.ii_cycles + spec.hop_cycles:
                 continue
@@ -167,9 +167,7 @@ def tick_reference(specs, depths, n_events, period):
                 if s < n_stages - 1:
                     occupancy[s] += 1
                 starts[s].append(t)
-    return tuple(map(tuple, starts)), tuple(
-        StageStats(spec.name, i, o) for spec, i, o in zip(specs, in_stall, out_stall)
-    )
+    return tuple(map(tuple, starts)), tuple(zip(in_stall, out_stall))
 
 
 DECIMAL = re.compile(r"-?[0-9]+")

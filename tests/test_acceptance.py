@@ -78,8 +78,8 @@ def test_c2_equivalence_suites():
     for _ in range(10_000):
         lists = random_merge_lists(rng)
         expect = oracle_merge(lists)
-        ra = merge_solution_a(lists, CFG)
-        rb = merge_solution_b(lists, CFG)
+        ra = merge_solution_a(lists)
+        rb = merge_solution_b(lists)
         assert expect.check(ra.items, ra.discarded)
         assert expect.check(rb.items, rb.discarded)
         if sum(len(l) for l in lists) <= MAX_CANDIDATES:
@@ -116,13 +116,13 @@ def test_c5_pipeline_composition():
     specs = default_stage_specs("A", "A")  # the original partitioning table
     latencies = [s.latency_cycles for s in specs.values()]
     assert sum(latencies) == 229 and max(latencies) == 59
-    metrics = trigger_timing(specs, "A", DEFAULT_FIFO_DEPTH, 8)
-    again = trigger_timing(specs, "A", DEFAULT_FIFO_DEPTH, 8)
+    metrics = trigger_timing(specs, "A", DEFAULT_FIFO_DEPTH)
+    again = trigger_timing(specs, "A", DEFAULT_FIFO_DEPTH)
     assert metrics == again  # deterministic
     assert 59 <= metrics.latency_cycles < 237
     assert metrics.ii_cycles <= 45
     zero_hop = {name: replace(spec, hop_cycles=0) for name, spec in specs.items()}
-    ii_bare = trigger_timing(zero_hop, "A", DEFAULT_FIFO_DEPTH, 8).ii_cycles
+    ii_bare = trigger_timing(zero_hop, "A", DEFAULT_FIFO_DEPTH).ii_cycles
     assert ii_bare == max(s.ii_cycles for s in specs.values()) == 43
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -136,7 +136,7 @@ def test_c5_pipeline_composition():
 
 def test_c6_frequency_tradeoff_reproduction():
     t0 = time.perf_counter()
-    metrics_360 = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH, 8)
+    metrics_360 = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH)
     point_360 = operating_point(metrics_360, 360)
     assert point_360.latency_budget_cycles == 275
     assert point_360.ii_budget_cycles == 54
@@ -161,17 +161,17 @@ def test_c7_merge_cycle_models():
     row_b = default_stage_specs("B", "B")["merging"].latency_cycles
     assert row_b == MERGE_B_SETUP_CYCLES + MAX_CANDIDATES == 33
     full = [[lst * 1000 + i for i in range(32)] for lst in range(4)]
-    rb = merge_solution_b(full, CFG)
+    rb = merge_solution_b(full)
     want = [full[lst][rnd] for rnd in range(7) for lst in range(4)]
     want += [full[0][7], full[1][7]]
     assert list(rb.items) == want  # 30 tokens, round-robin by index
     rng = SplitMix64(0xC7)
     most_a = most_b = 0
     for lists in [full] + [random_merge_lists(rng) for _ in range(2000)]:
-        most_b = max(most_b, len(merge_solution_b(lists, CFG).items))
+        most_b = max(most_b, len(merge_solution_b(lists).items))
         # A drains every source in parallel to its end; it refuses a source
         # longer than a block
-        merge_solution_a(lists, CFG)
+        merge_solution_a(lists)
         most_a = max(most_a, *map(len, lists))
     # B's setup plus one cycle per emitted item fits its merging row
     assert most_b <= MAX_CANDIDATES
@@ -206,7 +206,7 @@ def test_c8_cost_accounting():
         seeds = select_seeds(ev, CFG)
         blocks = partition_blocks(ev)
         for seed in seeds:
-            merged = merge_solution_b([filter_block(b, seed, CFG) for b in blocks], CFG)
+            merged = merge_solution_b([filter_block(b, seed, CFG) for b in blocks])
             clist = CandidateList(seed, merged.items, compute_total_pt(merged.items))
             if select_signal_candidates(clist, CFG).total_pt > 0:
                 groups += 1

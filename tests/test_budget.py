@@ -2,15 +2,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from taupipe.budget import cycle_budget, operating_point
-from taupipe.dataflow import PipelineMetrics
+from taupipe.dataflow import ChainTiming
 
 
 def metrics(latency, ii):
-    return PipelineMetrics(
-        latency_cycles=latency,
-        ii_cycles=ii,
-        stage_stats=(),
+    """A one-stage chain of the given latency and pace."""
+    timing = ChainTiming(
+        names=("s",), lead=(0,), step=(ii,), depths=(), sink_latency_cycles=latency
     )
+    assert (timing.latency_cycles, timing.ii_cycles) == (latency, ii)
+    return timing
 
 
 def test_cycle_budget_known_points():

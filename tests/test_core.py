@@ -9,12 +9,10 @@ from taupipe.core import (
     PAD_PARTICLE,
     PHI_HALF,
     PHI_RANGE,
-    PT_MAX,
     Particle,
     Species,
     delta_r2,
     make_event,
-    saturating_pt_add,
     trunc_div,
     wrap_delta_phi,
 )
@@ -23,7 +21,6 @@ HALF = PHI_RANGE // 2
 
 phis = st.integers(min_value=-HALF, max_value=HALF - 1)
 etas = st.integers(min_value=-4096, max_value=4096)
-pts = st.integers(min_value=0, max_value=PT_MAX)
 
 
 def brute_wrap(a: int, b: int) -> int:
@@ -93,25 +90,6 @@ def test_delta_r2_zero_iff_coincident_mod_wrap(e1, p1, e2, p2):
     a, b = AngularCoord(e1, p1), AngularCoord(e2, p2)
     zero = delta_r2(a, b) == 0
     assert zero == (e1 == e2 and wrap_delta_phi(p1, p2) == 0)
-
-
-def test_saturating_add_examples():
-    assert saturating_pt_add(0, 7) == 7
-    assert saturating_pt_add(60000, 10000) == 65535
-    assert saturating_pt_add(300, 400) == 700
-
-
-def test_saturating_add_rejects_negative():
-    with pytest.raises(ValueError):
-        saturating_pt_add(-1, 5)
-
-
-@given(pts, pts, pts)
-def test_saturating_add_properties(a, b, c):
-    assert saturating_pt_add(a, b) == saturating_pt_add(b, a)
-    assert saturating_pt_add(a, b) <= PT_MAX
-    if b <= c:
-        assert saturating_pt_add(a, b) <= saturating_pt_add(a, c)
 
 
 @pytest.mark.parametrize(

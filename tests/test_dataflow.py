@@ -21,18 +21,18 @@ from taupipe.stages import TriggerConfig, run_stages
 CFG = TriggerConfig()
 
 
-def chain(specs, n, hops=None, depths=None):
+def chain(specs, hops=None, depths=None):
     if hops:
         specs = [replace(spec, hop_cycles=hop) for spec, hop in zip(specs, hops)]
     depths = depths or [32] * (len(specs) - 1)
-    return run_pipeline(specs, depths, n)
+    return run_pipeline(specs, depths)
 
 
 def paced_starts(specs, depths, n, period=None):
     """Start cycles of the cycle reference, its source paced at ``period``
     (by default the II that ``run_pipeline`` returns)."""
     if period is None:
-        period = run_pipeline(specs, depths, n).ii_cycles
+        period = run_pipeline(specs, depths).ii_cycles
     return tick_reference(specs, depths, n, period)[0]
 
 
@@ -63,27 +63,28 @@ def test_fifo_backpressure_at_depth():
     # cycles; the paced source never meets backpressure
     specs = [StageSpec("long", 10, 1), StageSpec("short", 5, 1)]
     for depth, ii in ((1, 11), (2, 6), (3, 4), (11, 1), (32, 1)):
-        metrics = chain(specs, 6, depths=[depth])
-        assert metrics.ii_cycles == ii
-        assert metrics.stage_stats[0].output_stall_cycles == 0
+        assert chain(specs, depths=[depth]).ii_cycles == ii
+        _, stalls = tick_reference(specs, [depth], 6, ii)
+        assert stalls[0][1] == 0
     # paced one cycle faster, the producer waits for a free place
-    _, stats = tick_reference(specs, [2], 6, 5)
-    assert stats[0].output_stall_cycles > 0
+    _, stalls = tick_reference(specs, [2], 6, 5)
+    assert stalls[0][1] > 0
 
 
 def test_fifo_pop_empty_is_stall():
     # the consumer waits on an empty input: counted as input stall, no error
     specs = [StageSpec("slow", 10, 10), StageSpec("fast", 1, 1)]
-    consumer = chain(specs, 3).stage_stats[1]
-    assert consumer.input_stall_cycles == 10 + 9 + 9
-    assert consumer.output_stall_cycles == 0
+    timing = chain(specs)
+    assert timing.input_stalls(3)[1] == 10 + 9 + 9
+    _, stalls = tick_reference(specs, [32], 3, timing.ii_cycles)
+    assert stalls[1] == (10 + 9 + 9, 0)
 
 
 def test_fifo_order():
     # iterations leave every buffer in the order they entered it, one pace
     # apart
     specs = [StageSpec("a", 1, 1), StageSpec("b", 7, 3), StageSpec("c", 2, 5)]
-    ii = chain(specs, 8, depths=[4, 4]).ii_cycles
+    ii = chain(specs, depths=[4, 4]).ii_cycles
     assert ii == 5
     for starts in paced_starts(specs, [4, 4], 8):
         assert list(starts) == [k * ii + starts[0] for k in range(8)]
@@ -132,26 +133,24 @@ def test_buffer_circuit_rounds_the_pace_up():
     # of 51 would queue, so the II is 52 and the verdict against an integer
     # budget stays exact
     specs = [StageSpec("a", 101, 1), StageSpec("b", 1, 1, hop_cycles=1)]
-    assert chain(specs, 5, depths=[2]).ii_cycles == 52
+    assert chain(specs, depths=[2]).ii_cycles == 52
 
 
 def test_zero_events_have_the_design_timing_and_no_stalls():
     specs = [StageSpec("a", 4, 3), StageSpec("b", 9, 7)]
-    none, one = chain(specs, 0), chain(specs, 1)
-    assert (none.latency_cycles, none.ii_cycles) == (one.latency_cycles, one.ii_cycles) == (13, 7)
-    assert [(s.input_stall_cycles, s.output_stall_cycles) for s in none.stage_stats] == [(0, 0)] * 2
+    timing = chain(specs)
+    assert (timing.latency_cycles, timing.ii_cycles) == (13, 7)
+    assert timing.input_stalls(0) == (0, 0)
 
 
 def test_run_pipeline_validation():
     specs = [StageSpec("a", 1, 1), StageSpec("b", 1, 1)]
     with pytest.raises(ValueError):
-        run_pipeline([], [], 1)
+        run_pipeline([], [])
     with pytest.raises(ValueError):
-        run_pipeline(specs, [1, 1], 1)
+        run_pipeline(specs, [1, 1])
     with pytest.raises(ValueError):
-        run_pipeline(specs, [0], 1)
-    with pytest.raises(ValueError):
-        run_pipeline(specs, [1], -1)
+        run_pipeline(specs, [0])
 
 
 stage_specs = st.builds(
@@ -173,23 +172,24 @@ def chains(draw):
     # ping-pong buffer behaves
     depth = st.one_of(st.integers(1, 3), st.integers(1, 32))
     depths = draw(st.lists(depth, min_size=n - 1, max_size=n - 1))
-    n_events = draw(st.one_of(st.just(1), st.integers(1, 40)))
-    return specs, depths, n_events
+    n = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    return specs, depths, n
 
 
 @settings(max_examples=300, deadline=None)
 @given(chains())
 def test_run_pipeline_matches_cycle_reference(case):
     specs, depths, n = case
-    metrics = run_pipeline(*case)
-    ii = metrics.ii_cycles
-    starts, stats = tick_reference(*case, ii)
+    timing = run_pipeline(specs, depths)
+    ii = timing.ii_cycles
+    starts, stalls = tick_reference(*case, ii)
     # paced at the II, no event waits longer than the first: stage s begins
     # event k at k * II + prefix[s]
     for stage_starts in starts:
         assert list(stage_starts) == [k * ii + stage_starts[0] for k in range(n)]
-    assert max(latencies(specs, starts, ii)) == metrics.latency_cycles
-    assert stats == metrics.stage_stats
+    assert max(latencies(specs, starts, ii)) == timing.latency_cycles
+    assert timing.input_stalls(n) == tuple(waited for waited, _ in stalls)
+    assert all(blocked == 0 for _, blocked in stalls)
     # one cycle faster, events queue: the II is the fastest pace that does not
     fast = latencies(specs, tick_reference(specs, depths, 64, ii - 1)[0], ii - 1)
     assert fast[63] > fast[0]
@@ -199,30 +199,30 @@ def test_run_pipeline_matches_cycle_reference(case):
 
 
 def test_single_stage_latency():
-    metrics = chain([StageSpec("s", 5, 5)], 1)
+    metrics = chain([StageSpec("s", 5, 5)])
     assert paced_starts([StageSpec("s", 5, 5)], [], 1) == ((0,),)
     assert (metrics.latency_cycles, metrics.ii_cycles) == (5, 5)
 
 
 def test_two_stage_chain_latency():
-    assert chain([StageSpec("a", 3, 1), StageSpec("b", 4, 1)], 1).latency_cycles == 7
+    assert chain([StageSpec("a", 3, 1), StageSpec("b", 4, 1)]).latency_cycles == 7
 
 
 def test_measured_ii_is_bottleneck_stage():
     specs = [StageSpec("a", 4, 3), StageSpec("b", 9, 7), StageSpec("c", 2, 2)]
-    assert chain(specs, 6).ii_cycles == 7
+    assert chain(specs).ii_cycles == 7
 
 
 def test_hop_overhead_adds_to_effective_ii():
     specs = [StageSpec("a", 4, 3), StageSpec("b", 9, 7), StageSpec("c", 2, 2)]
-    assert chain(specs, 6, hops=[0, 2, 0]).ii_cycles == 9
+    assert chain(specs, hops=[0, 2, 0]).ii_cycles == 9
 
 
 def test_streaming_offset_shortens_latency():
     specs0 = [StageSpec("a", 20, 5), StageSpec("b", 10, 5)]
-    base = chain(specs0, 1).latency_cycles
+    base = chain(specs0).latency_cycles
     specs1 = [StageSpec("a", 20, 5), StageSpec("b", 10, 5, start_offset_cycles=6)]
-    overlapped = chain(specs1, 1).latency_cycles
+    overlapped = chain(specs1).latency_cycles
     assert base == 30
     # starts 10 cycles after the producer (not 6), so that it ends with it
     assert overlapped == 20
@@ -253,7 +253,7 @@ def test_causal_bound_adds_no_hop():
     # give 201 and 199.
     for merge, clean, latency in (("B", "B", 200), ("A", "A", 198)):
         specs = RunConfig(stage_overrides={"merging": {"latency_cycles": 1}}).specs_for(merge, clean)
-        assert trigger_timing(specs, merge, DEFAULT_FIFO_DEPTH, 6).latency_cycles == latency
+        assert trigger_timing(specs, merge, DEFAULT_FIFO_DEPTH).latency_cycles == latency
 
 
 def test_engine_is_deterministic():
@@ -268,23 +268,35 @@ def test_engine_outputs_equal_staged_functional_path():
     for merge, clean in (("A", "B"), ("B", "A"), ("B", "B")):
         outputs, metrics = _simulate(run_cfg, events, merge, clean)
         assert len(outputs) == len(events)
-        assert metrics == trigger_timing(default_stage_specs(merge, clean), merge,
-                                         DEFAULT_FIFO_DEPTH, len(events))
+        specs = default_stage_specs(merge, clean)
+        assert metrics == trigger_timing(specs, merge, DEFAULT_FIFO_DEPTH)
         for ev, got in zip(events, outputs):
             assert got == run_stages(ev, CFG, merge, clean)
 
 
 def test_default_trigger_chain_latency_figures():
     runs = {
-        (merge, clean): trigger_timing(
-            default_stage_specs(merge, clean), merge, DEFAULT_FIFO_DEPTH, 6
-        )
+        (merge, clean): trigger_timing(default_stage_specs(merge, clean), merge, DEFAULT_FIFO_DEPTH)
         for merge, clean in (("A", "A"), ("B", "B"))
     }
     assert runs[("A", "A")].latency_cycles == 203
     assert runs[("B", "B")].latency_cycles == 200
     assert runs[("A", "A")].ii_cycles == 44
     assert runs[("B", "B")].ii_cycles == 44
+
+
+def test_default_trigger_chain_lead_and_step():
+    # every event's latency is the lead vector plus the sink's latency:
+    # B/B 200 = 185 + 15; A/A's merging row (38, 34) gives signal selection
+    # a lead of 39 and merging a step of 35, and 203 = 190 + 13
+    for merge, clean, lead, step, sink in (
+        ("B", "B", (1, 44, 5, 34, 38, 60, 3), (44, 39, 34, 37, 36, 2, 15), 15),
+        ("A", "A", (1, 44, 5, 39, 38, 60, 3), (44, 39, 35, 37, 36, 2, 15), 13),
+    ):
+        timing = trigger_timing(default_stage_specs(merge, clean), merge, DEFAULT_FIFO_DEPTH)
+        assert timing.names == TRIGGER_STAGE_NAMES
+        assert (timing.lead, timing.step, timing.sink_latency_cycles) == (lead, step, sink)
+        assert timing.depths == channel_depths(merge, DEFAULT_FIFO_DEPTH)
 
 
 def test_default_hops_are_the_8_cycle_allowance():
@@ -297,22 +309,22 @@ def test_default_hops_are_the_8_cycle_allowance():
 
 def test_zero_handshake_ii_equals_max_stage_ii():
     specs = {n: replace(s, hop_cycles=0) for n, s in default_stage_specs().items()}
-    metrics = trigger_timing(specs, "B", DEFAULT_FIFO_DEPTH, 6)
+    metrics = trigger_timing(specs, "B", DEFAULT_FIFO_DEPTH)
     assert metrics.ii_cycles == max(s.ii_cycles for s in specs.values()) == 43
 
 
 def test_latency_monotone_in_stage_latency():
     base_specs = default_stage_specs()
-    base = trigger_timing(base_specs, "B", DEFAULT_FIFO_DEPTH, 4).latency_cycles
+    base = trigger_timing(base_specs, "B", DEFAULT_FIFO_DEPTH).latency_cycles
     for name in TRIGGER_STAGE_NAMES:
         specs = dict(base_specs)
         specs[name] = replace(specs[name], latency_cycles=specs[name].latency_cycles + 5)
-        assert trigger_timing(specs, "B", DEFAULT_FIFO_DEPTH, 4).latency_cycles >= base
+        assert trigger_timing(specs, "B", DEFAULT_FIFO_DEPTH).latency_cycles >= base
 
 
 def test_cdc_allowance():
     # off the nominal clock latency pays the allowance, II does not
-    m = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH, 3)
+    m = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH)
     point = operating_point(m, 300)
     assert point.timing == m
     assert point.latency_cycles == m.latency_cycles + 10

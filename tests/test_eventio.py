@@ -181,10 +181,10 @@ def test_gen_clustered_seed1_exercises_cleaning():
         blocks = partition_blocks(ev)
         taus = [INVALID_TAU] * N_SEEDS
         for si, seed in enumerate(seeds):
-            merged = merge_solution_b([filter_block(b, seed, CFG) for b in blocks], CFG)
+            merged = merge_solution_b([filter_block(b, seed, CFG) for b in blocks])
             cl = CandidateList(seed, merged.items, compute_total_pt(merged.items))
             taus[si] = reconstruct_tau(
-                compute_tau_params(select_signal_candidates(cl, CFG), CFG), CFG
+                compute_tau_params(select_signal_candidates(cl, CFG)), CFG
             )
         if build_cleaning_matrix(tuple(taus), CFG):
             found = True
@@ -342,7 +342,7 @@ def test_report_roundtrip_bytes():
     from taupipe.stages import run_stages
 
     events = gen_events(2, 5, "clustered", CFG)
-    metrics = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH, len(events))
+    metrics = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH)
     records = build_report(
         [ev.event_id for ev in events],
         [run_stages(ev, CFG) for ev in events],

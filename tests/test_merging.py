@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 from taupipe.core import MAX_CANDIDATES, OpCounter, Particle
 from taupipe.dataflow import MERGE_B_SETUP_CYCLES, default_stage_specs
 from taupipe.reference import oracle_merge
-from taupipe.stages import TriggerConfig, merge_solution_a, merge_solution_b
+from taupipe.stages import merge_solution_a, merge_solution_b
 
-CFG = TriggerConfig()
 
 
 def items(n, tag=0):
@@ -16,14 +15,14 @@ def items(n, tag=0):
 
 
 def test_merge_a_four_empty():
-    r = merge_solution_a([[], [], [], []], CFG)
+    r = merge_solution_a([[], [], [], []])
     assert r.items == () and r.discarded == ()
 
 
 def test_merge_a_greedy_allocation():
     lists = [items(8, t) for t in range(4)]
     ops = OpCounter()
-    r = merge_solution_a(lists, CFG, ops)
+    r = merge_solution_a(lists, ops)
     # one take-count comparison per source
     assert ops == OpCounter(0, 0, 4)
     # greedy take counts (8, 8, 8, 6): all of the first three, first 6 of the last
@@ -33,14 +32,14 @@ def test_merge_a_greedy_allocation():
 
 def test_merge_a_single_full_source():
     lists = [items(32), [], [], []]
-    r = merge_solution_a(lists, CFG)
+    r = merge_solution_a(lists)
     assert list(r.items) == items(30)
     assert len(r.discarded) == 2
 
 
 def test_merge_b_four_empty():
     ops = OpCounter()
-    r = merge_solution_b([[], [], [], []], CFG, ops)
+    r = merge_solution_b([[], [], [], []], ops)
     assert r.items == () and r.discarded == ()
     assert ops == OpCounter(0, 0, 0)
 
@@ -48,7 +47,7 @@ def test_merge_b_four_empty():
 def test_merge_b_hand_executed_machine():
     # lists ([a1,a2],[b1],[],[d1]) -> round 0 emits a1,b1,d1; round 1 emits a2
     ops = OpCounter()
-    r = merge_solution_b([["a1", "a2"], ["b1"], [], ["d1"]], CFG, ops)
+    r = merge_solution_b([["a1", "a2"], ["b1"], [], ["d1"]], ops)
     assert list(r.items) == ["a1", "b1", "d1", "a2"]
     # two index steps, each comparing the index with all four sizes
     assert ops.comparisons == 8
@@ -57,7 +56,7 @@ def test_merge_b_hand_executed_machine():
 def test_merge_b_full_lists_round_robin():
     lists = [items(32, t) for t in range(4)]
     ops = OpCounter()
-    r = merge_solution_b(lists, CFG, ops)
+    r = merge_solution_b(lists, ops)
     want = []
     for rnd in range(7):
         want.extend(lists[t][rnd] for t in range(4))
@@ -71,15 +70,15 @@ def test_merge_b_full_lists_round_robin():
 def test_merge_b_discards_each_sources_unread_suffix():
     # 30 slots fill after eight reads of sources 0 and 1 and seven of 2 and 3
     lists = [items(32, t) for t in range(4)]
-    r = merge_solution_b(lists, CFG)
+    r = merge_solution_b(lists)
     assert list(r.discarded) == lists[0][8:] + lists[1][8:] + lists[2][7:] + lists[3][7:]
 
 
 def test_merge_rejects_oversize_source():
     with pytest.raises(ValueError):
-        merge_solution_a([items(33), [], [], []], CFG)
+        merge_solution_a([items(33), [], [], []])
     with pytest.raises(ValueError):
-        merge_solution_b([items(33), [], [], []], CFG)
+        merge_solution_b([items(33), [], [], []])
 
 
 sizes_st = st.tuples(*[st.integers(0, 32)] * 4)
@@ -91,7 +90,7 @@ def test_merge_conservation_and_size(sizes):
     total = sum(sizes)
     source = Counter(x for lst in lists for x in lst)
     for fn in (merge_solution_a, merge_solution_b):
-        r = fn(lists, CFG)
+        r = fn(lists)
         assert len(r.items) == min(30, total)
         assert Counter(r.items) + Counter(r.discarded) == source
         assert all(x in source for x in r.items)
@@ -101,8 +100,8 @@ def test_merge_conservation_and_size(sizes):
 def test_merge_solutions_agree_when_no_overflow(sizes):
     lists = [items(s, t) for t, s in enumerate(sizes)]
     assert sum(sizes) <= 30
-    ra = merge_solution_a(lists, CFG)
-    rb = merge_solution_b(lists, CFG)
+    ra = merge_solution_a(lists)
+    rb = merge_solution_b(lists)
     assert set(ra.items) == set(rb.items)
     assert ra.discarded == () and rb.discarded == ()
 
@@ -111,7 +110,7 @@ def test_merge_solutions_agree_when_no_overflow(sizes):
 def test_merge_cycle_models_bounded(sizes):
     # B's setup plus one cycle per emitted item fits its merging row
     lists = [items(s, t) for t, s in enumerate(sizes)]
-    emitted = len(merge_solution_b(lists, CFG).items)
+    emitted = len(merge_solution_b(lists).items)
     assert emitted <= MAX_CANDIDATES
     assert MERGE_B_SETUP_CYCLES + emitted <= default_stage_specs("B", "B")["merging"].latency_cycles
 
@@ -121,7 +120,7 @@ def test_merge_against_expectation_descriptor(sizes):
     lists = [items(s, t) for t, s in enumerate(sizes)]
     exp = oracle_merge(lists)
     for fn in (merge_solution_a, merge_solution_b):
-        r = fn(lists, CFG)
+        r = fn(lists)
         assert exp.check(r.items, r.discarded)
 
 
@@ -151,7 +150,7 @@ def test_expectation_descriptor_examples():
 
 def test_merge_works_on_particles_too():
     parts = [[Particle(10 + i, i, 0) for i in range(5)], [], [], []]
-    ra = merge_solution_a(parts, CFG)
-    rb = merge_solution_b(parts, CFG)
+    ra = merge_solution_a(parts)
+    rb = merge_solution_b(parts)
     assert ra.items == tuple(parts[0])
     assert set(rb.items) == set(parts[0])

@@ -1,11 +1,15 @@
 import pytest
 
-from taupipe.core import MAX_TAUS, Particle, Species, make_event
+from taupipe.core import MAX_TAUS, PHI_HALF, Particle, Species, make_event, wrap_delta_phi
 from taupipe.eventio import gen_events
 from taupipe.reference import oracle_trigger
 from taupipe.stages import TriggerConfig, run_stages
 
 CFG = TriggerConfig()
+# whole-plane cones, the settings of test_golden's DENSE_CONFIG
+WHOLE_PLANE = TriggerConfig(
+    filter_cone_r2=400_000_000, signal_cone_r2_max=400_000_000, signal_cone_k=2_000_000_000
+)
 
 
 def test_empty_event_yields_no_taus():
@@ -65,9 +69,7 @@ def test_neutral_only_event_has_no_seeds():
 def test_staged_path_matches_oracle_on_cone_overflow():
     # whole-plane cones: every seed's cone overflows the candidate cap, and
     # each merge solution's choice matches the oracle's cap order for it
-    cfg = TriggerConfig(
-        filter_cone_r2=400_000_000, signal_cone_r2_max=400_000_000, signal_cone_k=2_000_000_000
-    )
+    cfg = WHOLE_PLANE
     events = gen_events(3, 20, "busy", cfg)
     differ = 0
     for ev in events:
@@ -77,3 +79,17 @@ def test_staged_path_matches_oracle_on_cone_overflow():
             for clean in "AB":
                 assert run_stages(ev, cfg, merge, clean) == want[merge]
     assert differ > 0  # the two cap orders genuinely disagree on these events
+
+
+def test_phi_mirror_of_an_offset_of_half_the_range():
+    # negating every phi negates every tau's phi, except where a particle
+    # sits exactly PHI_HALF from its seed: the wrapped offset -PHI_HALF
+    # mirrors to itself, so both sides average towards negative offsets
+    assert wrap_delta_phi(-724, 300) == wrap_delta_phi(724, -300) == -PHI_HALF
+    for phis, want in (((300, -724), (130, 471)), ((-300, 724), (-470, -129))):
+        ev = make_event(0, [Particle(50, 0, phis[0]), Particle(10, 0, phis[1])])
+        for merge in "AB":
+            taus = oracle_trigger(ev, WHOLE_PLANE, merge)
+            assert tuple(t.pos.phi for t in taus) == want
+            for clean in "AB":
+                assert run_stages(ev, WHOLE_PLANE, merge, clean) == taus

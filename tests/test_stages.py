@@ -178,11 +178,34 @@ def test_filter_block_matches_naive_definition(case):
 # --- totals ----------------------------------------------------------------
 
 
+def total_of(pts) -> int:
+    return compute_total_pt([Particle(pt, 0, 0) for pt in pts])
+
+
 def test_total_pt_examples():
-    mk = lambda pt: Particle(pt, 0, 0)
-    assert compute_total_pt([]) == 0
-    assert compute_total_pt([mk(3), mk(4), mk(5)]) == 12
-    assert compute_total_pt([mk(40000), mk(40000)]) == 65535
+    assert total_of([]) == 0
+    assert total_of([7]) == 7
+    assert total_of([300, 400]) == 700
+    assert total_of([3, 4, 5]) == 12
+    assert total_of([60000, 10000]) == 65535
+    assert total_of([40000, 40000]) == 65535
+
+
+pt_lists = st.lists(st.integers(0, PT_MAX), max_size=30)
+
+
+@given(pt_lists, pt_lists, st.integers(0, PT_MAX), st.integers(0, PT_MAX))
+def test_total_pt_properties(xs, ys, b, c):
+    # a chain of adders that each clamp at PT_MAX gives the same sum, since
+    # pts are non-negative
+    chained = 0
+    for pt in xs:
+        chained = min(chained + pt, PT_MAX)
+    assert total_of(xs) == chained
+    assert total_of(xs + ys) == total_of(ys + xs)
+    assert total_of(xs) <= PT_MAX
+    if b <= c:
+        assert total_of(xs + [b]) <= total_of(xs + [c])
 
 
 # --- signal selection -------------------------------------------------------
@@ -278,7 +301,7 @@ def test_signal_selection_subsequence_and_idempotent(cands):
 
 def test_tau_params_single_candidate_identity():
     p = Particle(10, 100, -50)
-    params = compute_tau_params(clist([p]), CFG)
+    params = compute_tau_params(clist([p]))
     assert params == TauParams(sum_pt=10, eta_w=100, phi_w=-50)
 
 
@@ -286,7 +309,7 @@ def test_tau_params_weighted_average():
     # pts {1,3}, etas {0,4} -> (0 + 12) / 4 = 3
     a = Particle(1, 0, 7)
     b = Particle(3, 4, 7)
-    params = compute_tau_params(clist([a, b]), CFG)
+    params = compute_tau_params(clist([a, b]))
     assert params.eta_w == 3
     assert params.phi_w == 7
     assert params.sum_pt == 4
@@ -294,14 +317,14 @@ def test_tau_params_weighted_average():
 
 def test_tau_params_empty_is_invalid_without_division():
     ops = OpCounter()
-    params = compute_tau_params(clist([]), CFG, ops)
+    params = compute_tau_params(clist([]), ops)
     assert params == TauParams(0, 0, 0)
     assert ops.divisions == 0
 
 
 def test_tau_params_two_divisions_per_group():
     ops = OpCounter()
-    compute_tau_params(clist([Particle(5, 1, 1)]), CFG, ops)
+    compute_tau_params(clist([Particle(5, 1, 1)]), ops)
     assert ops.divisions == 2
 
 
@@ -309,7 +332,7 @@ def test_tau_params_truncates_toward_zero():
     # weighted eta numerator is -1 over sum 2: trunc(-0.5) = 0, not floor -1
     a = Particle(1, 0, 0)
     b = Particle(1, -1, 0)
-    params = compute_tau_params(clist([a, b]), CFG)
+    params = compute_tau_params(clist([a, b]))
     assert params.eta_w == 0
 
 
@@ -319,14 +342,14 @@ def test_tau_params_phi_wraps_across_boundary():
     seed = seed_at(phi=1020)
     a = Particle(1, 0, 1015)
     b = Particle(1, 0, -1021)  # 12 units past the boundary from 1015
-    params = compute_tau_params(clist([a, b], seed), CFG)
+    params = compute_tau_params(clist([a, b], seed))
     # offsets relative to the seed: -5 and +7 -> average +1 -> phi 1021
     assert params.phi_w == 1021
 
 
 def test_tau_params_zero_pt_group_is_invalid():
     zero = Particle(0, 10, 10)
-    params = compute_tau_params(clist([zero, zero]), CFG)
+    params = compute_tau_params(clist([zero, zero]))
     assert params == TauParams(0, 0, 0)
 
 
@@ -340,7 +363,7 @@ def test_tau_params_zero_pt_group_is_invalid():
 )
 def test_tau_params_position_lies_among_the_candidates(seed, cands):
     # the means stay inside the group even once its pt sum saturates
-    params = compute_tau_params(clist(cands, seed), CFG)
+    params = compute_tau_params(clist(cands, seed))
     assert params.sum_pt == min(sum(p.pt for p in cands), PT_MAX)
     etas = [p.eta for p in cands]
     assert min(etas) <= params.eta_w <= max(etas)
