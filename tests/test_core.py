@@ -16,6 +16,7 @@ from taupipe.core import (
     trunc_div,
     wrap_delta_phi,
 )
+from taupipe.stages import compute_total_pt
 
 HALF = PHI_RANGE // 2
 
@@ -90,6 +91,16 @@ def test_delta_r2_zero_iff_coincident_mod_wrap(e1, p1, e2, p2):
     a, b = AngularCoord(e1, p1), AngularCoord(e2, p2)
     zero = delta_r2(a, b) == 0
     assert zero == (e1 == e2 and wrap_delta_phi(p1, p2) == 0)
+
+
+def test_saturating_add_examples():
+    # the pt total of two particles is their sum, clamped once at PT_MAX
+    def add(a, b):
+        return compute_total_pt([Particle(a, 0, 0), Particle(b, 0, 0)])
+
+    assert add(0, 7) == 7
+    assert add(60000, 10000) == 65535
+    assert add(300, 400) == 700
 
 
 @pytest.mark.parametrize(
