@@ -42,8 +42,6 @@ REPORT_FORMAT = "taupipe-report"
 REPORT_FORMAT_VERSION = 2
 CONFIG_FORMAT_VERSION = 1
 
-GEN_PROFILES = ("uniform", "clustered", "busy")
-
 
 class EventFileError(ValueError):
     """Malformed event file; the message names the offending line."""
@@ -159,9 +157,6 @@ class SplitMix64:
         return self.below(den) < num
 
 
-_PROFILE_SALT = {"uniform": 0x75AF, "clustered": 0xC1F5, "busy": 0xB00C}
-
-
 def gen_events(
     seed: int, count: int, profile: str, cfg: TriggerConfig | None = None
 ) -> list[Event]:
@@ -174,18 +169,11 @@ def gen_events(
     are constants.  It stays because the benchmark (``bench/run.py``) passes
     a trigger config positionally.
     """
-    if profile not in GEN_PROFILES:
+    if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}, expected one of {GEN_PROFILES}")
-    rng = SplitMix64(seed ^ (_PROFILE_SALT[profile] * 0x2545F4914F6CDD1D))
-    events = []
-    for k in range(count):
-        if profile == "uniform":
-            events.append(_gen_uniform(rng, k))
-        elif profile == "clustered":
-            events.append(_gen_clustered(rng, k))
-        else:
-            events.append(_gen_busy(rng, k))
-    return events
+    salt, build = _PROFILES[profile]
+    rng = SplitMix64(seed ^ (salt * 0x2545F4914F6CDD1D))
+    return [build(rng, k) for k in range(count)]
 
 
 _SPECIES_ROLL = (
@@ -271,6 +259,15 @@ def _gen_busy(rng: SplitMix64, event_id: int) -> Event:
     cphi = rng.below(PHI_RANGE) - PHI_HALF
     particles.extend(_gen_cluster(rng, ceta, cphi, 4 + rng.below(5)))
     return make_event(event_id, particles[:N_INPUT])
+
+
+# The generator profiles: name -> (stream salt, event builder).
+_PROFILES = {
+    "uniform": (0x75AF, _gen_uniform),
+    "clustered": (0xC1F5, _gen_clustered),
+    "busy": (0xB00C, _gen_busy),
+}
+GEN_PROFILES = tuple(_PROFILES)
 
 
 # ---------------------------------------------------------------------------

@@ -107,7 +107,7 @@ def oracle_trigger(
             Fraction(sum(p.pt * wrap_delta_phi(p.phi, seed.phi) for p in kept), weight)
         )
         phi_w = wrap_phi(seed.phi + phi_off)
-        taus[slot] = Tau(pt=sum_pt, pos=AngularCoord(eta_w, phi_w), valid=True)
+        taus[slot] = Tau(sum_pt, AngularCoord(eta_w, phi_w))
 
     return oracle_clean(taus, cfg)
 

@@ -85,44 +85,25 @@ class TriggerConfig:
 
 @dataclass(frozen=True)
 class CandidateList:
-    """A seed with its associated candidates.
-
-    ``total_pt`` is the saturating sum of the candidates' pt; the steps that
-    build a list keep it so, and ``compute_tau_params`` relies on it.
-    """
+    """A seed with its associated candidates."""
 
     seed: Particle
     candidates: tuple[Particle, ...]
-    total_pt: int
-
-
-@dataclass(frozen=True)
-class TauParams:
-    """Weighted-average properties of one candidate group.
-
-    ``sum_pt`` is the saturating pt sum; the positions are weighted by the
-    unsaturated one, so they average the candidates' positions.  A group
-    whose pt sum is zero (in particular an empty one) has no average: no
-    division is performed and both positions are 0.
-    """
-
-    sum_pt: int
-    eta_w: int
-    phi_w: int
 
 
 @dataclass(frozen=True)
 class Tau:
+    """A saturated pt sum and a position; a tau with pt 0 is no tau."""
+
     pt: int
     pos: AngularCoord
-    valid: bool
 
-    def __post_init__(self) -> None:
-        if not self.valid and self.pt != 0:
-            raise ValueError("invalid taus must carry pt = 0")
+    @property
+    def valid(self) -> bool:
+        return self.pt > 0
 
 
-INVALID_TAU = Tau(0, AngularCoord(0, 0), False)
+INVALID_TAU = Tau(0, AngularCoord(0, 0))
 
 
 @dataclass(frozen=True)
@@ -279,44 +260,40 @@ def select_signal_candidates(
     The cone test d <= clamp(k/T, lo, hi) is evaluated in the division-free
     form d <= lo OR (d <= hi AND d*T <= k), which is exactly equivalent for
     non-negative integers and replaces the divider with one multiplier.
-    Order is preserved and the total pt is recomputed over the survivors.
+    Order is preserved.
     """
-    t = max(clist.total_pt, 1)
+    t = max(compute_total_pt(clist.candidates), 1)
     lo = cfg.signal_cone_r2_min
     hi = cfg.signal_cone_r2_max
     k = cfg.signal_cone_k
+    allowed = cfg.allowed_signal_species
     kept: list[Particle] = []
-    # Distances of the candidates of an allowed species, for the op count.
-    dists: list[int] = []
     for p in clist.candidates:
-        if p.species not in cfg.allowed_signal_species:
+        if p.species not in allowed:
             continue
         d = delta_r2(p, clist.seed)
-        dists.append(d)
         if d <= lo or (d <= hi and d * t <= k):
             kept.append(p)
     if ops is not None:
+        dists = [delta_r2(p, clist.seed) for p in clist.candidates if p.species in allowed]
         past_lo = [d for d in dists if d > lo]
         in_band = sum(1 for d in past_lo if d <= hi)
         ops.multiplications += 2 * len(dists) + in_band
         ops.comparisons += len(clist.candidates) + len(dists) + len(past_lo) + in_band
-    total = compute_total_pt(kept)
-    return CandidateList(seed=clist.seed, candidates=tuple(kept), total_pt=total)
+    return CandidateList(seed=clist.seed, candidates=tuple(kept))
 
 
-def compute_tau_params(clist: CandidateList, ops: OpCounter | None = None) -> TauParams:
-    """Pt-weighted average position of the signal candidates.
+def compute_tau_params(clist: CandidateList, ops: OpCounter | None = None) -> Tau:
+    """The signal candidates' saturated pt sum at their pt-weighted position.
 
     eta is averaged directly; phi is averaged on wrapped offsets relative to
     the seed's phi and re-wrapped to an absolute azimuth, so groups straddling
     the periodic boundary average correctly.  The means divide by the
-    unsaturated pt sum, so each lies among the candidates' values; ``sum_pt``
-    is the saturating ``total_pt``.  Costs exactly two divisions per group
-    with a non-zero pt sum, and none otherwise.
+    unsaturated pt sum, so each lies among the candidates' values.  A group
+    whose pt sum is zero (in particular an empty one) gives ``INVALID_TAU``
+    with no division and no operation counted; any other costs exactly two
+    divisions.
     """
-    sum_pt = clist.total_pt
-    if sum_pt == 0:
-        return TauParams(sum_pt=0, eta_w=0, phi_w=0)
     seed_phi = clist.seed.phi
     weight = 0
     num_eta = 0
@@ -326,25 +303,28 @@ def compute_tau_params(clist: CandidateList, ops: OpCounter | None = None) -> Ta
         weight += p.pt
         num_eta += p.pt * p.eta
         num_phi += p.pt * off
+    if weight == 0:
+        return INVALID_TAU
     if ops is not None:
         ops.multiplications += 2 * len(clist.candidates)
         ops.divisions += 2
     eta_w = trunc_div(num_eta, weight)
     phi_off = trunc_div(num_phi, weight)
     phi_w = wrap_phi(seed_phi + phi_off)
-    return TauParams(sum_pt=sum_pt, eta_w=eta_w, phi_w=phi_w)
+    return Tau(min(weight, PT_MAX), AngularCoord(eta_w, phi_w))
 
 
 def reconstruct_tau(
-    params: TauParams,
+    tau: Tau,
     cfg: TriggerConfig,
     ops: OpCounter | None = None,
 ) -> Tau:
-    """Threshold the averaged parameters into a tau record; no arithmetic."""
+    """Keep the averaged tau if it is valid and reaches ``min_tau_pt``,
+    else ``INVALID_TAU``; one comparison, no arithmetic."""
     if ops is not None:
         ops.comparisons += 1
-    if params.sum_pt > 0 and params.sum_pt >= cfg.min_tau_pt:
-        return Tau(pt=params.sum_pt, pos=AngularCoord(params.eta_w, params.phi_w), valid=True)
+    if tau.valid and tau.pt >= cfg.min_tau_pt:
+        return tau
     return INVALID_TAU
 
 
@@ -459,10 +439,8 @@ def run_stages(
     for si, seed in enumerate(seeds):
         lists = [filter_block(b, seed, cfg, ops) for b in blocks]
         merged = merge(lists, ops)
-        total = compute_total_pt(merged.items)
-        clist = CandidateList(seed=seed, candidates=merged.items, total_pt=total)
+        clist = CandidateList(seed=seed, candidates=merged.items)
         selected = select_signal_candidates(clist, cfg, ops)
-        params = compute_tau_params(selected, ops)
-        taus[si] = reconstruct_tau(params, cfg, ops)
+        taus[si] = reconstruct_tau(compute_tau_params(selected, ops), cfg, ops)
     return clean(tuple(taus), cfg, ops)
 

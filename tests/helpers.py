@@ -23,11 +23,9 @@ from taupipe.stages import (
     INVALID_TAU,
     CandidateList,
     Tau,
-    TauParams,
     TriggerConfig,
     clean_solution_b,
     compute_tau_params,
-    compute_total_pt,
     filter_block,
     merge_solution_b,
     reconstruct_tau,
@@ -37,7 +35,7 @@ from taupipe.stages import (
 
 
 def tau(pt: int, eta: int, phi: int) -> Tau:
-    return Tau(pt, AngularCoord(eta, phi), True)
+    return Tau(pt, AngularCoord(eta, phi))
 
 
 def fig5_taus() -> tuple[Tau, ...]:
@@ -100,7 +98,7 @@ def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
     at (0, 0) and a near particle of pt 10 at (3, 4)."""
     seed = Particle(50, 0, 0)
     near = Particle(10, 3, 4)
-    one = CandidateList(seed, (near,), compute_total_pt((near,)))
+    one = CandidateList(seed, (near,))
     taus = [INVALID_TAU] * N_SEEDS
     taus[0] = tau(30, 0, 0)
     taus[1] = tau(20, 3, 4)
@@ -110,7 +108,7 @@ def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
         "merging": lambda ops: merge_solution_b([[near], [], [], []], ops),
         "signal_selection": lambda ops: select_signal_candidates(one, cfg, ops),
         "tau_parameters": lambda ops: compute_tau_params(one, ops),
-        "tau_reconstruction": lambda ops: reconstruct_tau(TauParams(50, 0, 0), cfg, ops),
+        "tau_reconstruction": lambda ops: reconstruct_tau(tau(50, 0, 0), cfg, ops),
         "cleaning": lambda ops: clean_solution_b(tuple(taus), cfg, ops),
     }
     counts = {}

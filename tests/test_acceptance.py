@@ -207,8 +207,8 @@ def test_c8_cost_accounting():
         blocks = partition_blocks(ev)
         for seed in seeds:
             merged = merge_solution_b([filter_block(b, seed, CFG) for b in blocks])
-            clist = CandidateList(seed, merged.items, compute_total_pt(merged.items))
-            if select_signal_candidates(clist, CFG).total_pt > 0:
+            clist = CandidateList(seed, merged.items)
+            if compute_total_pt(select_signal_candidates(clist, CFG).candidates) > 0:
                 groups += 1
         assert ops.divisions == 2 * groups
     _report(

@@ -166,7 +166,6 @@ def test_gen_clustered_seed1_exercises_cleaning():
         INVALID_TAU,
         build_cleaning_matrix,
         compute_tau_params,
-        compute_total_pt,
         filter_block,
         merge_solution_b,
         partition_blocks,
@@ -182,7 +181,7 @@ def test_gen_clustered_seed1_exercises_cleaning():
         taus = [INVALID_TAU] * N_SEEDS
         for si, seed in enumerate(seeds):
             merged = merge_solution_b([filter_block(b, seed, CFG) for b in blocks])
-            cl = CandidateList(seed, merged.items, compute_total_pt(merged.items))
+            cl = CandidateList(seed, merged.items)
             taus[si] = reconstruct_tau(
                 compute_tau_params(select_signal_candidates(cl, CFG)), CFG
             )

@@ -23,8 +23,9 @@ from taupipe.core import (
     wrap_delta_phi,
 )
 from taupipe.stages import (
+    INVALID_TAU,
     CandidateList,
-    TauParams,
+    Tau,
     TriggerConfig,
     compute_tau_params,
     compute_total_pt,
@@ -211,13 +212,12 @@ def test_total_pt_properties(xs, ys, b, c):
 
 def clist(candidates, seed=None) -> CandidateList:
     seed = seed or seed_at()
-    return CandidateList(seed, tuple(candidates), compute_total_pt(candidates))
+    return CandidateList(seed, tuple(candidates))
 
 
 def test_signal_selection_empty():
     out = select_signal_candidates(clist([]), CFG)
-    assert out.candidates == ()
-    assert out.total_pt == 0
+    assert out == clist([])
 
 
 def test_signal_selection_species_mask():
@@ -232,7 +232,7 @@ def test_signal_selection_clamped_boundary():
     at_edge = Particle(1, 130, 0)
     past_edge = Particle(1, 131, 0)
     lst = clist([at_edge, past_edge])
-    assert signal_cone_r2(lst.total_pt, CFG) == CFG.signal_cone_r2_max
+    assert signal_cone_r2(compute_total_pt(lst.candidates), CFG) == CFG.signal_cone_r2_max
     out = select_signal_candidates(lst, CFG)
     assert out.candidates == (at_edge,)
 
@@ -243,7 +243,7 @@ def test_signal_selection_min_clamp():
     inside = Particle(1, 31, 0)  # 961 <= 1024
     outside = Particle(1, 33, 0)  # 1089 > 1024
     lst = clist([heavy, inside, outside])
-    assert signal_cone_r2(lst.total_pt, CFG) == CFG.signal_cone_r2_min
+    assert signal_cone_r2(compute_total_pt(lst.candidates), CFG) == CFG.signal_cone_r2_min
     out = select_signal_candidates(lst, CFG)
     assert out.candidates == (heavy, inside)
 
@@ -263,7 +263,7 @@ def test_signal_selection_matches_division_form(cands):
     lst = clist(cands)
     ops = OpCounter()
     out = select_signal_candidates(lst, CFG, ops)
-    r2_sig = signal_cone_r2(lst.total_pt, CFG)
+    r2_sig = signal_cone_r2(compute_total_pt(lst.candidates), CFG)
     want = tuple(
         p
         for p in lst.candidates
@@ -299,25 +299,20 @@ def test_signal_selection_subsequence_and_idempotent(cands):
 
 def test_tau_params_single_candidate_identity():
     p = Particle(10, 100, -50)
-    params = compute_tau_params(clist([p]))
-    assert params == TauParams(sum_pt=10, eta_w=100, phi_w=-50)
+    assert compute_tau_params(clist([p])) == Tau(10, AngularCoord(100, -50))
 
 
 def test_tau_params_weighted_average():
     # pts {1,3}, etas {0,4} -> (0 + 12) / 4 = 3
     a = Particle(1, 0, 7)
     b = Particle(3, 4, 7)
-    params = compute_tau_params(clist([a, b]))
-    assert params.eta_w == 3
-    assert params.phi_w == 7
-    assert params.sum_pt == 4
+    assert compute_tau_params(clist([a, b])) == Tau(4, AngularCoord(3, 7))
 
 
 def test_tau_params_empty_is_invalid_without_division():
     ops = OpCounter()
-    params = compute_tau_params(clist([]), ops)
-    assert params == TauParams(0, 0, 0)
-    assert ops.divisions == 0
+    assert compute_tau_params(clist([]), ops) == INVALID_TAU
+    assert ops == OpCounter()
 
 
 def test_tau_params_two_divisions_per_group():
@@ -330,8 +325,7 @@ def test_tau_params_truncates_toward_zero():
     # weighted eta numerator is -1 over sum 2: trunc(-0.5) = 0, not floor -1
     a = Particle(1, 0, 0)
     b = Particle(1, -1, 0)
-    params = compute_tau_params(clist([a, b]))
-    assert params.eta_w == 0
+    assert compute_tau_params(clist([a, b])).pos.eta == 0
 
 
 def test_tau_params_phi_wraps_across_boundary():
@@ -340,15 +334,15 @@ def test_tau_params_phi_wraps_across_boundary():
     seed = seed_at(phi=1020)
     a = Particle(1, 0, 1015)
     b = Particle(1, 0, -1021)  # 12 units past the boundary from 1015
-    params = compute_tau_params(clist([a, b], seed))
     # offsets relative to the seed: -5 and +7 -> average +1 -> phi 1021
-    assert params.phi_w == 1021
+    assert compute_tau_params(clist([a, b], seed)).pos.phi == 1021
 
 
 def test_tau_params_zero_pt_group_is_invalid():
     zero = Particle(0, 10, 10)
-    params = compute_tau_params(clist([zero, zero]))
-    assert params == TauParams(0, 0, 0)
+    ops = OpCounter()
+    assert compute_tau_params(clist([zero, zero]), ops) == INVALID_TAU
+    assert ops == OpCounter()
 
 
 @given(
@@ -361,29 +355,31 @@ def test_tau_params_zero_pt_group_is_invalid():
 )
 def test_tau_params_position_lies_among_the_candidates(seed, cands):
     # the means stay inside the group even once its pt sum saturates
-    params = compute_tau_params(clist(cands, seed))
-    assert params.sum_pt == min(sum(p.pt for p in cands), PT_MAX)
+    tau = compute_tau_params(clist(cands, seed))
+    assert tau.pt == min(sum(p.pt for p in cands), PT_MAX)
     etas = [p.eta for p in cands]
-    assert min(etas) <= params.eta_w <= max(etas)
+    assert min(etas) <= tau.pos.eta <= max(etas)
     offsets = [wrap_delta_phi(p.phi, seed.phi) for p in cands]
-    assert min(offsets) <= wrap_delta_phi(params.phi_w, seed.phi) <= max(offsets)
+    assert min(offsets) <= wrap_delta_phi(tau.pos.phi, seed.phi) <= max(offsets)
 
 
 # --- reconstruction ----------------------------------------------------------
 
 
 def test_reconstruct_invalid_params():
-    assert not reconstruct_tau(TauParams(0, 0, 0), CFG).valid
-    # a zero pt sum is no tau even when the threshold is 0
-    assert not reconstruct_tau(TauParams(0, 0, 0), TriggerConfig(min_tau_pt=0)).valid
+    assert reconstruct_tau(INVALID_TAU, CFG) == INVALID_TAU
+    # a zero pt sum is no tau even when the threshold is 0, wherever it sits
+    no_threshold = TriggerConfig(min_tau_pt=0)
+    assert reconstruct_tau(INVALID_TAU, no_threshold) == INVALID_TAU
+    assert reconstruct_tau(Tau(0, AngularCoord(5, 6)), no_threshold) == INVALID_TAU
 
 
 def test_reconstruct_threshold_boundary():
-    below = TauParams(CFG.min_tau_pt - 1, 5, 6)
-    at = TauParams(CFG.min_tau_pt, 5, 6)
-    assert not reconstruct_tau(below, CFG).valid
+    below = Tau(CFG.min_tau_pt - 1, AngularCoord(5, 6))
+    at = Tau(CFG.min_tau_pt, AngularCoord(5, 6))
+    assert reconstruct_tau(below, CFG) == INVALID_TAU
     got = reconstruct_tau(at, CFG)
-    assert got.valid and got.pt == CFG.min_tau_pt and got.pos == AngularCoord(5, 6)
+    assert got.valid and got == at
 
 
 # --- op costs -------------------------------------------------------------------
@@ -409,6 +405,14 @@ def test_trigger_config_holds_cones_and_thresholds_only():
         "filter_cone_r2", "signal_cone_k", "signal_cone_r2_min", "signal_cone_r2_max",
         "allowed_signal_species", "proximity_r2", "min_seed_pt", "min_tau_pt",
     ]
+
+
+def test_step_records_hold_no_derived_values():
+    # the pt sum is computed where it is read, and a tau is valid by its pt
+    assert [f.name for f in fields(CandidateList)] == ["seed", "candidates"]
+    assert [f.name for f in fields(Tau)] == ["pt", "pos"]
+    assert Tau(1, AngularCoord(0, 0)).valid
+    assert not INVALID_TAU.valid
 
 
 def test_config_cone_order_invariant():
