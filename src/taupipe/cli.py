@@ -93,35 +93,29 @@ def _timing(run_cfg: RunConfig, merge: str, clean: str) -> ChainTiming:
     return trigger_timing(run_cfg.specs_for(merge, clean), merge, run_cfg.fifo_depth)
 
 
-def _simulate(run_cfg: RunConfig, events: Sequence[Event], merge: str, clean: str):
-    """Tau outputs per event and the pipeline timing of the given solutions."""
-    outputs = tuple(run_stages(ev, run_cfg.trigger, merge, clean) for ev in events)
-    return outputs, _timing(run_cfg, merge, clean)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     run_cfg = _load_run_config(args.config)
     events, source_desc = _load_events(args)
     if not events:
         raise InputError(f"run needs at least 1 event, got {len(events)}")
     merge, clean = args.merge, args.clean
-    outputs, timing = _simulate(run_cfg, events, merge, clean)
-
     trigger = run_cfg.trigger
 
     def diverges(ev: Event) -> bool:
         return run_stages(ev, trigger, merge, clean) != oracle_trigger(ev, trigger, merge)
 
+    # Every event is checked against the reference until the first divergence.
+    outputs = []
     divergent = None
-    if not args.no_oracle_check:
-        for ev, got in zip(events, outputs):
-            if got != oracle_trigger(ev, trigger, merge):
-                divergent = ev.event_id
-                minimized = _minimize_divergent_event(ev, diverges)
-                sys.stderr.write("counterexample event:\n" + write_events([minimized]))
-                break
+    for ev in events:
+        got = run_stages(ev, trigger, merge, clean)
+        outputs.append(got)
+        if divergent is None and got != oracle_trigger(ev, trigger, merge):
+            divergent = ev.event_id
+            minimized = _minimize_divergent_event(ev, diverges)
+            sys.stderr.write("counterexample event:\n" + write_events([minimized]))
 
-    point = operating_point(timing, args.freq)
+    point = operating_point(_timing(run_cfg, merge, clean), args.freq)
 
     if args.report:
         records = build_report([ev.event_id for ev in events], outputs, point)
@@ -142,9 +136,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         f"{'feasible' if point.feasible else 'INFEASIBLE'} "
         f"(slack {point.latency_slack_cycles}/{point.ii_slack_cycles})"
     )
-    if args.no_oracle_check:
-        print("oracle check: skipped")
-    elif divergent is None:
+    if divergent is None:
         print(f"oracle check: ok ({len(events)} events)")
     else:
         print(f"oracle check: DIVERGENT at event {divergent}")
@@ -241,8 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--freq", type=_int_arg, choices=tuple(LATENCY_BUDGET_CYCLES),
                        default=NOMINAL_FREQ_MHZ, help="operating frequency in MHz")
     p_run.add_argument("--report", metavar="FILE", help="write the machine-readable report")
-    p_run.add_argument("--no-oracle-check", action="store_true",
-                       help="skip the per-event reference cross-check")
     p_run.set_defaults(func=cmd_run)
 
     p_exp = sub.add_parser(

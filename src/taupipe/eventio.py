@@ -98,11 +98,7 @@ def parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
             raise EventFileError(f"line {lineno}: expected 6 fields, got {len(fields)}")
         numbers = fields[:5]
         try:
-            # int() also takes '_' separators, a '+' sign and non-ASCII
-            # digits; one test of the joined fields rules all three out.
-            joined = "".join(numbers)
-            if not joined.isascii() or "_" in joined or "+" in joined:
-                raise ValueError
+            _check_decimal("".join(numbers))  # one test covers every field
             event_id, slot, pt, eta, phi = map(int, numbers)
         except ValueError:
             raise EventFileError(f"line {lineno}: non-integer field in {numbers}")
@@ -318,11 +314,16 @@ _STAGE_FIELD_BY_KEY = {
 }
 
 
-def _decimal(text: str) -> int:
-    """``int(text)`` for ASCII digits with an optional leading ``-`` only;
-    int() alone also takes '_' separators, a '+' sign and non-ASCII digits."""
+def _check_decimal(text: str) -> None:
+    """Refuse what int() takes beyond ASCII digits with an optional leading
+    ``-``: '_' separators, a '+' sign and non-ASCII digits."""
     if not text.isascii() or "_" in text or "+" in text:
         raise ValueError(f"not a decimal integer: {text!r}")
+
+
+def _decimal(text: str) -> int:
+    """``int(text)`` for ASCII digits with an optional leading ``-`` only."""
+    _check_decimal(text)
     return int(text)
 
 

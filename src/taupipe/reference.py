@@ -54,7 +54,10 @@ def oracle_trigger(
     """Canonical end-to-end result: the seven steps, written the simple way.
 
     ``merge_solution`` selects the candidate cap's order; it matters only
-    when a seed's cone holds more than ``MAX_CANDIDATES`` particles.
+    when a seed's cone holds more than ``MAX_CANDIDATES`` particles.  Its
+    default is ``"A"``, while ``taupipe run`` defaults to merge B, so a check
+    of a merge B run must pass ``"B"``: against the default, a correct run
+    may diverge on events whose cones overflow.
     """
     if merge_solution not in MERGE_SOLUTIONS:
         raise ValueError(f"merge_solution must be one of {tuple(MERGE_SOLUTIONS)}")

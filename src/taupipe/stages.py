@@ -179,6 +179,15 @@ def filter_block(
     return tuple(kept)
 
 
+def _source_sizes(lists: Sequence[Sequence[Particle]]) -> list[int]:
+    """The length of each source list; a source longer than a block is an error."""
+    sizes = [len(lst) for lst in lists]
+    for s in sizes:
+        if s > BLOCK_SIZE:
+            raise ValueError(f"source list of {s} items exceeds block size {BLOCK_SIZE}")
+    return sizes
+
+
 def merge_solution_a(
     lists: Sequence[Sequence[Particle]],
     ops: OpCounter | None = None,
@@ -189,11 +198,9 @@ def merge_solution_a(
     capacity, the second up to what remains, and so on.  So the target is the
     first ``MAX_CANDIDATES`` items of the lists read in order.
     """
-    for lst in lists:
-        if len(lst) > BLOCK_SIZE:
-            raise ValueError(f"source list of {len(lst)} items exceeds block size {BLOCK_SIZE}")
+    sizes = _source_sizes(lists)
     if ops is not None:
-        ops.comparisons += len(lists)
+        ops.comparisons += len(sizes)
     flat = [p for lst in lists for p in lst]
     return MergeResult(items=tuple(flat[:MAX_CANDIDATES]), discarded=tuple(flat[MAX_CANDIDATES:]))
 
@@ -212,10 +219,7 @@ def merge_solution_b(
     priority.
     """
     cap = MAX_CANDIDATES
-    sizes = [len(lst) for lst in lists]
-    for s in sizes:
-        if s > BLOCK_SIZE:
-            raise ValueError(f"source list of {s} items exceeds block size {BLOCK_SIZE}")
+    sizes = _source_sizes(lists)
     items: list[Particle] = []
     # Items taken per source.  Each source is read in index order, so what it
     # loses to a full target is always a suffix.
@@ -268,14 +272,15 @@ def select_signal_candidates(
     k = cfg.signal_cone_k
     allowed = cfg.allowed_signal_species
     kept: list[Particle] = []
+    dists: list[int] = []  # of the allowed candidates, for the operation count
     for p in clist.candidates:
         if p.species not in allowed:
             continue
         d = delta_r2(p, clist.seed)
+        dists.append(d)
         if d <= lo or (d <= hi and d * t <= k):
             kept.append(p)
     if ops is not None:
-        dists = [delta_r2(p, clist.seed) for p in clist.candidates if p.species in allowed]
         past_lo = [d for d in dists if d > lo]
         in_band = sum(1 for d in past_lo if d <= hi)
         ops.multiplications += 2 * len(dists) + in_band
@@ -334,6 +339,13 @@ def _less_pt(taus: Sequence[Tau], i: int, j: int) -> bool:
     return taus[i].pt < taus[j].pt or (taus[i].pt == taus[j].pt and i > j)
 
 
+def _valid_slots(taus: Sequence[Tau]) -> list[int]:
+    """The slots of the valid taus among exactly ``N_SEEDS`` tau slots."""
+    if len(taus) != N_SEEDS:
+        raise ValueError(f"cleaning expects exactly {N_SEEDS} tau slots, got {len(taus)}")
+    return [i for i, tau in enumerate(taus) if tau.valid]
+
+
 def build_cleaning_matrix(
     taus: Sequence[Tau],
     cfg: TriggerConfig,
@@ -345,10 +357,7 @@ def build_cleaning_matrix(
     strict domination order including the lower-index tie-break.  Slots are
     0-based; no cell involves an invalid tau, and the diagonal is never set.
     """
-    n = len(taus)
-    if n != N_SEEDS:
-        raise ValueError(f"cleaning expects exactly {N_SEEDS} tau slots, got {n}")
-    valid = [i for i in range(n) if taus[i].valid]
+    valid = _valid_slots(taus)
     if ops is not None:
         pairs = len(valid) * (len(valid) - 1) // 2
         ops.multiplications += 2 * pairs
@@ -392,13 +401,7 @@ def clean_solution_a(
     marks every later nearby grade as dropped.  Marked taus still mark others,
     which is what makes this pass agree with the matrix formulation on chains.
     """
-    n = len(taus)
-    if n != N_SEEDS:
-        raise ValueError(f"cleaning expects exactly {N_SEEDS} tau slots, got {n}")
-    graded = sorted(
-        (i for i in range(n) if taus[i].valid),
-        key=lambda i: (-taus[i].pt, i),
-    )
+    graded = sorted(_valid_slots(taus), key=lambda i: (-taus[i].pt, i))
     if ops is not None:
         pairs = len(graded) * (len(graded) - 1) // 2
         ops.multiplications += 2 * pairs

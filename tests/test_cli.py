@@ -115,10 +115,19 @@ def test_run_timing_does_not_depend_on_the_event_count(tmp_path, capsys, setting
     cfgfile = tmp_path / "timing.cfg"
     cfgfile.write_text(f"{setting}\n")
     for n in counts:
-        argv = ["run", "--gen", f"1:{n}:uniform", "--config", str(cfgfile), "--no-oracle-check"]
-        code = run_cli(argv)
-        assert figures in capsys.readouterr().out, n
+        code = run_cli(["run", "--gen", f"1:{n}:uniform", "--config", str(cfgfile)])
+        out = capsys.readouterr().out
+        assert figures in out, n
+        # the timing settings leave every event checked against the reference
+        assert f"oracle check: ok ({n} events)" in out, n
         assert code == (1 if "INFEASIBLE" in figures else 0)
+
+
+def test_run_has_no_switch_for_the_oracle_check(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--gen", "1:5:busy", "--no-oracle-check"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-oracle-check" in capsys.readouterr().err
 
 
 def test_run_one_event_has_the_design_ii(capsys):

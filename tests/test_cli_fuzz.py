@@ -23,7 +23,7 @@ BAD_UTF8 = b"taupipe-events 1\n0 0 50 0 \xff 0\n"
 PATHS = [*FILES, "@bad-utf8", "@dir", "@missing", "@report", "@report-in-missing-dir"]
 
 path = st.sampled_from(PATHS)
-# The options of each subcommand; a value of None is a flag without a value.
+# The options of each subcommand, each with the values drawn for it.
 OPTIONS = {
     "run": {
         "--events": path,
@@ -36,7 +36,6 @@ OPTIONS = {
         "--clean": st.sampled_from(["A", "B", "c"]),
         "--freq": st.sampled_from(["360", "300", "240", "x"]),
         "--report": path,
-        "--no-oracle-check": st.none(),
     },
     "explore": {
         "--config": path,
@@ -54,8 +53,7 @@ def argvs(draw):
     argv = [command]
     flags = [REQUIRED[command]] if command in REQUIRED else []
     for flag in flags + draw(st.lists(st.sampled_from(sorted(options)), max_size=5)):
-        value = draw(options[flag])
-        argv += [flag] if value is None else [flag, value]
+        argv += [flag, draw(options[flag])]
     if draw(st.integers(0, 9)) == 0:  # now and then a stray token
         argv.insert(draw(st.integers(0, len(argv))), draw(junk))
     return argv

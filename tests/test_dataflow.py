@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from helpers import tick_reference
 from taupipe.budget import operating_point
-from taupipe.cli import _simulate
+from taupipe.cli import main
 from taupipe.dataflow import (
     DEFAULT_FIFO_DEPTH,
     TRIGGER_STAGE_NAMES,
@@ -15,7 +15,7 @@ from taupipe.dataflow import (
     run_pipeline,
     trigger_timing,
 )
-from taupipe.eventio import RunConfig, gen_events
+from taupipe.eventio import RunConfig, gen_events, parse_report
 from taupipe.stages import TriggerConfig, run_stages
 
 CFG = TriggerConfig()
@@ -258,20 +258,32 @@ def test_causal_bound_adds_no_hop():
 
 def test_engine_is_deterministic():
     events = gen_events(21, 10, "busy", CFG)
-    run_cfg = RunConfig()
-    assert _simulate(run_cfg, events, "B", "B") == _simulate(run_cfg, events, "B", "B")
+    specs = RunConfig().specs_for("B", "B")
+    timings = [trigger_timing(specs, "B", DEFAULT_FIFO_DEPTH) for _ in range(2)]
+    assert timings[0] == timings[1]
+    assert [run_stages(ev, CFG) for ev in events] == [run_stages(ev, CFG) for ev in events]
 
 
-def test_engine_outputs_equal_staged_functional_path():
+def test_engine_outputs_equal_staged_functional_path(tmp_path):
+    # run reports the staged path's taus per event and the pair's timing
     events = gen_events(33, 25, "clustered", CFG)
-    run_cfg = RunConfig()
+    report = tmp_path / "report.jsonl"
     for merge, clean in (("A", "B"), ("B", "A"), ("B", "B")):
-        outputs, metrics = _simulate(run_cfg, events, merge, clean)
-        assert len(outputs) == len(events)
-        specs = default_stage_specs(merge, clean)
-        assert metrics == trigger_timing(specs, merge, DEFAULT_FIFO_DEPTH)
-        for ev, got in zip(events, outputs):
-            assert got == run_stages(ev, CFG, merge, clean)
+        argv = ["run", "--gen", "33:25:clustered", "--merge", merge, "--clean", clean]
+        assert main([*argv, "--report", str(report)]) == 0
+        *event_records, metrics = parse_report(report.read_text())[1:]
+        timing = trigger_timing(default_stage_specs(merge, clean), merge, DEFAULT_FIFO_DEPTH)
+        assert (metrics["latency_cycles"], metrics["ii_cycles"]) == (
+            timing.latency_cycles,
+            timing.ii_cycles,
+        )
+        assert len(event_records) == len(events)
+        for ev, record in zip(events, event_records):
+            want = [
+                {"pt": t.pt, "eta": t.pos.eta, "phi": t.pos.phi}
+                for t in run_stages(ev, CFG, merge, clean)
+            ]
+            assert (record["event_id"], record["taus"]) == (ev.event_id, want)
 
 
 def test_default_trigger_chain_latency_figures():

@@ -425,8 +425,9 @@ def test_config_cone_order_invariant():
 
 def test_stages_count_outside_loops():
     # Each step charges its operations once, from sizes it already has: no
-    # ``ops.<field> += ...`` inside a loop body, and at most one
-    # ``if ops is not None:`` block per function.
+    # ``ops.<field> += ...`` inside a loop body, at most one
+    # ``if ops is not None:`` block per function, and no such block computes
+    # a distance again only to count it.
     tree = ast.parse(inspect.getsource(stages))
     for loop in ast.walk(tree):
         if not isinstance(loop, (ast.For, ast.While)):
@@ -442,3 +443,7 @@ def test_stages_count_outside_loops():
                 if isinstance(n, ast.If) and ast.unparse(n.test) == "ops is not None"
             ]
             assert len(guards) <= 1, f"{fn.name} has {len(guards)} ops blocks"
+            for guard in guards:
+                for node in ast.walk(guard):
+                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "delta_r2":
+                        pytest.fail(f"stages.py:{node.lineno} recomputes a distance to count it")
