@@ -1,10 +1,16 @@
 """Naive, unpipelined reference implementations used as ground truth.
 
 Everything here favors obviousness over speed: full sorts, list
-comprehensions, exact rational arithmetic.  The trigger reference keeps only
-the stated structural limits (16 seeds, 30 candidates, 8 taus) and no other
+comprehensions, and exact integer arithmetic with the truncating division
+written out once (``_trunc_div``).  The trigger reference keeps only the
+stated structural limits (16 seeds, 30 candidates, 8 taus) and no other
 capacity mechanics, so it defines the canonical per-event output that the
 staged pipeline is checked against.
+
+"Naive" means: every valid particle is tested against every seed, and every
+pair of valid taus against each other; there is no index, and no loop is
+shared with ``stages``.  The filter-cone test, the one run per particle and
+seed, is written inline rather than as a ``delta_r2`` call.
 
 A merge step may keep any items once a seed's cone holds more than the
 candidate cap, and the two merge solutions keep different ones.  So the
@@ -17,7 +23,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .core import (
@@ -26,6 +31,8 @@ from .core import (
     MAX_TAUS,
     N_FILTER_BLOCKS,
     N_SEEDS,
+    PHI_HALF,
+    PHI_RANGE,
     PT_MAX,
     AngularCoord,
     Event,
@@ -35,6 +42,15 @@ from .core import (
     wrap_phi,
 )
 from .stages import INVALID_TAU, MERGE_SOLUTIONS, Tau, TriggerConfig
+
+
+def _trunc_div(num: int, den: int) -> int:
+    """num / den truncated toward zero, for den > 0, as an integer divider does.
+
+    Written apart from ``core.trunc_div``, which the stages call, so that the
+    check does not rest on the code it checks.
+    """
+    return -(-num // den) if num < 0 else num // den
 
 
 def signal_cone_r2(total_pt: int, cfg: TriggerConfig) -> int:
@@ -76,10 +92,18 @@ def oracle_trigger(
     )
     seeds = ranked[:N_SEEDS]
 
+    r2 = cfg.filter_cone_r2
     taus: list[Tau] = [INVALID_TAU] * N_SEEDS
     for slot, (_, seed) in enumerate(seeds):
+        # delta_r2(p, seed) <= r2, inline; most pairs fail on eta alone
+        se, sp = seed.eta, seed.phi
         in_cone = [
-            [p for p in block if delta_r2(p, seed) <= cfg.filter_cone_r2]
+            [
+                p
+                for p in block
+                if (de := p.eta - se) * de <= r2
+                and de * de + (dp := (p.phi - sp + PHI_HALF) % PHI_RANGE - PHI_HALF) * dp <= r2
+            ]
             for block in blocks
         ]
         # The cap keeps the first MAX_CANDIDATES in the merge solution's
@@ -103,12 +127,10 @@ def oracle_trigger(
         if sum_pt == 0 or sum_pt < cfg.min_tau_pt:
             continue
 
-        # Means weighted by the unsaturated pt sum; int() on a Fraction
-        # truncates toward zero, matching an integer divider.
-        eta_w = int(Fraction(sum(p.pt * p.eta for p in kept), weight))
-        phi_off = int(
-            Fraction(sum(p.pt * wrap_delta_phi(p.phi, seed.phi) for p in kept), weight)
-        )
+        # Means weighted by the unsaturated pt sum, truncated toward zero
+        # as an integer divider does.
+        eta_w = _trunc_div(sum(p.pt * p.eta for p in kept), weight)
+        phi_off = _trunc_div(sum(p.pt * wrap_delta_phi(p.phi, seed.phi) for p in kept), weight)
         phi_w = wrap_phi(seed.phi + phi_off)
         taus[slot] = Tau(sum_pt, AngularCoord(eta_w, phi_w))
 
@@ -121,17 +143,14 @@ def oracle_clean(taus: Sequence[Tau], cfg: TriggerConfig) -> tuple[Tau, ...]:
     Slot i survives when no valid nearby slot j beats it: pt_j > pt_i, or
     pt_j == pt_i with j < i.
     """
-    n = len(taus)
+    valid = [i for i, t in enumerate(taus) if t.valid]
     survivors = []
-    for i in range(n):
-        if not taus[i].valid:
-            continue
+    for i in valid:
         dominated = any(
-            taus[j].valid
-            and j != i
+            j != i
             and delta_r2(taus[i].pos, taus[j].pos) <= cfg.proximity_r2
             and (taus[j].pt > taus[i].pt or (taus[j].pt == taus[i].pt and j < i))
-            for j in range(n)
+            for j in valid
         )
         if not dominated:
             survivors.append(i)

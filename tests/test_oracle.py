@@ -1,8 +1,22 @@
-import pytest
+from fractions import Fraction
 
-from taupipe.core import MAX_TAUS, PHI_HALF, Particle, Species, make_event, wrap_delta_phi
+import pytest
+from hypothesis import given, strategies as st
+
+from taupipe.core import (
+    ETA_MAX,
+    MAX_TAUS,
+    PHI_HALF,
+    Particle,
+    Species,
+    delta_r2,
+    make_event,
+    trunc_div,
+    wrap_delta_phi,
+    wrap_phi,
+)
 from taupipe.eventio import gen_events
-from taupipe.reference import oracle_trigger
+from taupipe.reference import _trunc_div, oracle_trigger
 from taupipe.stages import TriggerConfig, run_stages
 
 CFG = TriggerConfig()
@@ -93,3 +107,75 @@ def test_phi_mirror_of_an_offset_of_half_the_range():
             assert tuple(t.pos.phi for t in taus) == want
             for clean in "AB":
                 assert run_stages(ev, WHOLE_PLANE, merge, clean) == taus
+
+
+def cone_taus(seed, photon, r2):
+    """The oracle's taus under both cap orders and run_stages' taus for one cone.
+
+    The signal cone is pinned open (1 << 27 exceeds every distance in the
+    ranges), so the filter cone alone decides whether the photon joins.
+    """
+    cfg = TriggerConfig(
+        filter_cone_r2=r2, signal_cone_r2_min=1 << 27, signal_cone_r2_max=1 << 27
+    )
+    ev = make_event(0, [seed, photon])
+    return [oracle_trigger(ev, cfg, merge) for merge in "AB"] + [run_stages(ev, cfg)]
+
+
+@st.composite
+def cone_edges(draw):
+    se = draw(st.integers(-ETA_MAX, ETA_MAX))
+    sp = draw(st.integers(-PHI_HALF, PHI_HALF - 1))
+    near = st.integers(max(-ETA_MAX, se - 300), min(ETA_MAX, se + 300))
+    pe = draw(near | st.integers(-ETA_MAX, ETA_MAX))
+    pp = wrap_phi(sp + draw(st.integers(-300, 300) | st.integers(-PHI_HALF, PHI_HALF - 1)))
+    seed = Particle(100, se, sp)
+    photon = Particle(draw(st.integers(1, 1000)), pe, pp, Species.PHOTON)
+    d, deta2 = delta_r2(photon, seed), (pe - se) * (pe - se)
+    edges = st.sampled_from([0, max(d - 1, 0), d, d + 1, max(deta2 - 1, 0), deta2])
+    squares = st.integers(0, 2 * ETA_MAX).map(lambda k: k * k)
+    return seed, photon, draw(edges | squares | st.integers(0, 1 << 27))
+
+
+@given(cone_edges())
+def test_filter_cone_keeps_exactly_the_particles_within_r2(case):
+    seed, photon, r2 = case
+    want = seed.pt + photon.pt if delta_r2(photon, seed) <= r2 else seed.pt
+    for taus in cone_taus(seed, photon, r2):
+        assert [t.pt for t in taus] == [want]
+
+
+@pytest.mark.parametrize(
+    "seed, photon, r2, kept",
+    [
+        # deta^2 == r2 with dphi 0: on the edge, kept; one unit further, dropped
+        ((0, 0), (130, 0), 16900, True),
+        ((0, 0), (130, 1), 16900, False),
+        ((-4096, 7), (-3966, 7), 16900, True),
+        # across the phi seam the wrapped difference is 8, not 2040
+        ((0, -1020), (0, 1020), 64, True),
+        ((0, -1020), (0, 1020), 63, False),
+        # a wrapped difference of exactly -PHI_HALF
+        ((0, 500), (0, -524), PHI_HALF * PHI_HALF, True),
+        ((0, -524), (0, 500), PHI_HALF * PHI_HALF - 1, False),
+        # cone 0 keeps only a photon on the seed itself
+        ((5, 5), (5, 5), 0, True),
+        ((5, 5), (5, 6), 0, False),
+    ],
+)
+def test_filter_cone_edges(seed, photon, r2, kept):
+    s = Particle(100, *seed)
+    p = Particle(9, *photon, Species.PHOTON)
+    for taus in cone_taus(s, p, r2):
+        assert [t.pt for t in taus] == [109 if kept else 100]
+
+
+@given(
+    st.integers(-(1 << 40), 1 << 40),
+    st.integers(1, 1 << 22),
+    st.integers(-(1 << 12), 1 << 12),
+)
+def test_oracle_truncation_is_exact(num, den, k):
+    # negative numerators, exact multiples k * den and 0 in every example
+    for n in (num, k * den, k * den - 1, 0):
+        assert _trunc_div(n, den) == int(Fraction(n, den)) == trunc_div(n, den)
