@@ -146,10 +146,10 @@ def oracle_clean(taus: Sequence[Tau], cfg: TriggerConfig) -> tuple[Tau, ...]:
     valid = [i for i, t in enumerate(taus) if t.valid]
     survivors = []
     for i in valid:
+        # the pt test first: it is cheaper than the distance, and rules out j == i
         dominated = any(
-            j != i
+            (taus[j].pt > taus[i].pt or (taus[j].pt == taus[i].pt and j < i))
             and delta_r2(taus[i].pos, taus[j].pos) <= cfg.proximity_r2
-            and (taus[j].pt > taus[i].pt or (taus[j].pt == taus[i].pt and j < i))
             for j in valid
         )
         if not dominated:

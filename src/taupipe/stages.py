@@ -333,12 +333,6 @@ def reconstruct_tau(
     return INVALID_TAU
 
 
-def _less_pt(taus: Sequence[Tau], i: int, j: int) -> bool:
-    # Strict domination order on nearby pairs: lower pt loses; on equal pt the
-    # higher slot index loses, so the lower index always wins.
-    return taus[i].pt < taus[j].pt or (taus[i].pt == taus[j].pt and i > j)
-
-
 def _valid_slots(taus: Sequence[Tau]) -> list[int]:
     """The slots of the valid taus among exactly ``N_SEEDS`` tau slots."""
     if len(taus) != N_SEEDS:
@@ -362,8 +356,9 @@ def build_cleaning_matrix(
         pairs = len(valid) * (len(valid) - 1) // 2
         ops.multiplications += 2 * pairs
         ops.comparisons += 2 * pairs
+    # Pairs come with i < j, so on equal pt the higher slot j loses.
     return frozenset(
-        (i, j) if _less_pt(taus, i, j) else (j, i)
+        (i, j) if taus[i].pt < taus[j].pt else (j, i)
         for i, j in combinations(valid, 2)
         if delta_r2(taus[i].pos, taus[j].pos) <= cfg.proximity_r2
     )

@@ -6,6 +6,8 @@ import pytest
 from taupipe.core import ETA_MAX, N_INPUT, N_SEEDS, PHI_HALF, PT_MAX, Species
 from taupipe.dataflow import StageSpec
 from taupipe.eventio import (
+    _LANES,
+    _PROFILES,
     _RUN_KEYS,
     _TRIGGER_KEYS,
     ConfigError,
@@ -199,6 +201,37 @@ def test_splitmix_reference_values():
         7960286522194355700,
         487617019471545679,
     ]
+
+
+def scalar_splitmix64(seed):
+    """splitmix64 one output at a time, written apart from the block code."""
+    state = seed % 2**64
+    while True:
+        state = (state + 0x9E3779B97F4A7C15) % 2**64
+        z = (state ^ (state >> 30)) * 0xBF58476D1CE4E5B9 % 2**64
+        z = (z ^ (z >> 27)) * 0x94D049BB133111EB % 2**64
+        yield z ^ (z >> 31)
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [0, 2**64 - 1, -1, 2**64 + 12345]
+    # the streams gen_events(1, ...) draws from, one per profile
+    + [1 ^ (salt * 0x2545F4914F6CDD1D) for salt, _ in _PROFILES.values()],
+)
+def test_splitmix_stream_matches_the_scalar_form(seed):
+    # across three block boundaries, into a fourth block
+    n = 3 * _LANES + 5
+    rng, want = SplitMix64(seed), scalar_splitmix64(seed)
+    assert [rng.next_u64() for _ in range(n)] == [next(want) for _ in range(n)]
+
+
+def test_below_and_chance_take_one_draw_each():
+    rng, want = SplitMix64(7), scalar_splitmix64(7)
+    for n in (1, 10, 2**70):
+        assert rng.below(n) == next(want) % n
+        assert rng.chance(3, n) == (next(want) % n < 3)
+    assert rng.next_u64() == next(want)
 
 
 # --- config -------------------------------------------------------------------

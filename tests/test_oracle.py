@@ -3,10 +3,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import tau
 from taupipe.core import (
     ETA_MAX,
     MAX_TAUS,
+    N_INPUT,
     PHI_HALF,
+    OpCounter,
     Particle,
     Species,
     delta_r2,
@@ -16,8 +19,16 @@ from taupipe.core import (
     wrap_phi,
 )
 from taupipe.eventio import gen_events
-from taupipe.reference import _trunc_div, oracle_trigger
-from taupipe.stages import TriggerConfig, run_stages
+from taupipe.reference import _trunc_div, oracle_clean, oracle_trigger, signal_cone_r2
+from taupipe.stages import (
+    INVALID_TAU,
+    CandidateList,
+    TriggerConfig,
+    clean_solution_a,
+    clean_solution_b,
+    run_stages,
+    select_signal_candidates,
+)
 
 CFG = TriggerConfig()
 # whole-plane cones, the settings of test_golden's DENSE_CONFIG
@@ -179,3 +190,80 @@ def test_oracle_truncation_is_exact(num, den, k):
     # negative numerators, exact multiples k * den and 0 in every example
     for n in (num, k * den, k * den - 1, 0):
         assert _trunc_div(n, den) == int(Fraction(n, den)) == trunc_div(n, den)
+
+
+# --- inclusive boundaries ------------------------------------------------------
+# Each case sits exactly on an edge that only a test of that value tells apart
+# from its strict form.
+
+
+def all_paths_taus(particles, cfg=CFG):
+    """The oracle's taus and every solution pair's, each pair after the
+    oracle of its merge solution: a list of (want, got) pairs."""
+    ev = make_event(0, particles)
+    return [
+        (oracle_trigger(ev, cfg, merge), run_stages(ev, cfg, merge, clean))
+        for merge in "AB"
+        for clean in "AB"
+    ]
+
+
+def test_signal_cone_keeps_a_candidate_at_lo_when_the_cone_clamps_to_lo():
+    # T = 5010 puts k / T below lo, so the cone is lo = 32^2, and the photon
+    # lies on its edge
+    seed, photon = Particle(5000, 0, 0), Particle(10, 32, 0, Species.PHOTON)
+    assert signal_cone_r2(5010, CFG) == CFG.signal_cone_r2_min == delta_r2(photon, seed)
+    ops = OpCounter()
+    out = select_signal_candidates(CandidateList(seed, (seed, photon)), CFG, ops)
+    assert out.candidates == (seed, photon)
+    # no candidate lies past lo, so neither reaches the d * T product
+    assert (ops.multiplications, ops.comparisons) == (4, 4)
+    for want, got in all_paths_taus([seed, photon]):
+        assert [t.pt for t in want] == [t.pt for t in got] == [5010]
+
+
+def test_signal_cone_keeps_a_candidate_at_d_times_t_equal_to_k():
+    # T = 256 and d = 130^2, so d * T is exactly signal_cone_k
+    seed, photon = Particle(200, 0, 0), Particle(56, 130, 0, Species.PHOTON)
+    assert delta_r2(photon, seed) * 256 == CFG.signal_cone_k
+    out = select_signal_candidates(CandidateList(seed, (seed, photon)), CFG)
+    assert out.candidates == (seed, photon)
+    for want, got in all_paths_taus([seed, photon]):
+        assert [t.pt for t in want] == [t.pt for t in got] == [256]
+
+
+def test_signal_cone_of_a_total_pt_of_one():
+    # T = 1: the cone is k / 1 = 2000, which holds the photon at d = 1600;
+    # a T read as 2 would drop it
+    cfg = TriggerConfig(min_seed_pt=0, min_tau_pt=1, signal_cone_k=2000)
+    seed, photon = Particle(0, 0, 0), Particle(1, 40, 0, Species.PHOTON)
+    out = select_signal_candidates(CandidateList(seed, (seed, photon)), cfg)
+    assert out.candidates == (seed, photon)
+    for want, got in all_paths_taus([seed, photon], cfg):
+        assert want == got == (tau(1, 40, 0),)
+
+
+@pytest.mark.parametrize("gap, kept", [(163, 1), (164, 2)])
+def test_cleaning_at_exactly_proximity_r2(gap, kept):
+    # 163^2 = proximity_r2: the pair is nearby and the lower pt goes;
+    # one unit further, both stay
+    assert 163 * 163 == CFG.proximity_r2
+    taus = [INVALID_TAU] * 16
+    taus[0], taus[1] = tau(50, 0, 0), tau(30, gap, 0)
+    for clean in (clean_solution_a, clean_solution_b, oracle_clean):
+        assert clean(tuple(taus), CFG) == tuple(taus[:kept])
+    # each particle is outside the other's filter cone, so each is a tau
+    for want, got in all_paths_taus([Particle(50, 0, 0), Particle(30, gap, 0)]):
+        assert want == got == tuple(taus[:kept])
+
+
+def test_a_full_frame_of_128_particles():
+    particles = [
+        Particle(1 + i, (i % 16) * 500 - 3750, (i // 16) * 250 - 1000)
+        for i in range(N_INPUT)
+    ]
+    assert make_event(0, particles).particles == tuple(particles)
+    for want, got in all_paths_taus(particles):
+        assert want and want == got
+    with pytest.raises(ValueError, match="129 particles"):
+        make_event(0, particles + particles[:1])
