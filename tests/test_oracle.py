@@ -198,8 +198,8 @@ def test_oracle_truncation_is_exact(num, den, k):
 
 
 def all_paths_taus(particles, cfg=CFG):
-    """The oracle's taus and every solution pair's, each pair after the
-    oracle of its merge solution: a list of (want, got) pairs."""
+    """(oracle taus, run_stages taus) for every solution pair, the oracle
+    keeping candidates in that pair's merge order."""
     ev = make_event(0, particles)
     return [
         (oracle_trigger(ev, cfg, merge), run_stages(ev, cfg, merge, clean))
