@@ -13,7 +13,7 @@ from typing import Sequence
 
 from .budget import LATENCY_BUDGET_CYCLES, NOMINAL_FREQ_MHZ, operating_point
 from .core import PAD_PARTICLE, Event
-from .dataflow import ChainTiming, trigger_timing
+from .dataflow import trigger_timing
 from .eventio import (
     ConfigError,
     EventFileError,
@@ -89,10 +89,6 @@ def _load_events(args: argparse.Namespace) -> tuple[list[Event], str]:
     return gen_events(*_gen_spec(args.gen)), f"gen {args.gen}"
 
 
-def _timing(run_cfg: RunConfig, merge: str, clean: str) -> ChainTiming:
-    return trigger_timing(run_cfg.specs_for(merge, clean), merge, run_cfg.fifo_depth)
-
-
 def cmd_run(args: argparse.Namespace) -> int:
     run_cfg = _load_run_config(args.config)
     events, source_desc = _load_events(args)
@@ -115,7 +111,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             minimized = _minimize_divergent_event(ev, diverges)
             sys.stderr.write("counterexample event:\n" + write_events([minimized]))
 
-    point = operating_point(_timing(run_cfg, merge, clean), args.freq)
+    timing = trigger_timing(merge, clean, run_cfg.stage_overrides, run_cfg.fifo_depth)
+    point = operating_point(timing, args.freq)
 
     if args.report:
         records = build_report([ev.event_id for ev in events], outputs, point)
@@ -179,7 +176,10 @@ def cmd_explore(args: argparse.Namespace) -> int:
         raise InputError("--freqs values must be positive")
 
     pairs = [(merge, clean) for merge in MERGE_SOLUTIONS for clean in CLEAN_SOLUTIONS]
-    bases = [_timing(run_cfg, merge, clean) for merge, clean in pairs]
+    bases = [
+        trigger_timing(merge, clean, run_cfg.stage_overrides, run_cfg.fifo_depth)
+        for merge, clean in pairs
+    ]
 
     columns = []  # per clock, the operating point of every pair
     for freq in freq_values:

@@ -147,8 +147,7 @@ def delta_r2(p: Particle | AngularCoord, q: Particle | AngularCoord) -> int:
 
 
 def trunc_div(num: int, den: int) -> int:
-    """Integer division truncating toward zero, as an integer divider would."""
-    if den == 0:
-        raise ZeroDivisionError("trunc_div by zero")
-    q = abs(num) // abs(den)
-    return -q if (num < 0) != (den < 0) else q
+    """Integer division truncating toward zero, as an integer divider would,
+    for ``den > 0``: the stages divide only by a pt weight, which is positive."""
+    q = abs(num) // den
+    return -q if num < 0 else q

@@ -48,21 +48,11 @@ figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import accumulate
 from typing import Mapping, Sequence
 
 from .core import MAX_CANDIDATES
-
-TRIGGER_STAGE_NAMES = (
-    "seeding",
-    "filtering",
-    "merging",
-    "signal_selection",
-    "tau_parameters",
-    "tau_reconstruction",
-    "cleaning",
-)
 
 # Fixed setup cost of merge solution B's round-robin state machine:
 # size-register capture, index/count/availability reset.  One emitted item
@@ -177,10 +167,8 @@ def run_pipeline(specs: Sequence[StageSpec], depths: Sequence[int]) -> ChainTimi
     )
 
 
-def default_stage_specs(
-    merge_solution: str = "B", clean_solution: str = "B"
-) -> dict[str, StageSpec]:
-    """Stage timing table for the seven-step trigger pipeline.
+def default_stage_specs(merge_solution: str, clean_solution: str) -> dict[str, StageSpec]:
+    """Stage timing table for the seven-step trigger pipeline, in chain order.
 
     Latency/II pairs are the per-stage timing of the partitioned design; the
     merging and cleaning rows depend on the selected solution (A or B).
@@ -192,39 +180,42 @@ def default_stage_specs(
         c_lat, c_ii = _CLEAN_TIMING[clean_solution]
     except KeyError as exc:
         raise ValueError(f"unknown solution {exc.args[0]!r}, expected 'A' or 'B'") from exc
-    return {
-        "seeding": StageSpec("seeding", 43, 43, hop_cycles=1),
-        "filtering": StageSpec("filtering", 38, 38, hop_cycles=1),
-        "merging": StageSpec(
-            "merging", m_lat, m_ii, start_offset_cycles=MERGE_STREAM_OFFSET, hop_cycles=1
-        ),
-        "signal_selection": StageSpec("signal_selection", 37, 36, hop_cycles=1),
-        "tau_parameters": StageSpec("tau_parameters", 59, 35, hop_cycles=1),
-        "tau_reconstruction": StageSpec("tau_reconstruction", 1, 1, hop_cycles=1),
-        "cleaning": StageSpec("cleaning", c_lat, c_ii, hop_cycles=2),
-    }
+    rows = (
+        StageSpec("seeding", 43, 43, hop_cycles=1),
+        StageSpec("filtering", 38, 38, hop_cycles=1),
+        StageSpec("merging", m_lat, m_ii, start_offset_cycles=MERGE_STREAM_OFFSET, hop_cycles=1),
+        StageSpec("signal_selection", 37, 36, hop_cycles=1),
+        StageSpec("tau_parameters", 59, 35, hop_cycles=1),
+        StageSpec("tau_reconstruction", 1, 1, hop_cycles=1),
+        StageSpec("cleaning", c_lat, c_ii, hop_cycles=2),
+    )
+    return {spec.name: spec for spec in rows}
 
+
+TRIGGER_STAGE_NAMES = tuple(default_stage_specs("B", "B"))
 
 DEFAULT_FIFO_DEPTH = 32
 
 
-def channel_depths(merge_solution: str, fifo_depth: int) -> tuple[int, ...]:
-    """Capacity, in iterations, of each hop of the trigger chain.
-
-    Every hop is a FIFO of ``fifo_depth`` except filtering to merging under
-    merge solution B, a ping-pong buffer: two banks of one iteration each,
-    whatever the FIFO depth.
-    """
-    return tuple(
-        2 if producer == "filtering" and merge_solution == "B" else fifo_depth
-        for producer in TRIGGER_STAGE_NAMES[:-1]
-    )
-
-
 def trigger_timing(
-    specs: Mapping[str, StageSpec], merge_solution: str, fifo_depth: int
+    merge_solution: str,
+    clean_solution: str,
+    overrides: Mapping[str, Mapping[str, int]],
+    fifo_depth: int,
 ) -> ChainTiming:
-    """Timing of the seven-stage trigger chain."""
-    return run_pipeline(
-        [specs[name] for name in TRIGGER_STAGE_NAMES], channel_depths(merge_solution, fifo_depth)
-    )
+    """Timing of the seven-stage trigger chain of a solution pair.
+
+    ``overrides`` maps a stage name to the StageSpec fields to set on top of
+    the pair's rows.  Every hop is a FIFO of ``fifo_depth`` except filtering
+    to merging under merge solution B, a ping-pong buffer: two banks of one
+    iteration each, whatever the FIFO depth.
+    """
+    specs = default_stage_specs(merge_solution, clean_solution)
+    for name, settings in overrides.items():
+        if name not in specs:
+            raise ValueError(f"unknown stage {name!r}, expected one of {TRIGGER_STAGE_NAMES}")
+        specs[name] = replace(specs[name], **settings)
+    depths = [fifo_depth] * (len(specs) - 1)
+    if merge_solution == "B":
+        depths[1] = 2  # the hop out of filtering, stage 1 of the chain
+    return run_pipeline(list(specs.values()), depths)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -37,7 +37,7 @@ from .core import (
     make_event,
     wrap_phi,
 )
-from .dataflow import DEFAULT_FIFO_DEPTH, StageSpec, TRIGGER_STAGE_NAMES, default_stage_specs
+from .dataflow import DEFAULT_FIFO_DEPTH, TRIGGER_STAGE_NAMES, trigger_timing
 from .stages import TriggerConfig
 
 EVENT_FORMAT = "taupipe-events"
@@ -313,16 +313,7 @@ class RunConfig:
             raise ValueError("fifo_depth must be >= 1")
         # StageSpec checks each field on its own, so overrides that fit the
         # B/B rows fit every solution's rows.
-        self.specs_for("B", "B")
-
-    def specs_for(self, merge_solution: str, clean_solution: str) -> dict[str, StageSpec]:
-        """Stage timing of the given solutions, with the config's overrides."""
-        specs = default_stage_specs(merge_solution, clean_solution)
-        for name, settings in self.stage_overrides.items():
-            if name not in specs:
-                raise ValueError(f"unknown stage {name!r}, expected one of {TRIGGER_STAGE_NAMES}")
-            specs[name] = replace(specs[name], **settings)
-        return specs
+        trigger_timing("B", "B", self.stage_overrides, self.fifo_depth)
 
 
 # Config keys of each record; ``stage.<name>.<field>`` keys set stage overrides.

@@ -6,7 +6,6 @@ integer equality unless noted) and the stated wall-clock ceiling.
 """
 
 import time
-from dataclasses import replace
 
 from helpers import fig5_taus, random_merge_lists, random_tau_slots, stage_op_counts
 from taupipe.budget import cycle_budget, operating_point
@@ -14,6 +13,7 @@ from taupipe.core import BLOCK_SIZE, MAX_CANDIDATES, OpCounter
 from taupipe.dataflow import (
     DEFAULT_FIFO_DEPTH,
     MERGE_B_SETUP_CYCLES,
+    TRIGGER_STAGE_NAMES,
     default_stage_specs,
     trigger_timing,
 )
@@ -116,13 +116,13 @@ def test_c5_pipeline_composition():
     specs = default_stage_specs("A", "A")  # the original partitioning table
     latencies = [s.latency_cycles for s in specs.values()]
     assert sum(latencies) == 229 and max(latencies) == 59
-    metrics = trigger_timing(specs, "A", DEFAULT_FIFO_DEPTH)
-    again = trigger_timing(specs, "A", DEFAULT_FIFO_DEPTH)
+    metrics = trigger_timing("A", "A", {}, DEFAULT_FIFO_DEPTH)
+    again = trigger_timing("A", "A", {}, DEFAULT_FIFO_DEPTH)
     assert metrics == again  # deterministic
     assert 59 <= metrics.latency_cycles < 237
     assert metrics.ii_cycles <= 45
-    zero_hop = {name: replace(spec, hop_cycles=0) for name, spec in specs.items()}
-    ii_bare = trigger_timing(zero_hop, "A", DEFAULT_FIFO_DEPTH).ii_cycles
+    zero_hop = {name: {"hop_cycles": 0} for name in TRIGGER_STAGE_NAMES}
+    ii_bare = trigger_timing("A", "A", zero_hop, DEFAULT_FIFO_DEPTH).ii_cycles
     assert ii_bare == max(s.ii_cycles for s in specs.values()) == 43
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0
@@ -136,7 +136,7 @@ def test_c5_pipeline_composition():
 
 def test_c6_frequency_tradeoff_reproduction():
     t0 = time.perf_counter()
-    metrics_360 = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH)
+    metrics_360 = trigger_timing("B", "B", {}, DEFAULT_FIFO_DEPTH)
     point_360 = operating_point(metrics_360, 360)
     assert point_360.latency_budget_cycles == 275
     assert point_360.ii_budget_cycles == 54

@@ -10,12 +10,11 @@ from taupipe.dataflow import (
     DEFAULT_FIFO_DEPTH,
     TRIGGER_STAGE_NAMES,
     StageSpec,
-    channel_depths,
     default_stage_specs,
     run_pipeline,
     trigger_timing,
 )
-from taupipe.eventio import RunConfig, gen_events, parse_report
+from taupipe.eventio import gen_events, parse_report
 from taupipe.stages import TriggerConfig, run_stages
 
 CFG = TriggerConfig()
@@ -91,16 +90,17 @@ def test_fifo_order():
 
 
 def test_channel_depths():
-    assert channel_depths("A", 5) == (5,) * 6
-    assert channel_depths("A", 1) == (1,) * 6
+    for clean in "AB":
+        assert trigger_timing("A", clean, {}, 5).depths == (5,) * 6
+        assert trigger_timing("A", clean, {}, 1).depths == (1,) * 6
 
 
 def test_pipo_channel_used_for_merge_b_edge():
     # the filtering-to-merging ping-pong buffer holds two iterations under
     # merge B, whatever the FIFO depth; under merge A that hop is a FIFO
     for depth in (1, 5, 32):
-        assert channel_depths("B", depth) == (depth, 2) + (depth,) * 4
-        assert channel_depths("A", depth)[1] == depth
+        assert trigger_timing("B", "A", {}, depth).depths == (depth, 2) + (depth,) * 4
+        assert trigger_timing("A", "B", {}, depth).depths[1] == depth
 
 
 def _buffer_occupancies(specs, hops, depth, n, period=None):
@@ -123,7 +123,7 @@ def test_channels_never_exceed_capacity():
     # filtering into merging under merge B, with the ping-pong depth
     specs = default_stage_specs("B", "B")
     pair = [specs["filtering"], specs["merging"]]
-    depth_b = channel_depths("B", DEFAULT_FIFO_DEPTH)[1]
+    depth_b = trigger_timing("B", "B", {}, DEFAULT_FIFO_DEPTH).depths[1]
     for period in (None, 0):
         assert max(_buffer_occupancies(pair, [1, 1], depth_b, 12, period)) <= depth_b
 
@@ -145,12 +145,20 @@ def test_zero_events_have_the_design_timing_and_no_stalls():
 
 def test_run_pipeline_validation():
     specs = [StageSpec("a", 1, 1), StageSpec("b", 1, 1)]
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^pipeline needs at least one stage$"):
         run_pipeline([], [])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^chain of 2 stages needs 1 buffer depths, got 2$"):
         run_pipeline(specs, [1, 1])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^chain of 3 stages needs 2 buffer depths, got 1$"):
+        run_pipeline(specs + [StageSpec("c", 1, 1)], [1])
+    with pytest.raises(ValueError, match="^buffer depths must be >= 1$"):
         run_pipeline(specs, [0])
+
+
+def test_unknown_solution_letter_is_named():
+    for merge, clean in (("C", "B"), ("B", "C")):
+        with pytest.raises(ValueError, match="^unknown solution 'C', expected 'A' or 'B'$"):
+            trigger_timing(merge, clean, {}, 32)
 
 
 stage_specs = st.builds(
@@ -231,7 +239,7 @@ def test_streaming_offset_shortens_latency():
 def _streaming_b_b_chain():
     specs = default_stage_specs("B", "B")
     specs["merging"] = replace(specs["merging"], latency_cycles=1)
-    return [specs[name] for name in TRIGGER_STAGE_NAMES], channel_depths("B", DEFAULT_FIFO_DEPTH)
+    return list(specs.values()), trigger_timing("B", "B", {}, DEFAULT_FIFO_DEPTH).depths
 
 
 def _two_stage_streaming_chain():
@@ -252,14 +260,13 @@ def test_causal_bound_adds_no_hop():
     # (38): B/B 200 and A/A 198.  Adding merging's hop to that bound would
     # give 201 and 199.
     for merge, clean, latency in (("B", "B", 200), ("A", "A", 198)):
-        specs = RunConfig(stage_overrides={"merging": {"latency_cycles": 1}}).specs_for(merge, clean)
-        assert trigger_timing(specs, merge, DEFAULT_FIFO_DEPTH).latency_cycles == latency
+        overrides = {"merging": {"latency_cycles": 1}}
+        assert trigger_timing(merge, clean, overrides, DEFAULT_FIFO_DEPTH).latency_cycles == latency
 
 
 def test_engine_is_deterministic():
     events = gen_events(21, 10, "busy", CFG)
-    specs = RunConfig().specs_for("B", "B")
-    timings = [trigger_timing(specs, "B", DEFAULT_FIFO_DEPTH) for _ in range(2)]
+    timings = [trigger_timing("B", "B", {}, DEFAULT_FIFO_DEPTH) for _ in range(2)]
     assert timings[0] == timings[1]
     assert [run_stages(ev, CFG) for ev in events] == [run_stages(ev, CFG) for ev in events]
 
@@ -272,7 +279,7 @@ def test_engine_outputs_equal_staged_functional_path(tmp_path):
         argv = ["run", "--gen", "33:25:clustered", "--merge", merge, "--clean", clean]
         assert main([*argv, "--report", str(report)]) == 0
         *event_records, metrics = parse_report(report.read_text())[1:]
-        timing = trigger_timing(default_stage_specs(merge, clean), merge, DEFAULT_FIFO_DEPTH)
+        timing = trigger_timing(merge, clean, {}, DEFAULT_FIFO_DEPTH)
         assert (metrics["latency_cycles"], metrics["ii_cycles"]) == (
             timing.latency_cycles,
             timing.ii_cycles,
@@ -288,7 +295,7 @@ def test_engine_outputs_equal_staged_functional_path(tmp_path):
 
 def test_default_trigger_chain_latency_figures():
     runs = {
-        (merge, clean): trigger_timing(default_stage_specs(merge, clean), merge, DEFAULT_FIFO_DEPTH)
+        (merge, clean): trigger_timing(merge, clean, {}, DEFAULT_FIFO_DEPTH)
         for merge, clean in (("A", "A"), ("B", "B"))
     }
     assert runs[("A", "A")].latency_cycles == 203
@@ -305,10 +312,9 @@ def test_default_trigger_chain_lead_and_step():
         ("B", "B", (1, 44, 5, 34, 38, 60, 3), (44, 39, 34, 37, 36, 2, 15), 15),
         ("A", "A", (1, 44, 5, 39, 38, 60, 3), (44, 39, 35, 37, 36, 2, 15), 13),
     ):
-        timing = trigger_timing(default_stage_specs(merge, clean), merge, DEFAULT_FIFO_DEPTH)
+        timing = trigger_timing(merge, clean, {}, DEFAULT_FIFO_DEPTH)
         assert timing.names == TRIGGER_STAGE_NAMES
         assert (timing.lead, timing.step, timing.sink_latency_cycles) == (lead, step, sink)
-        assert timing.depths == channel_depths(merge, DEFAULT_FIFO_DEPTH)
 
 
 def test_default_hops_are_the_8_cycle_allowance():
@@ -320,23 +326,22 @@ def test_default_hops_are_the_8_cycle_allowance():
 
 
 def test_zero_handshake_ii_equals_max_stage_ii():
-    specs = {n: replace(s, hop_cycles=0) for n, s in default_stage_specs().items()}
-    metrics = trigger_timing(specs, "B", DEFAULT_FIFO_DEPTH)
-    assert metrics.ii_cycles == max(s.ii_cycles for s in specs.values()) == 43
+    zero_hop = {name: {"hop_cycles": 0} for name in TRIGGER_STAGE_NAMES}
+    metrics = trigger_timing("B", "B", zero_hop, DEFAULT_FIFO_DEPTH)
+    specs = default_stage_specs("B", "B").values()
+    assert metrics.ii_cycles == max(s.ii_cycles for s in specs) == 43
 
 
 def test_latency_monotone_in_stage_latency():
-    base_specs = default_stage_specs()
-    base = trigger_timing(base_specs, "B", DEFAULT_FIFO_DEPTH).latency_cycles
-    for name in TRIGGER_STAGE_NAMES:
-        specs = dict(base_specs)
-        specs[name] = replace(specs[name], latency_cycles=specs[name].latency_cycles + 5)
-        assert trigger_timing(specs, "B", DEFAULT_FIFO_DEPTH).latency_cycles >= base
+    base = trigger_timing("B", "B", {}, DEFAULT_FIFO_DEPTH).latency_cycles
+    for name, spec in default_stage_specs("B", "B").items():
+        longer = {name: {"latency_cycles": spec.latency_cycles + 5}}
+        assert trigger_timing("B", "B", longer, DEFAULT_FIFO_DEPTH).latency_cycles >= base
 
 
 def test_cdc_allowance():
     # off the nominal clock latency pays the allowance, II does not
-    m = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH)
+    m = trigger_timing("B", "B", {}, DEFAULT_FIFO_DEPTH)
     point = operating_point(m, 300)
     assert point.timing == m
     assert point.latency_cycles == m.latency_cycles + 10

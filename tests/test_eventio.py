@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from taupipe.core import ETA_MAX, N_INPUT, N_SEEDS, PHI_HALF, PT_MAX, Species
-from taupipe.dataflow import StageSpec
+from taupipe.dataflow import StageSpec, default_stage_specs, trigger_timing
 from taupipe.eventio import (
     _LANES,
     _PROFILES,
@@ -239,10 +239,11 @@ def test_below_and_chance_take_one_draw_each():
 
 def test_empty_config_defaults():
     rc = load_config("")
-    specs = rc.specs_for("B", "B")
+    assert rc.stage_overrides == {}
+    specs = default_stage_specs("B", "B")
     assert specs["merging"] == StageSpec("merging", 33, 33, start_offset_cycles=4, hop_cycles=1)
     assert specs["cleaning"] == StageSpec("cleaning", 15, 13, hop_cycles=2)
-    specs = rc.specs_for("A", "A")
+    specs = default_stage_specs("A", "A")
     assert specs["merging"] == StageSpec("merging", 38, 34, start_offset_cycles=4, hop_cycles=1)
     assert specs["cleaning"] == StageSpec("cleaning", 13, 13, hop_cycles=2)
     assert rc.fifo_depth == 32
@@ -280,6 +281,17 @@ def test_readme_config_paragraph_names_exactly_the_config_keys():
     assert named - {"run", "explore"} == _TRIGGER_KEYS | _RUN_KEYS
 
 
+def test_readme_config_paragraph_states_the_defaults():
+    # each trigger key and fifo_depth is followed by its default: a number or
+    # a quoted species list; read as a config, the defaults give RunConfig()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("**Config**"):].split("\n\n")[0]
+    stated = dict(re.findall(r"`([a-z][a-z0-9_]*)`\s+(\d+|`[^`]*`)", paragraph))
+    assert set(stated) == _TRIGGER_KEYS | _RUN_KEYS
+    text = "".join(f"{key} = {value.strip('`')}\n" for key, value in stated.items())
+    assert load_config(text) == RunConfig()
+
+
 def test_config_violated_invariant_is_quoted():
     with pytest.raises(
         ConfigError, match="line 1: signal_cone_r2_min must not exceed signal_cone_r2_max"
@@ -289,8 +301,11 @@ def test_config_violated_invariant_is_quoted():
 
 def test_config_stage_override():
     rc = load_config("stage.seeding.latency = 50\nstage.seeding.ii = 47\n")
-    specs = rc.specs_for("B", "B")
-    assert specs["seeding"] == StageSpec("seeding", 50, 47, hop_cycles=1)
+    assert rc.stage_overrides == {"seeding": {"latency_cycles": 50, "ii_cycles": 47}}
+    # seeding's step is its II plus its hop; filtering begins after seeding's
+    # latency plus filtering's hop
+    timing = trigger_timing("B", "B", rc.stage_overrides, rc.fifo_depth)
+    assert (timing.step[0], timing.lead[1]) == (47 + 1, 50 + 1)
 
 
 def test_config_bad_stage_key():
@@ -306,7 +321,9 @@ def test_config_species_list():
 def test_config_engine_keys():
     rc = load_config("fifo_depth = 8\nstage.cleaning.hop = 0\n")
     assert rc.fifo_depth == 8
-    assert rc.specs_for("B", "B")["cleaning"].hop_cycles == 0
+    assert rc.stage_overrides == {"cleaning": {"hop_cycles": 0}}
+    timing = trigger_timing("B", "B", rc.stage_overrides, rc.fifo_depth)
+    assert (timing.depths, timing.step[-1]) == ((8, 2, 8, 8, 8, 8), 13)
 
 
 @pytest.mark.parametrize("spelling", NON_DECIMAL, ids=NON_DECIMAL_IDS)
@@ -369,12 +386,12 @@ def test_crlf_files_parse():
 
 def test_report_roundtrip_bytes():
     from taupipe.budget import operating_point
-    from taupipe.dataflow import DEFAULT_FIFO_DEPTH, default_stage_specs, trigger_timing
+    from taupipe.dataflow import DEFAULT_FIFO_DEPTH
     from taupipe.eventio import build_report
     from taupipe.stages import run_stages
 
     events = gen_events(2, 5, "clustered", CFG)
-    metrics = trigger_timing(default_stage_specs(), "B", DEFAULT_FIFO_DEPTH)
+    metrics = trigger_timing("B", "B", {}, DEFAULT_FIFO_DEPTH)
     records = build_report(
         [ev.event_id for ev in events],
         [run_stages(ev, CFG) for ev in events],
