@@ -120,6 +120,34 @@ class OpCounter:
     comparisons: int = 0
 
 
+# The price of one of each count a step records, as (multiplications,
+# divisions, comparisons).  A distance costs 2 multiplications; lo and hi are
+# the signal cone's clamps and T its pt sum.
+OP_COSTS: dict[str, tuple[int, int, int]] = {
+    "seeding_tests": (0, 0, 1),  # a valid charged particle
+    "filter_tests": (2, 0, 1),  # a valid particle: a distance, d <= cone
+    "merge_reads": (0, 0, 1),  # a source (A), or a source per index step (B)
+    "signal_candidates": (0, 0, 1),  # a candidate: its species
+    "signal_allowed": (2, 0, 1),  # an allowed candidate: a distance, d <= lo
+    "signal_past_lo": (0, 0, 1),  # d > lo: d <= hi
+    "signal_in_band": (1, 0, 1),  # lo < d <= hi: d * T <= k
+    "averaged_candidates": (2, 0, 0),  # pt * eta, pt * phi
+    "averaged_groups": (0, 2, 0),  # a group with a non-zero pt sum: two means
+    "reconstructions": (0, 0, 1),  # pt >= min_tau_pt
+    "cleaning_pairs": (2, 0, 1),  # a pair of valid taus: a distance, d <= proximity_r2
+    "pair_orders": (0, 0, 1),  # a pair's pt order (B, the matrix)
+}
+
+
+def charge(ops: OpCounter | None, count: str, n: int = 1) -> None:
+    """Add ``n`` of ``count``, priced by ``OP_COSTS``, to ``ops``, if any."""
+    if ops is not None:
+        mul, div, cmp = OP_COSTS[count]
+        ops.multiplications += mul * n
+        ops.divisions += div * n
+        ops.comparisons += cmp * n
+
+
 def wrap_phi(phi: int) -> int:
     """Wrap an azimuth value into the canonical interval [-half, half)."""
     return (phi + PHI_HALF) % PHI_RANGE - PHI_HALF

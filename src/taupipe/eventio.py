@@ -316,9 +316,9 @@ class RunConfig:
         trigger_timing("B", "B", self.stage_overrides, self.fifo_depth)
 
 
-# Config keys of each record; ``stage.<name>.<field>`` keys set stage overrides.
+# The trigger's config keys; ``fifo_depth`` and the ``stage.<name>.<field>``
+# keys set the rest of a RunConfig.
 _TRIGGER_KEYS = frozenset(f.name for f in fields(TriggerConfig))
-_RUN_KEYS = frozenset(("fifo_depth",))
 
 _STAGE_FIELD_BY_KEY = {
     "latency": "latency_cycles",
@@ -362,32 +362,20 @@ def _stage_setting(key: str, value: str) -> tuple[str, dict[str, int]]:
     return parts[1], {_STAGE_FIELD_BY_KEY[parts[2]]: _parse_value(key, value)}
 
 
-def _build(record, kwargs: Mapping[str, object], lines: Mapping[str, int]):
-    """``record(**kwargs)``, where ``lines`` gives the line of each config key
-    set for the record.
-
-    The defaults are consistent, so a set key is at fault: a ValueError blames
-    the last line among the set keys that its message names, or else among
-    all the set keys.
-    """
-    try:
-        return record(**kwargs)
-    except ValueError as exc:
-        named = [n for k, n in lines.items() if k in str(exc)]
-        raise ConfigError(f"line {max(named or lines.values())}: {exc}") from exc
-
-
 def load_config(text: str) -> RunConfig:
     """Parse a ``key = value`` config; missing keys take the documented defaults.
 
-    One pass in file order parses each value and files it under its record;
-    then each record is built once and checks itself.  Unknown keys and
+    One pass in file order parses each value and checks ``fifo_depth`` and
+    each stage key on its own line.  The trigger settings are checked
+    together once the pass is done, as a constraint between them needs every
+    line: a ValueError then blames the last line among the set keys that its
+    message names, or else among all the set trigger keys.  Unknown keys and
     values violating a structural invariant are errors; the raised message
     names the line and quotes the violated constraint.
     """
     trigger: dict[str, object] = {}
-    run: dict[str, object] = {}
     overrides: dict[str, dict[str, int]] = {}
+    fifo_depth = DEFAULT_FIFO_DEPTH
     lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
@@ -401,32 +389,30 @@ def load_config(text: str) -> RunConfig:
             if key in lines:
                 raise ValueError(f"duplicate key {key!r}")
             lines[key] = lineno
+            # RunConfig(...) checks a stage key or fifo_depth on its own line.
             if key.startswith("stage."):
                 stage, setting = _stage_setting(key, value)
-                RunConfig(stage_overrides={stage: setting})  # checks the key on its own line
+                RunConfig(stage_overrides={stage: setting})
                 overrides.setdefault(stage, {}).update(setting)
+            elif key == "fifo_depth":
+                fifo_depth = _parse_value(key, value)
+                RunConfig(fifo_depth=fifo_depth)
             elif key == "format_version":
                 if _parse_value(key, value) != CONFIG_FORMAT_VERSION:
                     raise ValueError(f"unsupported config format_version {value}")
             elif key in _TRIGGER_KEYS:
                 trigger[key] = _parse_value(key, value)
-            elif key in _RUN_KEYS:
-                run[key] = _parse_value(key, value)
             else:
                 raise ValueError(f"unknown config key {key!r}")
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: {exc}") from exc
-
-    run_keys = lines.keys() - trigger.keys() - {"format_version"}
-    return _build(
-        RunConfig,
-        dict(
-            run,
-            trigger=_build(TriggerConfig, trigger, {k: lines[k] for k in trigger}),
-            stage_overrides=overrides,
-        ),
-        {k: lines[k] for k in run_keys},
-    )
+    try:
+        trigger_cfg = TriggerConfig(**trigger)
+    except ValueError as exc:
+        # The defaults are consistent, so a set trigger key is at fault.
+        named = [lines[k] for k in trigger if k in str(exc)]
+        raise ConfigError(f"line {max(named or [lines[k] for k in trigger])}: {exc}") from exc
+    return RunConfig(trigger_cfg, overrides, fifo_depth)
 
 
 # ---------------------------------------------------------------------------

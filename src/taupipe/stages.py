@@ -6,19 +6,8 @@ parameter averaging, tau reconstruction, and proximity cleaning (again two
 solutions).  Every function is a pure function of its inputs plus the config.
 
 The optional ``ops`` argument collects datapath operation counts.  Each step
-charges its operations once, outside its loops, from sizes it already has; a
-distance costs 2 multiplications, and lo/hi are the signal cone's clamps:
-
-- seeding: 1 comparison per valid charged particle;
-- filtering: a distance and 1 comparison per valid particle;
-- merging: 1 comparison per source (A), or per source and index step (B);
-- signal selection: 1 comparison per candidate; per allowed candidate a
-  distance and 1 comparison, 1 comparison more if d > lo, and 1
-  multiplication and 1 comparison more if lo < d <= hi;
-- averaging: 2 multiplications per candidate and 2 divisions per group with
-  a non-zero pt sum;
-- reconstruction: 1 comparison;
-- cleaning: per pair of valid taus, a distance and 2 comparisons (B) or 1 (A).
+names what it counted with ``core.charge``, once and outside its loops, from
+sizes it already has; ``core.OP_COSTS`` prices each count.
 """
 
 from __future__ import annotations
@@ -42,6 +31,7 @@ from .core import (
     OpCounter,
     Particle,
     Species,
+    charge,
     delta_r2,
     trunc_div,
     wrap_delta_phi,
@@ -127,8 +117,7 @@ def select_seeds(
     Fewer qualifying particles simply yield a shorter tuple.
     """
     charged = [p for p in event.particles if p.valid and p.species.charged]
-    if ops is not None:
-        ops.comparisons += len(charged)
+    charge(ops, "seeding_tests", len(charged))
     qualified = [p for p in charged if p.pt >= cfg.min_seed_pt]
     # The sort is stable, so equal pts keep their slot order.
     qualified.sort(key=lambda p: -p.pt)
@@ -150,15 +139,13 @@ def filter_block(
 ) -> tuple[Particle, ...]:
     """Keep the block's valid particles inside the seed's filter cone.
 
-    Input order is preserved; the cone boundary is inclusive.  Each valid
-    particle counts as one ``delta_r2`` evaluation (two multiplications) and
-    one comparison, as the hardware tests every slot; the model itself skips
-    the distance for particles outside the cone's eta reach.
+    Input order is preserved; the cone boundary is inclusive.  Every valid
+    particle counts as a filter test, as the hardware tests every slot; the
+    model itself skips the distance for particles outside the cone's eta
+    reach.
     """
     if ops is not None:
-        n_valid = sum(1 for p in block if p.valid)
-        ops.multiplications += 2 * n_valid
-        ops.comparisons += n_valid
+        charge(ops, "filter_tests", sum(1 for p in block if p.valid))
     cone_r2 = cfg.filter_cone_r2
     # |deta| > isqrt(cone_r2) implies deta^2 > cone_r2: rejected on eta alone.
     reach = math.isqrt(cone_r2)
@@ -199,8 +186,7 @@ def merge_solution_a(
     first ``MAX_CANDIDATES`` items of the lists read in order.
     """
     sizes = _source_sizes(lists)
-    if ops is not None:
-        ops.comparisons += len(sizes)
+    charge(ops, "merge_reads", len(sizes))
     flat = [p for lst in lists for p in lst]
     return MergeResult(items=tuple(flat[:MAX_CANDIDATES]), discarded=tuple(flat[MAX_CANDIDATES:]))
 
@@ -234,8 +220,7 @@ def merge_solution_b(
                 items.append(lists[src][index])
                 taken[src] += 1
         index += 1
-    if ops is not None:
-        ops.comparisons += len(sizes) * index
+    charge(ops, "merge_reads", len(sizes) * index)
     discarded = tuple(p for lst, t in zip(lists, taken) for p in lst[t:])
     return MergeResult(items=tuple(items), discarded=discarded)
 
@@ -280,11 +265,12 @@ def select_signal_candidates(
         dists.append(d)
         if d <= lo or (d <= hi and d * t <= k):
             kept.append(p)
+    charge(ops, "signal_candidates", len(clist.candidates))
+    charge(ops, "signal_allowed", len(dists))
     if ops is not None:
         past_lo = [d for d in dists if d > lo]
-        in_band = sum(1 for d in past_lo if d <= hi)
-        ops.multiplications += 2 * len(dists) + in_band
-        ops.comparisons += len(clist.candidates) + len(dists) + len(past_lo) + in_band
+        charge(ops, "signal_past_lo", len(past_lo))
+        charge(ops, "signal_in_band", sum(1 for d in past_lo if d <= hi))
     return CandidateList(seed=clist.seed, candidates=tuple(kept))
 
 
@@ -296,8 +282,7 @@ def compute_tau_params(clist: CandidateList, ops: OpCounter | None = None) -> Ta
     the periodic boundary average correctly.  The means divide by the
     unsaturated pt sum, so each lies among the candidates' values.  A group
     whose pt sum is zero (in particular an empty one) gives ``INVALID_TAU``
-    with no division and no operation counted; any other costs exactly two
-    divisions.
+    with no division and nothing counted; any other is one averaged group.
     """
     seed_phi = clist.seed.phi
     weight = 0
@@ -310,9 +295,8 @@ def compute_tau_params(clist: CandidateList, ops: OpCounter | None = None) -> Ta
         num_phi += p.pt * off
     if weight == 0:
         return INVALID_TAU
-    if ops is not None:
-        ops.multiplications += 2 * len(clist.candidates)
-        ops.divisions += 2
+    charge(ops, "averaged_candidates", len(clist.candidates))
+    charge(ops, "averaged_groups")
     eta_w = trunc_div(num_eta, weight)
     phi_off = trunc_div(num_phi, weight)
     phi_w = wrap_phi(seed_phi + phi_off)
@@ -325,9 +309,8 @@ def reconstruct_tau(
     ops: OpCounter | None = None,
 ) -> Tau:
     """Keep the averaged tau if it is valid and reaches ``min_tau_pt``,
-    else ``INVALID_TAU``; one comparison, no arithmetic."""
-    if ops is not None:
-        ops.comparisons += 1
+    else ``INVALID_TAU``."""
+    charge(ops, "reconstructions")
     if tau.valid and tau.pt >= cfg.min_tau_pt:
         return tau
     return INVALID_TAU
@@ -352,10 +335,9 @@ def build_cleaning_matrix(
     0-based; no cell involves an invalid tau, and the diagonal is never set.
     """
     valid = _valid_slots(taus)
-    if ops is not None:
-        pairs = len(valid) * (len(valid) - 1) // 2
-        ops.multiplications += 2 * pairs
-        ops.comparisons += 2 * pairs
+    pairs = math.comb(len(valid), 2)
+    charge(ops, "cleaning_pairs", pairs)
+    charge(ops, "pair_orders", pairs)
     # Pairs come with i < j, so on equal pt the higher slot j loses.
     return frozenset(
         (i, j) if taus[i].pt < taus[j].pt else (j, i)
@@ -397,10 +379,7 @@ def clean_solution_a(
     which is what makes this pass agree with the matrix formulation on chains.
     """
     graded = sorted(_valid_slots(taus), key=lambda i: (-taus[i].pt, i))
-    if ops is not None:
-        pairs = len(graded) * (len(graded) - 1) // 2
-        ops.multiplications += 2 * pairs
-        ops.comparisons += pairs
+    charge(ops, "cleaning_pairs", math.comb(len(graded), 2))
     near = cfg.proximity_r2
     dropped = {j for i, j in combinations(graded, 2) if delta_r2(taus[i].pos, taus[j].pos) <= near}
     survivors = [i for i in graded if i not in dropped]
@@ -418,8 +397,8 @@ CLEAN_SOLUTIONS: dict[str, Callable[..., tuple[Tau, ...]]] = {
 def run_stages(
     event: Event,
     cfg: TriggerConfig,
-    merge_solution: str = "B",
-    clean_solution: str = "B",
+    merge_solution: str,
+    clean_solution: str,
     ops: OpCounter | None = None,
 ) -> tuple[Tau, ...]:
     """Run the seven steps sequentially and return the final tau list (<= 8).

@@ -419,7 +419,8 @@ def test_run_writes_a_minimised_counterexample_on_divergence(monkeypatch, capsys
     original = gen_events(1, 1, "clustered")[0]
     assert minimised.event_id == original.event_id
     cfg = TriggerConfig()
-    assert _drop_last_tau_of_busy_events(minimised, cfg) != oracle_trigger(minimised, cfg, "B")
+    faulty = _drop_last_tau_of_busy_events(minimised, cfg, "B", "B")
+    assert faulty != oracle_trigger(minimised, cfg, "B")
     n_valid = [sum(p.valid for p in ev.particles) for ev in (minimised, original)]
     assert 3 < n_valid[0] < n_valid[1]
 
@@ -434,6 +435,11 @@ def test_run_writes_a_minimised_counterexample_on_divergence(monkeypatch, capsys
         # a later valid key of the same record is not blamed
         ("fifo_depth = 0\nstage.merging.latency = 5", "fifo_depth must be >= 1"),
         ("stage.merging.ii = 0\nstage.merging.latency = 5", "ii_cycles must be >= 1"),
+        # of two faulty lines, the first in file order is blamed
+        ("fifo_depth = 0\nbogus = 1", "fifo_depth must be >= 1"),
+        ("bogus = 1\nfifo_depth = 0", "unknown config key 'bogus'"),
+        ("fifo_depth = 0\nstage.merging.ii = 0", "fifo_depth must be >= 1"),
+        ("stage.merging.ii = 0\nfifo_depth = 0", "ii_cycles must be >= 1"),
     ],
 )
 def test_run_engine_and_stage_errors_name_the_line(tmp_path, capsys, setting, message):
@@ -458,8 +464,13 @@ def test_run_engine_and_stage_errors_name_the_line(tmp_path, capsys, setting, me
             "(got 200 > 100)",
         ),
         ("fifo_depth = 0\nstage.merging.latency = 5", 2, "fifo_depth must be >= 1"),
+        # the trigger settings are checked together after the pass
+        ("min_seed_pt = -1\nbogus = 1", 3, "unknown config key 'bogus'"),
     ],
-    ids=["format-version", "unnamed-later-key", "last-named-key", "run-config-later-key"],
+    ids=[
+        "format-version", "unnamed-later-key", "last-named-key", "run-config-later-key",
+        "trigger-checked-after-pass",
+    ],
 )
 def test_run_config_constraint_errors_name_the_line(tmp_path, capsys, setting, line, message):
     cfgfile = tmp_path / "bad.cfg"

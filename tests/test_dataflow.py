@@ -268,7 +268,8 @@ def test_engine_is_deterministic():
     events = gen_events(21, 10, "busy", CFG)
     timings = [trigger_timing("B", "B", {}, DEFAULT_FIFO_DEPTH) for _ in range(2)]
     assert timings[0] == timings[1]
-    assert [run_stages(ev, CFG) for ev in events] == [run_stages(ev, CFG) for ev in events]
+    runs = [[run_stages(ev, CFG, "B", "B") for ev in events] for _ in range(2)]
+    assert runs[0] == runs[1]
 
 
 def test_engine_outputs_equal_staged_functional_path(tmp_path):

@@ -8,7 +8,6 @@ from taupipe.dataflow import StageSpec, default_stage_specs, trigger_timing
 from taupipe.eventio import (
     _LANES,
     _PROFILES,
-    _RUN_KEYS,
     _TRIGGER_KEYS,
     ConfigError,
     EventFileError,
@@ -278,7 +277,7 @@ def test_readme_config_paragraph_names_exactly_the_config_keys():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = readme[readme.index("**Config**"):].split("\n\n")[0]
     named = {t for t in re.findall(r"`([^`]*)`", paragraph) if re.fullmatch(r"[a-z][a-z0-9_]*", t)}
-    assert named - {"run", "explore"} == _TRIGGER_KEYS | _RUN_KEYS
+    assert named - {"run", "explore"} == _TRIGGER_KEYS | {"fifo_depth"}
 
 
 def test_readme_config_paragraph_states_the_defaults():
@@ -287,7 +286,7 @@ def test_readme_config_paragraph_states_the_defaults():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = readme[readme.index("**Config**"):].split("\n\n")[0]
     stated = dict(re.findall(r"`([a-z][a-z0-9_]*)`\s+(\d+|`[^`]*`)", paragraph))
-    assert set(stated) == _TRIGGER_KEYS | _RUN_KEYS
+    assert set(stated) == _TRIGGER_KEYS | {"fifo_depth"}
     text = "".join(f"{key} = {value.strip('`')}\n" for key, value in stated.items())
     assert load_config(text) == RunConfig()
 
@@ -394,7 +393,7 @@ def test_report_roundtrip_bytes():
     metrics = trigger_timing("B", "B", {}, DEFAULT_FIFO_DEPTH)
     records = build_report(
         [ev.event_id for ev in events],
-        [run_stages(ev, CFG) for ev in events],
+        [run_stages(ev, CFG, "B", "B") for ev in events],
         operating_point(metrics, 360),
     )
     text = serialize_report(records)

@@ -130,7 +130,7 @@ def cone_taus(seed, photon, r2):
         filter_cone_r2=r2, signal_cone_r2_min=1 << 27, signal_cone_r2_max=1 << 27
     )
     ev = make_event(0, [seed, photon])
-    return [oracle_trigger(ev, cfg, merge) for merge in "AB"] + [run_stages(ev, cfg)]
+    return [oracle_trigger(ev, cfg, merge) for merge in "AB"] + [run_stages(ev, cfg, "B", "B")]
 
 
 @st.composite

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import stage_op_counts
-from taupipe import stages
+from taupipe import core, stages
 from taupipe.core import (
     ETA_MAX,
     N_SEEDS,
+    OP_COSTS,
     PAD_PARTICLE,
     PHI_HALF,
     PT_MAX,
@@ -32,10 +33,13 @@ from taupipe.stages import (
     filter_block,
     partition_blocks,
     reconstruct_tau,
+    run_stages,
     select_seeds,
     select_signal_candidates,
 )
+from taupipe.eventio import gen_events, load_config
 from taupipe.reference import signal_cone_r2
+from test_golden import DENSE_CONFIG
 
 CFG = TriggerConfig()
 
@@ -424,17 +428,23 @@ def test_config_cone_order_invariant():
 
 
 def test_stages_count_outside_loops():
-    # Each step charges its operations once, from sizes it already has: no
-    # ``ops.<field> += ...`` inside a loop body, at most one
-    # ``if ops is not None:`` block per function, and no such block computes
-    # a distance again only to count it.
+    # Each step names its counts once, from sizes it already has, and
+    # ``core.OP_COSTS`` prices them: no ``charge(...)`` inside a loop body,
+    # no ``ops.<field>`` in the steps, at most one ``if ops is not None:``
+    # block per function, and no distance computed again only to count it.
     tree = ast.parse(inspect.getsource(stages))
-    for loop in ast.walk(tree):
-        if not isinstance(loop, (ast.For, ast.While)):
-            continue
-        for node in ast.walk(loop):
-            if isinstance(node, ast.AugAssign) and ast.unparse(node.target).startswith("ops."):
-                pytest.fail(f"stages.py:{node.lineno} counts operations inside a loop")
+
+    def charges(node):
+        return [
+            n for n in ast.walk(node)
+            if isinstance(n, ast.Call) and ast.unparse(n.func) == "charge"
+        ]
+
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.For, ast.While)) and charges(node):
+            pytest.fail(f"stages.py:{charges(node)[0].lineno} counts inside a loop")
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "ops":
+            pytest.fail(f"stages.py:{node.lineno} prices an operation")
     for fn in tree.body:
         if isinstance(fn, ast.FunctionDef):
             guards = [
@@ -443,7 +453,27 @@ def test_stages_count_outside_loops():
                 if isinstance(n, ast.If) and ast.unparse(n.test) == "ops is not None"
             ]
             assert len(guards) <= 1, f"{fn.name} has {len(guards)} ops blocks"
-            for guard in guards:
-                for node in ast.walk(guard):
-                    if isinstance(node, ast.Call) and ast.unparse(node.func) == "delta_r2":
-                        pytest.fail(f"stages.py:{node.lineno} recomputes a distance to count it")
+            for node in guards + [a for c in charges(fn) for a in c.args]:
+                if "delta_r2" in ast.unparse(node):
+                    pytest.fail(f"stages.py:{node.lineno} recomputes a distance to count it")
+
+
+def test_every_op_cost_row_is_counted(monkeypatch):
+    # The pinned op-total workloads, on every solution pair, count some of
+    # each priced count: the table has no dead row.
+    counted = set()
+
+    def recording_charge(ops, count, n=1):
+        if n:
+            counted.add(count)
+        core.charge(ops, count, n)
+
+    monkeypatch.setattr(stages, "charge", recording_charge)
+    for config, profile in [("", "busy"), ("", "clustered"), (DENSE_CONFIG, "busy")]:
+        cfg = load_config(config).trigger
+        events = gen_events(1, 50, profile)
+        for merge in "AB":
+            for clean in "AB":
+                for event in events:
+                    run_stages(event, cfg, merge, clean, OpCounter())
+    assert counted == OP_COSTS.keys()
