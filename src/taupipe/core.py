@@ -45,6 +45,8 @@ class Species(Enum):
     ELECTRON = ("electron", True)
     PHOTON = ("photon", False)
     MUON = ("muon", True)
+    # Members are singletons: hash by identity, not by Enum's Python-level hash.
+    __hash__ = object.__hash__
 
     def __new__(cls, name: str, charged: bool) -> "Species":
         member = object.__new__(cls)

@@ -1,16 +1,16 @@
 """Naive, unpipelined reference implementations used as ground truth.
 
-Everything here favors obviousness over speed: full sorts, list
-comprehensions, and exact integer arithmetic with the truncating division
-written out once (``_trunc_div``).  The trigger reference keeps only the
-stated structural limits (16 seeds, 30 candidates, 8 taus) and no other
-capacity mechanics, so it defines the canonical per-event output that the
-staged pipeline is checked against.
+Everything here favors obviousness over speed: full sorts, comprehensions,
+and exact integer arithmetic with the truncating division written out once
+(``_trunc_div``).  The trigger reference keeps only the stated structural
+limits (16 seeds, 30 candidates, 8 taus) and no other capacity mechanics, so
+it defines the canonical per-event output that the staged pipeline is
+checked against.
 
-"Naive" means: every valid particle is tested against every seed, and every
-pair of valid taus against each other; there is no index, and no loop is
-shared with ``stages``.  The filter-cone test, the one run per particle and
-seed, is written inline rather than as a ``delta_r2`` call.
+"Naive" means: each seed tests the valid particles in slot order, under
+merge A until the cap is full and under B all of them, and every pair of
+valid taus is tested; the cone test has no index or sort, and no loop is
+shared with ``stages``.  Both cone tests are inline, not ``delta_r2`` calls.
 
 A merge step may keep any items once a seed's cone holds more than the
 candidate cap, and the two merge solutions keep different ones.  So the
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import Sequence
 
 from .core import (
@@ -67,13 +68,13 @@ def signal_cone_r2(total_pt: int, cfg: TriggerConfig) -> int:
 def oracle_trigger(
     event: Event, cfg: TriggerConfig, merge_solution: str = "A"
 ) -> tuple[Tau, ...]:
-    """Canonical end-to-end result: the seven steps, written the simple way.
+    """Canonical end-to-end result: the seven steps, written the naive way.
 
     ``merge_solution`` selects the candidate cap's order; it matters only
-    when a seed's cone holds more than ``MAX_CANDIDATES`` particles.  Its
-    default is ``"A"``, while ``taupipe run`` defaults to merge B, so a check
-    of a merge B run must pass ``"B"``: against the default, a correct run
-    may diverge on events whose cones overflow.
+    when a seed's cone holds more than ``MAX_CANDIDATES`` particles.  Under
+    A the cone test stops once the cap is full; under B it tests every valid
+    particle.  The default is ``"A"``, while ``taupipe run`` defaults to
+    merge B, so a check of a merge B run must pass ``"B"``.
     """
     if merge_solution not in MERGE_SOLUTIONS:
         raise ValueError(f"merge_solution must be one of {tuple(MERGE_SOLUTIONS)}")
@@ -95,32 +96,36 @@ def oracle_trigger(
     r2 = cfg.filter_cone_r2
     taus: list[Tau] = [INVALID_TAU] * N_SEEDS
     for slot, (_, seed) in enumerate(seeds):
-        # delta_r2(p, seed) <= r2, inline; most pairs fail on eta alone
+        # both cone tests write delta_r2(p, seed) inline; most pairs fail the first on eta
         se, sp = seed.eta, seed.phi
         in_cone = [
-            [
+            (
                 p
                 for p in block
                 if (de := p.eta - se) * de <= r2
                 and de * de + (dp := (p.phi - sp + PHI_HALF) % PHI_RANGE - PHI_HALF) * dp <= r2
-            ]
+            )
             for block in blocks
         ]
         # The cap keeps the first MAX_CANDIDATES in the merge solution's
-        # order: slot order under A; (rank within the block's list, block
-        # index) under B.  Without overflow it keeps all, in any order.
-        ordered = [p for lst in in_cone for p in lst]
-        if merge_solution == "B" and len(ordered) > MAX_CANDIDATES:
-            ordered = [lst[r] for r in range(BLOCK_SIZE) for lst in in_cone if r < len(lst)]
-        cands = ordered[:MAX_CANDIDATES]
+        # order: slot order under A, where the cone test stops at the cap; (rank
+        # within the block's list, block index) under B.  No overflow keeps all.
+        if merge_solution == "A":
+            cands = list(islice(chain.from_iterable(in_cone), MAX_CANDIDATES))
+        else:
+            lists = [list(g) for g in in_cone]
+            ordered = [p for lst in lists for p in lst]
+            if len(ordered) > MAX_CANDIDATES:
+                ordered = [lst[r] for r in range(BLOCK_SIZE) for lst in lists if r < len(lst)]
+            cands = ordered[:MAX_CANDIDATES]
         total = min(sum(p.pt for p in cands), PT_MAX)
 
         r2_sig = signal_cone_r2(total, cfg)
         kept = [
-            p
-            for p in cands
+            p for p in cands
             if p.species in cfg.allowed_signal_species
-            and delta_r2(p, seed) <= r2_sig
+            and (de := p.eta - se) * de
+            + (dp := (p.phi - sp + PHI_HALF) % PHI_RANGE - PHI_HALF) * dp <= r2_sig
         ]
         weight = sum(p.pt for p in kept)
         sum_pt = min(weight, PT_MAX)

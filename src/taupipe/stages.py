@@ -256,12 +256,15 @@ def select_signal_candidates(
     hi = cfg.signal_cone_r2_max
     k = cfg.signal_cone_k
     allowed = cfg.allowed_signal_species
+    seed_eta, seed_phi = clist.seed.eta, clist.seed.phi
     kept: list[Particle] = []
     dists: list[int] = []  # of the allowed candidates, for the operation count
     for p in clist.candidates:
         if p.species not in allowed:
             continue
-        d = delta_r2(p, clist.seed)
+        deta = p.eta - seed_eta
+        dphi = (p.phi - seed_phi + PHI_HALF) % PHI_RANGE - PHI_HALF  # delta_r2, inlined
+        d = deta * deta + dphi * dphi
         dists.append(d)
         if d <= lo or (d <= hi and d * t <= k):
             kept.append(p)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from dataclasses import fields
 
 import pytest
@@ -16,7 +18,9 @@ from taupipe.core import (
     trunc_div,
     wrap_delta_phi,
 )
-from taupipe.stages import compute_total_pt
+from taupipe.eventio import load_config
+from taupipe.reference import oracle_trigger
+from taupipe.stages import CandidateList, compute_total_pt, select_signal_candidates
 
 HALF = PHI_RANGE // 2
 
@@ -118,6 +122,30 @@ def test_species_charged():
     assert [s.value for s in Species] == [
         "charged_hadron", "neutral_hadron", "electron", "photon", "muon"
     ]
+
+
+def test_species_copies_are_the_member_itself():
+    # Species hashes by identity, which holds only while every copy of a
+    # member is that member
+    for s in Species:
+        assert copy.copy(s) is s
+        assert copy.deepcopy(s) is s
+        for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(s, proto)) is s
+    p = Particle(7, -3, 9, Species.MUON)
+    q = pickle.loads(pickle.dumps(p))
+    assert q == p and hash(q) == hash(p)
+
+
+def test_configured_signal_species_are_admitted_exactly():
+    cfg = load_config("allowed_signal_species = muon, photon").trigger
+    assert cfg.allowed_signal_species == {Species.MUON, Species.PHOTON}
+    # one particle of each species on one spot, pts 16, 32, ... 256
+    particles = [Particle(16 << i, 0, 0, s) for i, s in enumerate(Species)]
+    kept = select_signal_candidates(CandidateList(particles[0], tuple(particles)), cfg)
+    assert [p.species for p in kept.candidates] == [Species.PHOTON, Species.MUON]
+    taus = oracle_trigger(make_event(0, particles), cfg)
+    assert [t.pt for t in taus] == [128 + 256]
 
 
 def test_particle_fields_follow_the_event_record():

@@ -1,13 +1,18 @@
+import ast
+import inspect
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from helpers import tau
+from taupipe import reference, stages
 from taupipe.core import (
     ETA_MAX,
+    MAX_CANDIDATES,
     MAX_TAUS,
     N_INPUT,
+    PAD_PARTICLE,
     PHI_HALF,
     OpCounter,
     Particle,
@@ -241,6 +246,52 @@ def test_signal_cone_of_a_total_pt_of_one():
     assert out.candidates == (seed, photon)
     for want, got in all_paths_taus([seed, photon], cfg):
         assert want == got == (tau(1, 40, 0),)
+
+
+@pytest.mark.parametrize("n", [MAX_CANDIDATES, MAX_CANDIDATES + 1])
+def test_candidate_cap_at_its_edge(n):
+    # One seed's whole-plane cone holds n particles: 15 in block 0, 10 in
+    # block 1 and the rest in block 2, and the last in slot order is heavy.
+    # At n = 31 merge A's cap (slot order) drops the heavy photon, and merge
+    # B's (rank in block, then block) drops block 0's 15th particle instead.
+    slots = [*range(15), *range(32, 42), *range(64, 70)][:n]
+    assert len(slots) == n
+    frame = [PAD_PARTICLE] * N_INPUT
+    frame[0] = Particle(100, 0, 0)
+    for k, slot in enumerate(slots[1:], start=1):
+        frame[slot] = Particle(400 if k == n - 1 else 5, 10 * k, -7 * k, Species.PHOTON)
+    all_in = 100 + 5 * (MAX_CANDIDATES - 2) + 400
+    pt_a = all_in if n == MAX_CANDIDATES else 100 + 5 * (MAX_CANDIDATES - 1)
+    paths = all_paths_taus(frame, WHOLE_PLANE)
+    for want, got in paths:
+        assert want == got
+    assert [[t.pt for t in want] for want, _ in paths] == [[pt_a], [pt_a], [all_in], [all_in]]
+
+
+def test_oracle_shares_no_code_with_the_stages():
+    # The check must not rest on the code it checks: reference.py takes from
+    # stages only records and the solution names, and calls no step function.
+    tree = ast.parse(inspect.getsource(reference))
+    imports = [
+        (getattr(node, "module", None), a.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for a in node.names
+    ]
+    from_stages = {
+        name for module, name in imports if module in ("stages", "taupipe.stages") or "stages" in name
+    }
+    assert from_stages == {"INVALID_TAU", "MERGE_SOLUTIONS", "Tau", "TriggerConfig"}
+    steps = {
+        node.name for node in ast.parse(inspect.getsource(stages)).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    called = {
+        ast.unparse(node.func.value if isinstance(node.func, ast.Subscript) else node.func)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert steps and not called & (steps | {"MERGE_SOLUTIONS", "CLEAN_SOLUTIONS"})
 
 
 @pytest.mark.parametrize("gap, kept", [(163, 1), (164, 2)])
