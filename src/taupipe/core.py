@@ -20,6 +20,9 @@ PT_MAX = 65535
 PHI_RANGE = 2048
 PHI_HALF = PHI_RANGE // 2
 ETA_MAX = 4096
+# The largest squared angular distance inside the ranges: the eta span and
+# half the phi period.
+MAX_DELTA_R2 = (2 * ETA_MAX) ** 2 + PHI_HALF**2
 
 # The pipeline's framing: fixed array sizes of the design, as are the
 # register widths above.  The input window is N_FILTER_BLOCKS blocks of
@@ -71,6 +74,12 @@ class AngularCoord:
 
 @dataclass(frozen=True)
 class Particle:
+    """One input slot: pt in 0..PT_MAX, |eta| <= ETA_MAX, phi in [-half, half).
+
+    The ranges are checked here, whether a particle is parsed or built in
+    code, so every step may rely on them.
+    """
+
     pt: int
     eta: int
     phi: int
@@ -78,8 +87,12 @@ class Particle:
     valid: bool = True
 
     def __post_init__(self) -> None:
-        if self.pt < 0:
-            raise ValueError(f"pt must be non-negative, got {self.pt}")
+        if not 0 <= self.pt <= PT_MAX:
+            raise ValueError(f"pt {self.pt} outside 0..{PT_MAX}")
+        if not -ETA_MAX <= self.eta <= ETA_MAX:
+            raise ValueError(f"|eta| {self.eta} exceeds {ETA_MAX}")
+        if not -PHI_HALF <= self.phi < PHI_HALF:
+            raise ValueError(f"phi {self.phi} outside [{-PHI_HALF}, {PHI_HALF})")
         if not self.valid and self.pt != 0:
             raise ValueError("invalid (padding) particles must carry pt = 0")
 
@@ -168,8 +181,8 @@ def delta_r2(p: Particle | AngularCoord, q: Particle | AngularCoord) -> int:
 
     Each argument is a particle (a seed is one) or a tau's position: only
     ``.eta`` and ``.phi`` are read.  Inside the ranges the largest value is
-    (2 * ETA_MAX)^2 + PHI_HALF^2 = 68,157,440 < 2^27, so a 27-bit register
-    holds every distance and nothing saturates.
+    ``MAX_DELTA_R2`` < 2^27, so a 27-bit register holds every distance and
+    nothing saturates.
     """
     deta = p.eta - q.eta
     dphi = (p.phi - q.phi + PHI_HALF) % PHI_RANGE - PHI_HALF  # wrap_delta_phi, inlined

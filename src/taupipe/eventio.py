@@ -111,18 +111,16 @@ def parse_events(text: str, cfg: TriggerConfig | None = None) -> list[Event]:
             raise EventFileError(f"line {lineno}: unknown species {fields[5]!r}")
         if not 0 <= slot < N_INPUT:
             raise EventFileError(f"line {lineno}: slot {slot} outside 0..{N_INPUT - 1}")
-        if not 0 <= pt <= PT_MAX:
-            raise EventFileError(f"line {lineno}: pt {pt} outside 0..{PT_MAX}")
-        if not -ETA_MAX <= eta <= ETA_MAX:
-            raise EventFileError(f"line {lineno}: |eta| {eta} exceeds {ETA_MAX}")
-        if not -PHI_HALF <= phi < PHI_HALF:
-            raise EventFileError(f"line {lineno}: phi {phi} outside [{-PHI_HALF}, {PHI_HALF})")
+        try:
+            particle = Particle(pt, eta, phi, species)  # checks the pt, eta, phi ranges
+        except ValueError as exc:
+            raise EventFileError(f"line {lineno}: {exc}") from exc
         slots = slots_by_event.get(event_id)
         if slots is None:
             slots = slots_by_event[event_id] = [PAD_PARTICLE] * N_INPUT
         elif slots[slot] is not PAD_PARTICLE:
             raise EventFileError(f"line {lineno}: duplicate slot {slot} in event {event_id}")
-        slots[slot] = Particle(pt, eta, phi, species)
+        slots[slot] = particle
     return [Event(event_id, tuple(slots)) for event_id, slots in slots_by_event.items()]
 
 

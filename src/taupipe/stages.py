@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 from .core import (
     BLOCK_SIZE,
     MAX_CANDIDATES,
+    MAX_DELTA_R2,
     MAX_TAUS,
     N_FILTER_BLOCKS,
     N_SEEDS,
@@ -142,11 +143,14 @@ def filter_block(
     Input order is preserved; the cone boundary is inclusive.  Every valid
     particle counts as a filter test, as the hardware tests every slot; the
     model itself skips the distance for particles outside the cone's eta
-    reach.
+    reach, and tests none when the cone holds the whole detector
+    (``filter_cone_r2 >= MAX_DELTA_R2``, as ``Particle`` enforces the ranges).
     """
     if ops is not None:
         charge(ops, "filter_tests", sum(1 for p in block if p.valid))
     cone_r2 = cfg.filter_cone_r2
+    if cone_r2 >= MAX_DELTA_R2:
+        return tuple([p for p in block if p.valid])
     # |deta| > isqrt(cone_r2) implies deta^2 > cone_r2: rejected on eta alone.
     reach = math.isqrt(cone_r2)
     phi_range = PHI_RANGE

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 
 from taupipe.core import (
     ETA_MAX,
+    MAX_DELTA_R2,
+    PT_MAX,
     AngularCoord,
     PAD_PARTICLE,
     PHI_HALF,
@@ -18,7 +20,7 @@ from taupipe.core import (
     trunc_div,
     wrap_delta_phi,
 )
-from taupipe.eventio import load_config
+from taupipe.eventio import EventFileError, load_config, parse_events
 from taupipe.reference import oracle_trigger
 from taupipe.stages import CandidateList, compute_total_pt, select_signal_candidates
 
@@ -81,7 +83,12 @@ def test_delta_r2_wrapped_phi():
 def test_delta_r2_largest_distance_fits_27_bits():
     # opposite eta ends, phi half a period apart: no distance needs saturation
     corner = delta_r2(AngularCoord(-ETA_MAX, -PHI_HALF), AngularCoord(ETA_MAX, 0))
-    assert corner == (2 * ETA_MAX) ** 2 + PHI_HALF**2 == 68_157_440 < 2**27
+    assert corner == MAX_DELTA_R2 < 2**27
+
+
+@given(etas, phis, etas, phis)
+def test_delta_r2_never_exceeds_the_corner(e1, p1, e2, p2):
+    assert delta_r2(Particle(1, e1, p1), Particle(1, e2, p2)) <= MAX_DELTA_R2
 
 
 @given(etas, phis, etas, phis)
@@ -156,8 +163,35 @@ def test_particle_fields_follow_the_event_record():
 
 
 def test_particle_pt_must_be_non_negative():
-    with pytest.raises(ValueError, match="pt must be non-negative"):
+    with pytest.raises(ValueError, match=r"^pt -1 outside 0\.\.65535$"):
         Particle(-1, 0, 0)
+
+
+@pytest.mark.parametrize(
+    "pt, eta, phi, message",
+    [
+        (-1, 0, 0, "pt -1 outside 0..65535"),
+        (PT_MAX + 1, 0, 0, "pt 65536 outside 0..65535"),
+        (1, ETA_MAX + 1, 0, "|eta| 4097 exceeds 4096"),
+        (1, -ETA_MAX - 1, 0, "|eta| -4097 exceeds 4096"),
+        (1, 0, PHI_HALF, "phi 1024 outside [-1024, 1024)"),
+        (1, 0, -PHI_HALF - 1, "phi -1025 outside [-1024, 1024)"),
+    ],
+)
+def test_particle_refuses_values_outside_the_ranges(pt, eta, phi, message):
+    # a particle built in code and a parsed record fail with one message
+    with pytest.raises(ValueError) as built:
+        Particle(pt, eta, phi)
+    assert str(built.value) == message
+    with pytest.raises(EventFileError) as parsed:
+        parse_events(f"taupipe-events 1\n0 0 {pt} {eta} {phi} photon\n")
+    assert str(parsed.value) == f"line 2: {message}"
+
+
+def test_particle_ranges_are_inclusive_where_stated():
+    for pt, eta, phi in [(0, -ETA_MAX, -PHI_HALF), (PT_MAX, ETA_MAX, PHI_HALF - 1)]:
+        p = Particle(pt, eta, phi)
+        assert (p.pt, p.eta, p.phi) == (pt, eta, phi)
 
 
 def test_invalid_particle_must_be_zero_pt():

@@ -10,6 +10,7 @@ from taupipe import reference, stages
 from taupipe.core import (
     ETA_MAX,
     MAX_CANDIDATES,
+    MAX_DELTA_R2,
     MAX_TAUS,
     N_INPUT,
     PAD_PARTICLE,
@@ -31,6 +32,7 @@ from taupipe.stages import (
     TriggerConfig,
     clean_solution_a,
     clean_solution_b,
+    filter_block,
     run_stages,
     select_signal_candidates,
 )
@@ -83,7 +85,7 @@ def test_staged_path_matches_oracle_all_variants():
 def test_at_most_eight_taus_and_min_pt():
     # dense event: plenty of seeds, outputs still capped and thresholded
     particles = [
-        Particle(20 + i, (i % 8) * 900 - 3000, (i // 8) * 300 - 900)
+        Particle(20 + i, (i % 8) * 900 - 3000, (i // 8) * 250 - 1000)
         for i in range(64)
     ]
     out = oracle_trigger(make_event(0, particles), CFG)
@@ -246,6 +248,24 @@ def test_signal_cone_of_a_total_pt_of_one():
     assert out.candidates == (seed, photon)
     for want, got in all_paths_taus([seed, photon], cfg):
         assert want == got == (tau(1, 40, 0),)
+
+
+@pytest.mark.parametrize("r2, kept", [(MAX_DELTA_R2, True), (MAX_DELTA_R2 - 1, False)])
+def test_filter_cone_of_the_whole_detector(r2, kept):
+    # The photon sits at the opposite corner, MAX_DELTA_R2 from the seed: a
+    # cone of that size holds the whole detector, and one unit less drops it.
+    seed, photon = Particle(100, -ETA_MAX, 0), Particle(9, ETA_MAX, -PHI_HALF, Species.PHOTON)
+    assert delta_r2(photon, seed) == MAX_DELTA_R2
+    cfg = TriggerConfig(
+        filter_cone_r2=r2, signal_cone_r2_min=1 << 27, signal_cone_r2_max=1 << 27
+    )
+    ops = OpCounter()
+    got = filter_block((seed, PAD_PARTICLE, photon), seed, cfg, ops)
+    assert got == ((seed, photon) if kept else (seed,))
+    assert (ops.multiplications, ops.comparisons) == (4, 2)  # two valid particles tested
+    for want, taus in all_paths_taus([seed, photon], cfg):
+        assert want == taus
+        assert [t.pt for t in taus] == [109 if kept else 100]
 
 
 @pytest.mark.parametrize("n", [MAX_CANDIDATES, MAX_CANDIDATES + 1])
