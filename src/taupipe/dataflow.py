@@ -48,7 +48,7 @@ figures.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from itertools import accumulate
 from typing import Mapping, Sequence
 
@@ -88,6 +88,10 @@ class StageSpec:
             raise ValueError(f"stage {self.name}: ii_cycles must be >= 1")
         if min(self.latency_cycles, self.start_offset_cycles, self.hop_cycles) < 0:
             raise ValueError(f"stage {self.name}: cycle counts must be non-negative")
+
+
+# The fields a stage override may set: every StageSpec field but its name.
+STAGE_TIMING_FIELDS = tuple(f.name for f in fields(StageSpec) if f.name != "name")
 
 
 @dataclass(frozen=True)
@@ -205,15 +209,20 @@ def trigger_timing(
 ) -> ChainTiming:
     """Timing of the seven-stage trigger chain of a solution pair.
 
-    ``overrides`` maps a stage name to the StageSpec fields to set on top of
-    the pair's rows.  Every hop is a FIFO of ``fifo_depth`` except filtering
-    to merging under merge solution B, a ping-pong buffer: two banks of one
-    iteration each, whatever the FIFO depth.
+    ``overrides`` maps a stage name to the ``STAGE_TIMING_FIELDS`` to set on
+    top of the pair's rows.  Every hop is a FIFO of ``fifo_depth`` except
+    filtering to merging under merge solution B, a ping-pong buffer: two
+    banks of one iteration each, whatever the FIFO depth.
     """
     specs = default_stage_specs(merge_solution, clean_solution)
     for name, settings in overrides.items():
         if name not in specs:
             raise ValueError(f"unknown stage {name!r}, expected one of {TRIGGER_STAGE_NAMES}")
+        for key in settings:
+            if key not in STAGE_TIMING_FIELDS:
+                raise ValueError(
+                    f"stage {name}: unknown field {key!r}, expected one of {STAGE_TIMING_FIELDS}"
+                )
         specs[name] = replace(specs[name], **settings)
     depths = [fifo_depth] * (len(specs) - 1)
     if merge_solution == "B":

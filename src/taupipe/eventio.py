@@ -37,7 +37,12 @@ from .core import (
     make_event,
     wrap_phi,
 )
-from .dataflow import DEFAULT_FIFO_DEPTH, TRIGGER_STAGE_NAMES, trigger_timing
+from .dataflow import (
+    DEFAULT_FIFO_DEPTH,
+    STAGE_TIMING_FIELDS,
+    TRIGGER_STAGE_NAMES,
+    trigger_timing,
+)
 from .stages import TriggerConfig
 
 EVENT_FORMAT = "taupipe-events"
@@ -318,12 +323,7 @@ class RunConfig:
 # keys set the rest of a RunConfig.
 _TRIGGER_KEYS = frozenset(f.name for f in fields(TriggerConfig))
 
-_STAGE_FIELD_BY_KEY = {
-    "latency": "latency_cycles",
-    "ii": "ii_cycles",
-    "start_offset": "start_offset_cycles",
-    "hop": "hop_cycles",
-}
+_STAGE_FIELD_BY_KEY = {f.removesuffix("_cycles"): f for f in STAGE_TIMING_FIELDS}
 
 
 def _check_decimal(text: str) -> None:

@@ -126,9 +126,11 @@ def select_seeds(
 
 
 def partition_blocks(event: Event) -> tuple[tuple[Particle, ...], ...]:
-    """Split the event into the contiguous fixed-size filter blocks."""
+    """Split the event into the contiguous fixed-size filter blocks, each
+    holding its valid particles only, in slot order."""
     return tuple(
-        event.particles[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE] for i in range(N_FILTER_BLOCKS)
+        tuple([p for p in event.particles[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE] if p.valid])
+        for i in range(N_FILTER_BLOCKS)
     )
 
 
@@ -138,19 +140,19 @@ def filter_block(
     cfg: TriggerConfig,
     ops: OpCounter | None = None,
 ) -> tuple[Particle, ...]:
-    """Keep the block's valid particles inside the seed's filter cone.
+    """Keep the block's particles inside the seed's filter cone.
 
-    Input order is preserved; the cone boundary is inclusive.  Every valid
-    particle counts as a filter test, as the hardware tests every slot; the
-    model itself skips the distance for particles outside the cone's eta
-    reach, and tests none when the cone holds the whole detector
-    (``filter_cone_r2 >= MAX_DELTA_R2``, as ``Particle`` enforces the ranges).
+    The block holds valid particles only, as ``partition_blocks`` builds it.
+    Input order is preserved; the cone boundary is inclusive.  Every particle
+    counts as one filter test; the model itself skips the distance for
+    particles outside the cone's eta reach, and tests none when the cone
+    holds the whole detector (``filter_cone_r2 >= MAX_DELTA_R2``, as
+    ``Particle`` enforces the ranges).
     """
-    if ops is not None:
-        charge(ops, "filter_tests", sum(1 for p in block if p.valid))
+    charge(ops, "filter_tests", len(block))
     cone_r2 = cfg.filter_cone_r2
     if cone_r2 >= MAX_DELTA_R2:
-        return tuple([p for p in block if p.valid])
+        return tuple(block)
     # |deta| > isqrt(cone_r2) implies deta^2 > cone_r2: rejected on eta alone.
     reach = math.isqrt(cone_r2)
     phi_range = PHI_RANGE
@@ -159,8 +161,6 @@ def filter_block(
     seed_phi = seed.phi
     kept: list[Particle] = []
     for p in block:
-        if not p.valid:
-            continue
         deta = p.eta - seed_eta
         if deta > reach or deta < -reach:
             continue

@@ -343,8 +343,10 @@ def test_config_duplicate_key():
     [
         ({"stage_overrides": {"merging": {"ii_cycles": 0}}}, "ii_cycles must be >= 1"),
         ({"stage_overrides": {"nowhere": {"ii_cycles": 2}}}, "unknown stage 'nowhere'"),
+        ({"stage_overrides": {"merging": {"name": "x"}}}, "stage merging: unknown field 'name'"),
+        ({"stage_overrides": {"merging": {"bogus": 1}}}, "stage merging: unknown field 'bogus'"),
     ],
-    ids=["stage-field", "unknown-stage"],
+    ids=["stage-field", "unknown-stage", "stage-name", "unknown-field"],
 )
 def test_run_config_built_in_code_checks_its_fields(kwargs, message):
     with pytest.raises(ValueError, match=message):

@@ -24,7 +24,7 @@ from taupipe.core import (
     wrap_delta_phi,
     wrap_phi,
 )
-from taupipe.eventio import gen_events
+from taupipe.eventio import gen_events, parse_events
 from taupipe.reference import _trunc_div, oracle_clean, oracle_trigger, signal_cone_r2
 from taupipe.stages import (
     INVALID_TAU,
@@ -33,6 +33,7 @@ from taupipe.stages import (
     clean_solution_a,
     clean_solution_b,
     filter_block,
+    partition_blocks,
     run_stages,
     select_signal_candidates,
 )
@@ -260,12 +261,40 @@ def test_filter_cone_of_the_whole_detector(r2, kept):
         filter_cone_r2=r2, signal_cone_r2_min=1 << 27, signal_cone_r2_max=1 << 27
     )
     ops = OpCounter()
-    got = filter_block((seed, PAD_PARTICLE, photon), seed, cfg, ops)
+    block = partition_blocks(make_event(0, [seed, PAD_PARTICLE, photon]))[0]
+    got = filter_block(block, seed, cfg, ops)
     assert got == ((seed, photon) if kept else (seed,))
     assert (ops.multiplications, ops.comparisons) == (4, 2)  # two valid particles tested
     for want, taus in all_paths_taus([seed, photon], cfg):
         assert want == taus
         assert [t.pt for t in taus] == [109 if kept else 100]
+
+
+def test_padding_inside_every_block_is_dropped_at_partition():
+    # Generated events pad only at the tail; a parsed event can leave any
+    # slot empty.  Block edges (31|32, 63|64) and both frame ends hold a
+    # particle, and slot 5's photon lies across the phi wrap from slot 127.
+    records = {
+        0: "60 0 0 charged_hadron",
+        5: "20 30 1000 photon",
+        31: "30 -40 20 charged_hadron",
+        32: "15 50 -30 photon",
+        63: "80 1000 500 charged_hadron",
+        64: "25 1020 480 neutral_hadron",
+        100: "12 980 520 electron",
+        127: "50 0 -1000 charged_hadron",
+    }
+    text = "taupipe-events 1\n" + "".join(f"3 {slot} {r}\n" for slot, r in records.items())
+    (ev,) = parse_events(text)
+    valid_slots = [[0, 5, 31], [32, 63], [64], [100, 127]]
+    assert partition_blocks(ev) == tuple(
+        tuple(ev.particles[i] for i in slots) for slots in valid_slots
+    )
+    for merge in "AB":
+        want = oracle_trigger(ev, CFG, merge)
+        assert len(want) == 3
+        for clean in "AB":
+            assert run_stages(ev, CFG, merge, clean) == want
 
 
 @pytest.mark.parametrize("n", [MAX_CANDIDATES, MAX_CANDIDATES + 1])
