@@ -168,14 +168,6 @@ def wrap_phi(phi: int) -> int:
     return (phi + PHI_HALF) % PHI_RANGE - PHI_HALF
 
 
-def wrap_delta_phi(a: int, b: int) -> int:
-    """Shortest signed azimuthal difference a - b on the periodic axis.
-
-    Returns d with d == a - b (mod PHI_RANGE) and d in [-half, half).
-    """
-    return wrap_phi(a - b)
-
-
 def delta_r2(p: Particle | AngularCoord, q: Particle | AngularCoord) -> int:
     """Squared angular distance deta^2 + dphi^2 with a wrapped phi difference.
 
@@ -185,7 +177,7 @@ def delta_r2(p: Particle | AngularCoord, q: Particle | AngularCoord) -> int:
     nothing saturates.
     """
     deta = p.eta - q.eta
-    dphi = (p.phi - q.phi + PHI_HALF) % PHI_RANGE - PHI_HALF  # wrap_delta_phi, inlined
+    dphi = (p.phi - q.phi + PHI_HALF) % PHI_RANGE - PHI_HALF  # wrap_phi(p.phi - q.phi), inlined
     return deta * deta + dphi * dphi
 
 

@@ -13,7 +13,9 @@ The event generator is a splitmix64 stream (64-bit adds, xor-shifts and
 multiplies, all modulo 2^64), so a seed reproduces bit-identical events on
 any platform.  Output k depends only on its counter, seed + (k + 1) * gamma,
 so the stream is computed a block of lanes at a time: the same splitmix64
-outputs, by counter.
+outputs, by counter.  The builders take the stream as ``draw``, and
+``draw() % n`` is a draw in [0, n); its modulo bias is irrelevant at these
+sizes.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import json
 import struct
 from dataclasses import dataclass, field, fields
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import (
     ETA_MAX,
@@ -163,21 +165,9 @@ def _splitmix64_blocks(state: int) -> Iterator[tuple[int, ...]]:
         state = (state + _LANES * _GAMMA) & _MASK64
 
 
-class SplitMix64:
-    """splitmix64 stream: the committed generator behind all fixtures."""
-
-    def __init__(self, seed: int):
-        # next_u64() returns the stream's next output
-        self.next_u64 = chain.from_iterable(_splitmix64_blocks(seed & _MASK64)).__next__
-
-    def below(self, n: int) -> int:
-        """Uniform-ish draw in [0, n); modulo bias is irrelevant at these sizes."""
-        if n <= 0:
-            raise ValueError("below() needs a positive bound")
-        return self.next_u64() % n
-
-    def chance(self, num: int, den: int) -> bool:
-        return self.below(den) < num
+def splitmix64(seed: int) -> Callable[[], int]:
+    """The splitmix64 stream from ``seed``: each call returns its next output."""
+    return chain.from_iterable(_splitmix64_blocks(seed & _MASK64)).__next__
 
 
 def gen_events(
@@ -195,8 +185,8 @@ def gen_events(
     if profile not in _PROFILES:
         raise ValueError(f"unknown profile {profile!r}, expected one of {GEN_PROFILES}")
     salt, build = _PROFILES[profile]
-    rng = SplitMix64(seed ^ (salt * 0x2545F4914F6CDD1D))
-    return [build(rng, k) for k in range(count)]
+    draw = splitmix64(seed ^ (salt * 0x2545F4914F6CDD1D))
+    return [build(draw, k) for k in range(count)]
 
 
 _SPECIES_ROLL = (
@@ -217,10 +207,7 @@ def _clamp_eta(eta: int) -> int:
     return max(-ETA_MAX, min(ETA_MAX, eta))
 
 
-def _rand_particle(rng: SplitMix64, *, pt_lo: int, pt_hi: int) -> Particle:
-    # Most of a busy event's draws are made here, so they come straight from
-    # the stream: draw() % n is rng.below(n).
-    draw = rng.next_u64
+def _rand_particle(draw: Callable[[], int], *, pt_lo: int, pt_hi: int) -> Particle:
     pt = pt_lo + draw() % (pt_hi - pt_lo + 1)
     if draw() % 8 < 1:
         pt = min(pt + 200 + draw() % 800, PT_MAX)
@@ -230,57 +217,59 @@ def _rand_particle(rng: SplitMix64, *, pt_lo: int, pt_hi: int) -> Particle:
     return Particle(pt, eta, phi, _SPECIES_ROLL[draw() % len(_SPECIES_ROLL)])
 
 
-def _gen_uniform(rng: SplitMix64, event_id: int) -> Event:
-    m = 12 + rng.below(37)
-    particles = [_rand_particle(rng, pt_lo=1, pt_hi=180) for _ in range(m)]
+def _gen_uniform(draw: Callable[[], int], event_id: int) -> Event:
+    m = 12 + draw() % 37
+    particles = [_rand_particle(draw, pt_lo=1, pt_hi=180) for _ in range(m)]
     return make_event(event_id, particles)
 
 
-def _gen_cluster(rng: SplitMix64, center_eta: int, center_phi: int, size: int) -> list[Particle]:
+def _gen_cluster(
+    draw: Callable[[], int], center_eta: int, center_phi: int, size: int
+) -> list[Particle]:
     members = []
     for i in range(size):
-        eta = _clamp_eta(center_eta + rng.below(121) - 60)
-        phi = wrap_phi(center_phi + rng.below(121) - 60)
+        eta = _clamp_eta(center_eta + draw() % 121 - 60)
+        phi = wrap_phi(center_phi + draw() % 121 - 60)
         if i == 0:
-            pt = 40 + rng.below(120)
+            pt = 40 + draw() % 120
             species = Species.CHARGED_HADRON
         else:
-            pt = 2 + rng.below(40)
-            species = _SPECIES_ROLL[rng.below(len(_SPECIES_ROLL))]
+            pt = 2 + draw() % 40
+            species = _SPECIES_ROLL[draw() % len(_SPECIES_ROLL)]
         members.append(Particle(pt, eta, phi, species))
     return members
 
 
-def _gen_clustered(rng: SplitMix64, event_id: int) -> Event:
+def _gen_clustered(draw: Callable[[], int], event_id: int) -> Event:
     particles: list[Particle] = []
-    n_clusters = 2 + rng.below(4)
+    n_clusters = 2 + draw() % 4
     prev: tuple[int, int] | None = None
     for _ in range(n_clusters):
-        if prev is not None and rng.chance(1, 2):
+        if prev is not None and draw() % 2 < 1:
             # chain: park this cluster close enough that the two reconstructed
             # taus contest the proximity cleaning
-            ceta = _clamp_eta(prev[0] + 90 + rng.below(60))
-            cphi = wrap_phi(prev[1] + rng.below(41) - 20)
+            ceta = _clamp_eta(prev[0] + 90 + draw() % 60)
+            cphi = wrap_phi(prev[1] + draw() % 41 - 20)
         else:
             span = ETA_MAX - 400
-            ceta = rng.below(2 * span + 1) - span
-            cphi = rng.below(PHI_RANGE) - PHI_HALF
-        size = 3 + rng.below(6)
-        particles.extend(_gen_cluster(rng, ceta, cphi, size))
+            ceta = draw() % (2 * span + 1) - span
+            cphi = draw() % PHI_RANGE - PHI_HALF
+        size = 3 + draw() % 6
+        particles.extend(_gen_cluster(draw, ceta, cphi, size))
         prev = (ceta, cphi)
-    background = 4 + rng.below(12)
-    particles.extend(_rand_particle(rng, pt_lo=1, pt_hi=30) for _ in range(background))
-    return make_event(event_id, particles[:N_INPUT])
+    background = 4 + draw() % 12
+    particles.extend(_rand_particle(draw, pt_lo=1, pt_hi=30) for _ in range(background))
+    return make_event(event_id, particles)
 
 
-def _gen_busy(rng: SplitMix64, event_id: int) -> Event:
-    m = 60 + rng.below(50)
-    particles = [_rand_particle(rng, pt_lo=1, pt_hi=120) for _ in range(m)]
+def _gen_busy(draw: Callable[[], int], event_id: int) -> Event:
+    m = 60 + draw() % 50
+    particles = [_rand_particle(draw, pt_lo=1, pt_hi=120) for _ in range(m)]
     span = ETA_MAX - 400
-    ceta = rng.below(2 * span + 1) - span
-    cphi = rng.below(PHI_RANGE) - PHI_HALF
-    particles.extend(_gen_cluster(rng, ceta, cphi, 4 + rng.below(5)))
-    return make_event(event_id, particles[:N_INPUT])
+    ceta = draw() % (2 * span + 1) - span
+    cphi = draw() % PHI_RANGE - PHI_HALF
+    particles.extend(_gen_cluster(draw, ceta, cphi, 4 + draw() % 5))
+    return make_event(event_id, particles)
 
 
 # The generator profiles: name -> (stream salt, event builder).
@@ -342,7 +331,10 @@ def _decimal(text: str) -> int:
 def _parse_value(key: str, value: str) -> object:
     """The typed value of a config key; every key not listed here is an integer."""
     if key == "allowed_signal_species":
-        return frozenset(Species(v.strip()) for v in value.split(",") if v.strip())
+        try:
+            return frozenset(_SPECIES_BY_NAME[v.strip()] for v in value.split(",") if v.strip())
+        except KeyError as exc:
+            raise ValueError(f"unknown species {exc.args[0]!r}") from None
     try:
         return _decimal(value)
     except ValueError:

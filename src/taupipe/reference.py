@@ -39,7 +39,6 @@ from .core import (
     Event,
     Particle,
     delta_r2,
-    wrap_delta_phi,
     wrap_phi,
 )
 from .stages import INVALID_TAU, MERGE_SOLUTIONS, Tau, TriggerConfig
@@ -135,7 +134,7 @@ def oracle_trigger(
         # Means weighted by the unsaturated pt sum, truncated toward zero
         # as an integer divider does.
         eta_w = _trunc_div(sum(p.pt * p.eta for p in kept), weight)
-        phi_off = _trunc_div(sum(p.pt * wrap_delta_phi(p.phi, seed.phi) for p in kept), weight)
+        phi_off = _trunc_div(sum(p.pt * wrap_phi(p.phi - seed.phi) for p in kept), weight)
         phi_w = wrap_phi(seed.phi + phi_off)
         taus[slot] = Tau(sum_pt, AngularCoord(eta_w, phi_w))
 

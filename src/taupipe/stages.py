@@ -35,7 +35,6 @@ from .core import (
     charge,
     delta_r2,
     trunc_div,
-    wrap_delta_phi,
     wrap_phi,
 )
 
@@ -164,7 +163,7 @@ def filter_block(
         deta = p.eta - seed_eta
         if deta > reach or deta < -reach:
             continue
-        dphi = (p.phi - seed_phi + half) % phi_range - half  # wrap_delta_phi
+        dphi = (p.phi - seed_phi + half) % phi_range - half  # wrap_phi(p.phi - seed_phi)
         if deta * deta + dphi * dphi <= cone_r2:
             kept.append(p)
     return tuple(kept)
@@ -296,7 +295,7 @@ def compute_tau_params(clist: CandidateList, ops: OpCounter | None = None) -> Ta
     num_eta = 0
     num_phi = 0
     for p in clist.candidates:
-        off = wrap_delta_phi(p.phi, seed_phi)
+        off = wrap_phi(p.phi - seed_phi)
         weight += p.pt
         num_eta += p.pt * p.eta
         num_phi += p.pt * off
@@ -418,7 +417,7 @@ def run_stages(
     merge = MERGE_SOLUTIONS[merge_solution]
     clean = CLEAN_SOLUTIONS[clean_solution]
     seeds = select_seeds(event, cfg, ops)
-    blocks = partition_blocks(event)
+    blocks = partition_blocks(event) if seeds else ()
     taus: list[Tau] = [INVALID_TAU] * N_SEEDS
     for si, seed in enumerate(seeds):
         lists = [filter_block(b, seed, cfg, ops) for b in blocks]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from typing import Callable
 
 from taupipe.core import (
     ETA_MAX,
@@ -18,7 +19,7 @@ from taupipe.core import (
     Species,
     make_event,
 )
-from taupipe.eventio import EVENT_FORMAT, EVENT_FORMAT_VERSION, EventFileError, SplitMix64
+from taupipe.eventio import EVENT_FORMAT, EVENT_FORMAT_VERSION, EventFileError
 from taupipe.stages import (
     INVALID_TAU,
     CandidateList,
@@ -60,7 +61,7 @@ def fig5_taus() -> tuple[Tau, ...]:
     return tuple(taus)
 
 
-def random_tau_slots(rng: SplitMix64, n_slots: int = 16) -> tuple[Tau, ...]:
+def random_tau_slots(draw: Callable[[], int], n_slots: int = 16) -> tuple[Tau, ...]:
     """Random 16-slot instance with duplicated pts and proximity chains.
 
     Positions live on a 120-unit grid: orthogonally adjacent cells are within
@@ -69,18 +70,18 @@ def random_tau_slots(rng: SplitMix64, n_slots: int = 16) -> tuple[Tau, ...]:
     """
     taus = [INVALID_TAU] * n_slots
     for i in range(n_slots):
-        if rng.chance(7, 8):
-            pt = 1 + rng.below(24)
-            eta = (rng.below(13) - 6) * 120
-            phi = (rng.below(13) - 6) * 120
+        if draw() % 8 < 7:
+            pt = 1 + draw() % 24
+            eta = (draw() % 13 - 6) * 120
+            phi = (draw() % 13 - 6) * 120
             taus[i] = tau(pt, eta, phi)
     return tuple(taus)
 
 
-def random_merge_lists(rng: SplitMix64) -> list[list[int]]:
+def random_merge_lists(draw: Callable[[], int]) -> list[list[int]]:
     """Four source lists of unique int items; a quarter of draws stay small."""
-    small = rng.chance(1, 4)
-    sizes = [rng.below(9) if small else rng.below(33) for _ in range(4)]
+    small = draw() % 4 < 1
+    sizes = [draw() % 9 if small else draw() % 33 for _ in range(4)]
     return [[lst * 1000 + i for i in range(size)] for lst, size in enumerate(sizes)]
 
 

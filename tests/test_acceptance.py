@@ -19,11 +19,11 @@ from taupipe.dataflow import (
 )
 from taupipe.cli import main as cli_main
 from taupipe.eventio import (
-    SplitMix64,
     gen_events,
     parse_events,
     parse_report,
     serialize_report,
+    splitmix64,
     write_events,
 )
 from taupipe.reference import oracle_clean, oracle_merge, oracle_trigger
@@ -66,17 +66,17 @@ def test_c1_fig5_golden_cleaning():
 
 def test_c2_equivalence_suites():
     t0 = time.perf_counter()
-    rng = SplitMix64(0xC2)
+    draw = splitmix64(0xC2)
     for _ in range(10_000):
-        taus = random_tau_slots(rng)
+        taus = random_tau_slots(draw)
         a = clean_solution_a(taus, CFG)
         b = clean_solution_b(taus, CFG)
         o = oracle_clean(taus, CFG)
         assert a == b == o
-    rng = SplitMix64(0x4C15)
+    draw = splitmix64(0x4C15)
     agreed_sets = 0
     for _ in range(10_000):
-        lists = random_merge_lists(rng)
+        lists = random_merge_lists(draw)
         expect = oracle_merge(lists)
         ra = merge_solution_a(lists)
         rb = merge_solution_b(lists)
@@ -165,9 +165,9 @@ def test_c7_merge_cycle_models():
     want = [full[lst][rnd] for rnd in range(7) for lst in range(4)]
     want += [full[0][7], full[1][7]]
     assert list(rb.items) == want  # 30 tokens, round-robin by index
-    rng = SplitMix64(0xC7)
+    draw = splitmix64(0xC7)
     most_a = most_b = 0
-    for lists in [full] + [random_merge_lists(rng) for _ in range(2000)]:
+    for lists in [full] + [random_merge_lists(draw) for _ in range(2000)]:
         most_b = max(most_b, len(merge_solution_b(lists).items))
         # A drains every source in parallel to its end; it refuses a source
         # longer than a block

@@ -3,7 +3,7 @@ from hypothesis import given, strategies as st
 
 from helpers import chain_taus, fig5_taus, random_tau_slots, tau
 from taupipe.core import MAX_TAUS, delta_r2
-from taupipe.eventio import SplitMix64
+from taupipe.eventio import splitmix64
 from taupipe.reference import oracle_clean
 from taupipe.stages import (
     INVALID_TAU,
@@ -134,17 +134,16 @@ def test_precap_survivors_are_the_undominated_set(taus):
 
 
 def test_oracle_permutation_invariance_distinct_pts():
-    rng = SplitMix64(99)
-    base = random_tau_slots(rng)
+    base = random_tau_slots(splitmix64(99))
     # force distinct pts so relabeling cannot change the winner set
     taus = tuple(
         tau(100 + i, t.pos.eta, t.pos.phi) if t.valid else INVALID_TAU
         for i, t in enumerate(base)
     )
     perm = list(range(16))
-    rng2 = SplitMix64(7)
+    draw = splitmix64(7)
     for i in range(15, 0, -1):
-        j = rng2.below(i + 1)
+        j = draw() % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     shuffled = tuple(taus[perm[i]] for i in range(16))
     got = {(t.pt, t.pos.eta, t.pos.phi) for t in oracle_clean(shuffled, CFG)}
@@ -153,7 +152,7 @@ def test_oracle_permutation_invariance_distinct_pts():
 
 
 def test_randomized_cross_check_bulk():
-    rng = SplitMix64(1234)
+    draw = splitmix64(1234)
     for _ in range(500):
-        taus = random_tau_slots(rng)
+        taus = random_tau_slots(draw)
         assert clean_solution_a(taus, CFG) == clean_solution_b(taus, CFG) == oracle_clean(taus, CFG)

@@ -18,7 +18,7 @@ from taupipe.core import (
     delta_r2,
     make_event,
     trunc_div,
-    wrap_delta_phi,
+    wrap_phi,
 )
 from taupipe.eventio import EventFileError, load_config, parse_events
 from taupipe.reference import oracle_trigger
@@ -43,25 +43,25 @@ def brute_wrap(a: int, b: int) -> int:
 
 
 def test_wrap_identity():
-    assert wrap_delta_phi(100, 100) == 0
+    assert wrap_phi(100 - 100) == 0
 
 
 def test_wrap_across_boundary():
-    assert wrap_delta_phi(1000, -1000) == -48
-    assert wrap_delta_phi(-1000, 1000) == 48
+    assert wrap_phi(1000 - (-1000)) == -48
+    assert wrap_phi(-1000 - 1000) == 48
 
 
 @given(phis, phis)
 def test_wrap_matches_brute_force(a, b):
-    assert wrap_delta_phi(a, b) == brute_wrap(a, b)
+    assert wrap_phi(a - b) == brute_wrap(a, b)
 
 
 @given(phis, phis)
 def test_wrap_range_and_antisymmetry(a, b):
-    d = wrap_delta_phi(a, b)
+    d = wrap_phi(a - b)
     assert -HALF <= d < HALF
-    if d != -HALF and wrap_delta_phi(b, a) != -HALF:
-        assert wrap_delta_phi(b, a) == -d
+    if d != -HALF and wrap_phi(b - a) != -HALF:
+        assert wrap_phi(b - a) == -d
 
 
 def test_delta_r2_coincident():
@@ -101,7 +101,7 @@ def test_delta_r2_symmetric(e1, p1, e2, p2):
 def test_delta_r2_zero_iff_coincident_mod_wrap(e1, p1, e2, p2):
     a, b = AngularCoord(e1, p1), AngularCoord(e2, p2)
     zero = delta_r2(a, b) == 0
-    assert zero == (e1 == e2 and wrap_delta_phi(p1, p2) == 0)
+    assert zero == (e1 == e2 and wrap_phi(p1 - p2) == 0)
 
 
 def test_saturating_add_examples():

@@ -12,12 +12,12 @@ from taupipe.eventio import (
     ConfigError,
     EventFileError,
     RunConfig,
-    SplitMix64,
     gen_events,
     load_config,
     parse_events,
     parse_report,
     serialize_report,
+    splitmix64,
     write_events,
 )
 from taupipe.stages import TriggerConfig
@@ -194,8 +194,8 @@ def test_gen_clustered_seed1_exercises_cleaning():
 
 def test_splitmix_reference_values():
     # first outputs for seed 0, pinned so the stream can never drift silently
-    rng = SplitMix64(0)
-    assert [rng.next_u64() for _ in range(3)] == [
+    draw = splitmix64(0)
+    assert [draw() for _ in range(3)] == [
         16294208416658607535,
         7960286522194355700,
         487617019471545679,
@@ -221,16 +221,17 @@ def scalar_splitmix64(seed):
 def test_splitmix_stream_matches_the_scalar_form(seed):
     # across three block boundaries, into a fourth block
     n = 3 * _LANES + 5
-    rng, want = SplitMix64(seed), scalar_splitmix64(seed)
-    assert [rng.next_u64() for _ in range(n)] == [next(want) for _ in range(n)]
+    draw, want = splitmix64(seed), scalar_splitmix64(seed)
+    assert [draw() for _ in range(n)] == [next(want) for _ in range(n)]
 
 
-def test_below_and_chance_take_one_draw_each():
-    rng, want = SplitMix64(7), scalar_splitmix64(7)
-    for n in (1, 10, 2**70):
-        assert rng.below(n) == next(want) % n
-        assert rng.chance(3, n) == (next(want) % n < 3)
-    assert rng.next_u64() == next(want)
+@pytest.mark.parametrize("profile, most", [("uniform", 48), ("clustered", 55), ("busy", 117)])
+def test_largest_generated_event_fits_the_input(profile, most):
+    # -1 % n == n - 1: every draw takes its largest value, so every count is
+    # at its most and no builder produces more than N_INPUT particles
+    _, build = _PROFILES[profile]
+    event = build(lambda: -1, 0)
+    assert sum(p.valid for p in event.particles) == most <= N_INPUT
 
 
 # --- config -------------------------------------------------------------------
@@ -315,6 +316,12 @@ def test_config_bad_stage_key():
 def test_config_species_list():
     rc = load_config("allowed_signal_species = photon, electron\n")
     assert rc.trigger.allowed_signal_species == frozenset({Species.PHOTON, Species.ELECTRON})
+
+
+def test_config_unknown_species_names_its_line():
+    # the same message as an event record with that species
+    with pytest.raises(ConfigError, match=r"^line 2: unknown species 'bogus'$"):
+        load_config("fifo_depth = 8\nallowed_signal_species = photon, bogus\n")
 
 
 def test_config_engine_keys():

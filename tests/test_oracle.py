@@ -21,7 +21,6 @@ from taupipe.core import (
     delta_r2,
     make_event,
     trunc_div,
-    wrap_delta_phi,
     wrap_phi,
 )
 from taupipe.eventio import gen_events, parse_events
@@ -118,7 +117,7 @@ def test_phi_mirror_of_an_offset_of_half_the_range():
     # negating every phi negates every tau's phi, except where a particle
     # sits exactly PHI_HALF from its seed: the wrapped offset -PHI_HALF
     # mirrors to itself, so both sides average towards negative offsets
-    assert wrap_delta_phi(-724, 300) == wrap_delta_phi(724, -300) == -PHI_HALF
+    assert wrap_phi(-724 - 300) == wrap_phi(724 - (-300)) == -PHI_HALF
     for phis, want in (((300, -724), (130, 471)), ((-300, 724), (-470, -129))):
         ev = make_event(0, [Particle(50, 0, phis[0]), Particle(10, 0, phis[1])])
         for merge in "AB":

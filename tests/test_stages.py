@@ -22,7 +22,7 @@ from taupipe.core import (
     Species,
     delta_r2,
     make_event,
-    wrap_delta_phi,
+    wrap_phi,
 )
 from taupipe.stages import (
     INVALID_TAU,
@@ -113,6 +113,17 @@ def test_partition_blocks_drop_padding():
     blocks = partition_blocks(make_event(0, []))
     assert blocks == ((),) * N_FILTER_BLOCKS
     assert filter_block(blocks[0], seed_at(), CFG) == ()
+
+
+def test_seedless_event_is_not_partitioned(monkeypatch):
+    def no_partition(event):
+        raise AssertionError("a seedless event was partitioned")
+
+    monkeypatch.setattr(stages, "partition_blocks", no_partition)
+    ev = make_event(0, [Particle(99, 0, 0, Species.PHOTON) for _ in range(10)])
+    for merge in "AB":
+        for clean in "AB":
+            assert run_stages(ev, CFG, merge, clean) == ()
 
 
 def test_filter_block_includes_coincident():
@@ -365,8 +376,8 @@ def test_tau_params_position_lies_among_the_candidates(seed, cands):
     assert tau.pt == min(sum(p.pt for p in cands), PT_MAX)
     etas = [p.eta for p in cands]
     assert min(etas) <= tau.pos.eta <= max(etas)
-    offsets = [wrap_delta_phi(p.phi, seed.phi) for p in cands]
-    assert min(offsets) <= wrap_delta_phi(tau.pos.phi, seed.phi) <= max(offsets)
+    offsets = [wrap_phi(p.phi - seed.phi) for p in cands]
+    assert min(offsets) <= wrap_phi(tau.pos.phi - seed.phi) <= max(offsets)
 
 
 # --- reconstruction ----------------------------------------------------------
