@@ -4,6 +4,9 @@ Step order: seed selection, per-block cone filtering, four-to-one candidate
 merging (two interchangeable solutions), signal-candidate selection, weighted
 parameter averaging, tau reconstruction, and proximity cleaning (again two
 solutions).  Every function is a pure function of its inputs plus the config.
+Both cleaning solutions keep the taus that ``build_cleaning_matrix`` leaves
+unmarked; they differ only in their stage row (A 13/13, B 15/13) and in B's
+``pair_orders`` count.
 
 The optional ``ops`` argument collects datapath operation counts.  Each step
 names what it counted with ``core.charge``, once and outside its loops, from
@@ -322,13 +325,6 @@ def reconstruct_tau(
     return INVALID_TAU
 
 
-def _valid_slots(taus: Sequence[Tau]) -> list[int]:
-    """The slots of the valid taus among exactly ``N_SEEDS`` tau slots."""
-    if len(taus) != N_SEEDS:
-        raise ValueError(f"cleaning expects exactly {N_SEEDS} tau slots, got {len(taus)}")
-    return [i for i, tau in enumerate(taus) if tau.valid]
-
-
 def build_cleaning_matrix(
     taus: Sequence[Tau],
     cfg: TriggerConfig,
@@ -338,9 +334,12 @@ def build_cleaning_matrix(
 
     NearBy is the inclusive proximity test on squared distance; LessPt is the
     strict domination order including the lower-index tie-break.  Slots are
-    0-based; no cell involves an invalid tau, and the diagonal is never set.
+    0-based, exactly ``N_SEEDS`` of them; no cell involves an invalid tau, and
+    the diagonal is never set.
     """
-    valid = _valid_slots(taus)
+    if len(taus) != N_SEEDS:
+        raise ValueError(f"cleaning expects exactly {N_SEEDS} tau slots, got {len(taus)}")
+    valid = [i for i, tau in enumerate(taus) if tau.valid]
     pairs = math.comb(len(valid), 2)
     charge(ops, "cleaning_pairs", pairs)
     charge(ops, "pair_orders", pairs)
@@ -352,13 +351,13 @@ def build_cleaning_matrix(
     )
 
 
-def _cap_to_max_taus(survivor_slots: Sequence[int], taus: Sequence[Tau]) -> tuple[Tau, ...]:
-    # Keep the highest-pt survivors (lower slot wins ties) but emit them in
-    # original slot order.
-    slots = list(survivor_slots)
+def _keep_unmarked(taus: Sequence[Tau], matrix: frozenset[tuple[int, int]]) -> tuple[Tau, ...]:
+    """The valid taus whose matrix row is empty, capped to the ``MAX_TAUS``
+    highest pts (lower slot wins ties) and emitted in slot order."""
+    dominated = {i for i, _ in matrix}
+    slots = [i for i, tau in enumerate(taus) if tau.valid and i not in dominated]
     if len(slots) > MAX_TAUS:
-        by_pt = sorted(slots, key=lambda i: (-taus[i].pt, i))[:MAX_TAUS]
-        slots = sorted(by_pt)
+        slots = sorted(sorted(slots, key=lambda i: (-taus[i].pt, i))[:MAX_TAUS])
     return tuple(taus[i] for i in slots)
 
 
@@ -367,10 +366,12 @@ def clean_solution_b(
     cfg: TriggerConfig,
     ops: OpCounter | None = None,
 ) -> tuple[Tau, ...]:
-    """Matrix cleaning: drop every tau whose matrix row holds any True."""
-    dominated = {i for i, _ in build_cleaning_matrix(taus, cfg, ops)}
-    survivors = [i for i, tau in enumerate(taus) if tau.valid and i not in dominated]
-    return _cap_to_max_taus(survivors, taus)
+    """Matrix cleaning: keep the taus the matrix leaves unmarked.
+
+    The hardware fills every cell at once (stage row 15/13), so each pair of
+    valid taus also costs its pt order, ``pair_orders``.
+    """
+    return _keep_unmarked(taus, build_cleaning_matrix(taus, cfg, ops))
 
 
 def clean_solution_a(
@@ -378,19 +379,16 @@ def clean_solution_a(
     cfg: TriggerConfig,
     ops: OpCounter | None = None,
 ) -> tuple[Tau, ...]:
-    """Grade-and-mark cleaning: sorted pass marking nearby lower grades.
+    """Grade-and-mark cleaning: keep the taus the matrix leaves unmarked.
 
-    Taus are graded descending by pt (ascending slot on ties); each grade
-    marks every later nearby grade as dropped.  Marked taus still mark others,
-    which is what makes this pass agree with the matrix formulation on chains.
+    The hardware grades the taus by pt and lets each grade mark the later
+    nearby ones (stage row 13/13).  A marked tau still marks, so the
+    survivors are the matrix's; a pair's order comes from the grading, so
+    each pair of valid taus costs ``cleaning_pairs`` only.
     """
-    graded = sorted(_valid_slots(taus), key=lambda i: (-taus[i].pt, i))
-    charge(ops, "cleaning_pairs", math.comb(len(graded), 2))
-    near = cfg.proximity_r2
-    dropped = {j for i, j in combinations(graded, 2) if delta_r2(taus[i].pos, taus[j].pos) <= near}
-    survivors = [i for i in graded if i not in dropped]
-    survivors.sort()
-    return _cap_to_max_taus(survivors, taus)
+    matrix = build_cleaning_matrix(taus, cfg)
+    charge(ops, "cleaning_pairs", math.comb(sum(1 for tau in taus if tau.valid), 2))
+    return _keep_unmarked(taus, matrix)
 
 
 # The two clean solutions by name, step functions as values like MERGE_SOLUTIONS.

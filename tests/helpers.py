@@ -25,6 +25,7 @@ from taupipe.stages import (
     CandidateList,
     Tau,
     TriggerConfig,
+    clean_solution_a,
     clean_solution_b,
     compute_tau_params,
     filter_block,
@@ -96,7 +97,8 @@ def chain_taus() -> tuple[Tau, ...]:
 
 def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
     """Op counts of each stage function on one small probe: a seed of pt 50
-    at (0, 0) and a near particle of pt 10 at (3, 4)."""
+    at (0, 0) and a near particle of pt 10 at (3, 4).  ``cleaning`` probes
+    solution B and ``cleaning_a`` solution A, on one nearby pair of taus."""
     seed = Particle(50, 0, 0)
     near = Particle(10, 3, 4)
     one = CandidateList(seed, (near,))
@@ -111,6 +113,7 @@ def stage_op_counts(cfg: TriggerConfig) -> dict[str, OpCounter]:
         "tau_parameters": lambda ops: compute_tau_params(one, ops),
         "tau_reconstruction": lambda ops: reconstruct_tau(tau(50, 0, 0), cfg, ops),
         "cleaning": lambda ops: clean_solution_b(tuple(taus), cfg, ops),
+        "cleaning_a": lambda ops: clean_solution_a(tuple(taus), cfg, ops),
     }
     counts = {}
     for stage, probe in probes.items():

@@ -70,6 +70,8 @@ def test_cap_prefers_high_pt_with_index_tie_break():
 
 
 def test_cleaning_requires_sixteen_slots():
+    with pytest.raises(ValueError, match="exactly 16 tau slots, got 17"):
+        clean_solution_a((INVALID_TAU,) * 17, CFG)
     with pytest.raises(ValueError):
         clean_solution_b((INVALID_TAU,) * 15, CFG)
     with pytest.raises(ValueError):

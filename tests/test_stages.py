@@ -409,6 +409,10 @@ def test_stage_op_costs_on_probes():
     assert rows["tau_parameters"].divisions == 2
     assert rows["tau_reconstruction"].multiplications == 0
     assert rows["tau_reconstruction"].divisions == 0
+    # one nearby pair: a distance and its test, plus B's pt order
+    a, b = rows["cleaning_a"], rows["cleaning"]
+    assert (a.multiplications, a.comparisons) == (2, 1)
+    assert (b.multiplications, b.comparisons) == (2, 2)
     no_div = [name for name, r in rows.items() if name != "tau_parameters"]
     assert all(rows[name].divisions == 0 for name in no_div)
 
