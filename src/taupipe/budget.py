@@ -11,7 +11,9 @@ clock-domain-crossing allowance ``CDC_OVERHEAD_CYCLES``.
 
 ``operating_point`` judges a design's timing at one clock and returns the
 verdict as one ``OperatingPoint`` record: budgets, allowance, slacks and
-feasibility.
+feasibility.  It owns the clock rule: a clock must give at least one cycle
+of each budget, so it refuses 6 MHz and below, zero and negatives
+included, for every caller.
 """
 
 from __future__ import annotations
@@ -35,9 +37,9 @@ CDC_OVERHEAD_CYCLES = 10
 
 
 def cycle_budget(time_ns: int, freq_mhz: int) -> int:
-    """Cycles available within ``time_ns`` at ``freq_mhz``, exact integer floor."""
-    if time_ns <= 0 or freq_mhz <= 0:
-        raise ValueError(f"time and frequency must be positive, got {time_ns} ns, {freq_mhz} MHz")
+    """Cycles available within ``time_ns`` at ``freq_mhz``, exact integer
+    floor.  Defined for positive inputs only; ``operating_point`` owns the
+    clock rule."""
     return (time_ns * freq_mhz) // 1000
 
 

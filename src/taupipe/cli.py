@@ -172,8 +172,6 @@ def cmd_explore(args: argparse.Namespace) -> int:
         freq_values = [_decimal(f) for f in freqs]
     except ValueError:
         raise InputError(f"--freqs values must be integers, got {args.freqs!r}")
-    if any(f <= 0 for f in freq_values):
-        raise InputError("--freqs values must be positive")
 
     pairs = [(merge, clean) for merge in MERGE_SOLUTIONS for clean in CLEAN_SOLUTIONS]
     bases = [

@@ -317,7 +317,8 @@ _STAGE_FIELD_BY_KEY = {f.removesuffix("_cycles"): f for f in STAGE_TIMING_FIELDS
 
 def _check_decimal(text: str) -> None:
     """Refuse what int() takes beyond ASCII digits with an optional leading
-    ``-``: '_' separators, a '+' sign and non-ASCII digits."""
+    ``-``: '_' separators, a '+' sign and non-ASCII digits.  Surrounding
+    whitespace is not checked: ``split()`` fields hold none."""
     if not text.isascii() or "_" in text or "+" in text:
         raise ValueError(f"not a decimal integer: {text!r}")
 
@@ -325,6 +326,8 @@ def _check_decimal(text: str) -> None:
 def _decimal(text: str) -> int:
     """``int(text)`` for ASCII digits with an optional leading ``-`` only."""
     _check_decimal(text)
+    if text.strip() != text:  # int() also takes surrounding whitespace
+        raise ValueError(f"not a decimal integer: {text!r}")
     return int(text)
 
 

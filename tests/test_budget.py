@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, strategies as st
 
 from taupipe.budget import cycle_budget, operating_point
@@ -18,12 +17,6 @@ def test_cycle_budget_known_points():
     assert cycle_budget(150, 360) == 54
     assert cycle_budget(150, 300) == 45
     assert cycle_budget(1000, 1) == 1
-
-
-def test_cycle_budget_rejects_nonpositive():
-    for args in [(0, 360), (150, 0), (-5, 300), (150, -1)]:
-        with pytest.raises(ValueError):
-            cycle_budget(*args)
 
 
 @given(st.integers(1, 10_000), st.integers(1, 2000), st.integers(0, 500), st.integers(0, 500))

@@ -138,29 +138,39 @@ def test_run_one_event_has_the_design_ii(capsys):
 
 
 def test_run_infeasible_budget_exits_one(tmp_path, capsys):
-    # a slow tau_parameters stage takes the latency to 301 > 220 at 300 MHz
+    # a slow tau_parameters stage takes the latency to 301 > 220 at 300 MHz;
+    # at 360 MHz a cleaning stage 75 cycles slower spends exactly B/B's
+    # latency slack, which is still feasible, and one cycle more is not
+    cases = [
+        ("tau_parameters.latency = 150", "300", 1, "latency: 301 cycles", "INFEASIBLE"),
+        ("cleaning.latency = 90", "360", 0, "latency: 275 cycles", "-> feasible (slack 0/10)"),
+        ("cleaning.latency = 91", "360", 1, "latency: 276 cycles", "INFEASIBLE (slack -1/10)"),
+    ]
     cfgfile = tmp_path / "slow.cfg"
-    cfgfile.write_text("stage.tau_parameters.latency = 150\n")
-    code = run_cli(["run", "--gen", "1:10:uniform", "--freq", "300", "--config", str(cfgfile)])
-    assert code == 1
-    out = capsys.readouterr().out
-    assert "latency: 301 cycles" in out
-    assert "INFEASIBLE" in out
+    for setting, freq, exit_code, latency, verdict in cases:
+        cfgfile.write_text(f"stage.{setting}\n")
+        code = run_cli(["run", "--gen", "1:10:uniform", "--freq", freq, "--config", str(cfgfile)])
+        assert code == exit_code, setting
+        out = capsys.readouterr().out
+        assert latency in out
+        assert verdict in out
 
 
 def test_explore_known_operating_points(capsys):
-    code = run_cli(["explore", "--freqs", "360,300"])
+    # 1000 MHz floors the 760 ns and 150 ns windows to themselves; 7 MHz is
+    # the slowest clock with one cycle of each budget
+    code = run_cli(["explore", "--freqs", "360,300,1000,7"])
     out = capsys.readouterr().out
     assert code == 0
     rows = {l[:32].strip(): l[32:].split() for l in out.splitlines()[2:]}
-    assert rows["latency budget, cycles"] == ["275", "220"]
-    assert rows["ii budget, cycles"] == ["54", "45"]
-    assert rows["cdc overhead, cycles"] == ["0", "10"]
+    assert rows["latency budget, cycles"] == ["275", "220", "760", "5"]
+    assert rows["ii budget, cycles"] == ["54", "45", "150", "1"]
+    assert rows["cdc overhead, cycles"] == ["0", "10", "10", "10"]
     latencies = {"A, clean A": 203, "A, clean B": 205, "B, clean A": 198, "B, clean B": 200}
     for pair, latency in latencies.items():
-        assert rows[f"merge {pair}: latency"] == [str(latency), str(latency + 10)]
-        assert rows[f"merge {pair}: ii"] == ["44", "44"]
-        assert rows[f"merge {pair}: feasible"] == ["yes", "yes"]
+        assert rows[f"merge {pair}: latency"] == [str(latency)] + [str(latency + 10)] * 3
+        assert rows[f"merge {pair}: ii"] == ["44"] * 4
+        assert rows[f"merge {pair}: feasible"] == ["yes", "yes", "yes", "no"]
     assert len(rows) == 3 + 3 * len(latencies)
 
 
@@ -193,6 +203,12 @@ def test_explore_without_a_source_generates_no_events(monkeypatch, capsys):
     monkeypatch.setattr(cli, "gen_events", no_events)
     monkeypatch.setattr(cli, "parse_events", no_events)
     assert run_cli(["explore", "--freqs", "360,300"]) == 0
+    assert capsys.readouterr().out == EXPLORE_360_300
+
+
+def test_explore_takes_spaces_around_list_items(capsys):
+    # each --freqs item is stripped; only its integer is held to the rule
+    assert run_cli(["explore", "--freqs", " 360, 300 "]) == 0
     assert capsys.readouterr().out == EXPLORE_360_300
 
 
@@ -244,10 +260,13 @@ def test_explore_empty_freqs(capsys):
 
 def test_explore_bad_freqs(capsys):
     assert run_cli(["explore", "--freqs", "abc"]) == 2
-    assert run_cli(["explore", "--freqs", "-5"]) == 2
-    # 150 ns at 6 MHz is less than one cycle
-    assert run_cli(["explore", "--freqs", "360,6"]) == 2
-    assert "--freqs 6: all budget figures must be strictly positive" in capsys.readouterr().err
+    assert "--freqs values must be integers, got 'abc'" in capsys.readouterr().err
+    # 150 ns at 6 MHz is less than one cycle, and no clock <= 0 has a cycle
+    for freqs, bad in [("360,6", "6"), ("0", "0"), ("-5", "-5")]:
+        assert run_cli(["explore", "--freqs", freqs]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --freqs {bad}: all budget figures must be strictly positive\n"
 
 
 @pytest.mark.parametrize(
@@ -267,13 +286,18 @@ def test_explore_bad_freqs(capsys):
         ),
         (["run", "--gen", "1:2:busy", "--freq", "+300"], "--freq: invalid int value: '+300'"),
         (["run", "--gen", "1:2:busy", "--freq", "\uff13\uff10\uff10"], "--freq: invalid int value"),
+        (
+            ["run", "--gen", " 1:2 :busy"],
+            "--gen seed and count must be integers, got ' 1:2 :busy'",
+        ),
+        (["run", "--gen", "1:2:busy", "--freq", " 300"], "--freq: invalid int value: ' 300'"),
     ],
     ids=["gen-underscore-plus", "gen-arabic-digits", "freqs-plus-underscore", "freq-plus",
-         "freq-fullwidth"],
+         "freq-fullwidth", "gen-spaces", "freq-space"],
 )
 def test_command_line_integers_are_ascii_decimal(capsys, argv, message):
-    # int() takes '_', a '+' sign and non-ASCII digits; the files do not, nor
-    # does the command line
+    # int() takes '_', a '+' sign, non-ASCII digits and surrounding
+    # whitespace; the files do not, nor does the command line
     try:
         code = run_cli(argv)
     except SystemExit as exc:  # argparse rejects an option value itself
@@ -489,9 +513,14 @@ def test_run_report_to_unwritable_path_exits_two(tmp_path, capsys):
 
 def test_run_events_file_with_bad_utf8_names_the_line(tmp_path, capsys):
     path = tmp_path / "events.txt"
-    path.write_bytes(b"taupipe-events 1\n0 0 50 0 0 charged_hadron\n0 1 50 0 0 \xff\xfe\n")
-    assert run_cli(["run", "--events", str(path)]) == 2
-    assert f"events {path}: line 3: not valid UTF-8" in capsys.readouterr().err
+    cases = [
+        (b"taupipe-events 1\n0 0 50 0 0 charged_hadron\n0 1 50 0 0 \xff\xfe\n", 3),
+        (b"\n\xff\n", 2),  # a newline in the first byte counts too
+    ]
+    for data, line in cases:
+        path.write_bytes(data)
+        assert run_cli(["run", "--events", str(path)]) == 2
+        assert f"events {path}: line {line}: not valid UTF-8" in capsys.readouterr().err
 
 
 def test_run_config_with_bad_utf8_names_the_line(tmp_path, capsys):

@@ -59,6 +59,7 @@ def test_parse_groups_by_first_appearance():
         ("7 x 50 10 -20 photon", "non-integer"),
         ("7 3 50 10 -20 gluino", "unknown species"),
         ("7 300 50 10 -20 photon", "slot 300"),
+        ("7 128 50 10 -20 photon", "slot 128 outside 0..127"),
         ("7 3 70000 10 -20 photon", "pt 70000"),
         ("7 3 50 5000 -20 photon", "|eta|"),
         ("7 3 50 10 1024 photon", "phi 1024"),
@@ -417,5 +418,13 @@ def test_report_roundtrip_bytes():
 
 
 def test_report_rejects_foreign_stream():
-    with pytest.raises(ValueError):
-        parse_report('{"format":"something-else","version":1}\n')
+    cases = [
+        ('{"format":"something-else","version":1}\n', "not a taupipe-report stream"),
+        ('{"format":"other","version":2}\n', "not a taupipe-report stream"),
+        ("", "not a taupipe-report stream"),  # a ValueError, not an IndexError
+        ('{"format":"taupipe-report","version":3}\n', "unsupported report version 3"),
+    ]
+    for text, message in cases:
+        with pytest.raises(ValueError) as exc:
+            parse_report(text)
+        assert str(exc.value) == message
