@@ -165,11 +165,8 @@ def _minimize_divergent_event(event: Event, diverges) -> Event:
 
 def cmd_explore(args: argparse.Namespace) -> int:
     run_cfg = _load_run_config(args.config)
-    freqs = [f.strip() for f in args.freqs.split(",") if f.strip()]
-    if not freqs:
-        raise InputError("--freqs needs a non-empty comma-separated list of MHz values")
     try:
-        freq_values = [_decimal(f) for f in freqs]
+        freq_values = [_decimal(f.strip()) for f in args.freqs.split(",")]
     except ValueError:
         raise InputError(f"--freqs values must be integers, got {args.freqs!r}")
 

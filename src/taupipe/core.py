@@ -7,7 +7,8 @@ bounded; azimuth is signed and periodic with period ``PHI_RANGE``.  Using
 integer units everywhere keeps every computation bit-reproducible.
 
 A particle is one flat input slot, ``Particle(pt, eta, phi, species, valid)``,
-in the field order of an event-file record.
+in the field order of an event-file record; a tau, ``Tau(pt, eta, phi)``,
+is flat too.
 """
 
 from __future__ import annotations
@@ -59,20 +60,6 @@ class Species(Enum):
 
 
 @dataclass(frozen=True)
-class AngularCoord:
-    """A tau's detector position: signed eta units, signed phi in [-half, half).
-
-    eta is bounded (|eta| <= ETA_MAX) and non-periodic; phi is periodic with
-    period PHI_RANGE.  Both share the same least-significant quantum so that
-    deta^2 + dphi^2 is an isotropic squared distance.  Particles carry the
-    same two fields inline.
-    """
-
-    eta: int
-    phi: int
-
-
-@dataclass(frozen=True)
 class Particle:
     """One input slot: pt in 0..PT_MAX, |eta| <= ETA_MAX, phi in [-half, half).
 
@@ -98,6 +85,25 @@ class Particle:
 
 
 PAD_PARTICLE = Particle(0, 0, 0, Species.NEUTRAL_HADRON, valid=False)
+
+
+@dataclass(frozen=True)
+class Tau:
+    """A saturated pt sum and a position; a tau with pt 0 is no tau."""
+
+    pt: int
+    eta: int
+    phi: int
+
+    @property
+    def valid(self) -> bool:
+        return self.pt > 0
+
+    @property
+    def pos(self) -> Tau:
+        """The tau itself.  Its only reader is ``bench/run.py:201``
+        (``t.pos.eta``); the next benchmark change deletes it with that read."""
+        return self
 
 
 @dataclass(frozen=True)
@@ -168,13 +174,14 @@ def wrap_phi(phi: int) -> int:
     return (phi + PHI_HALF) % PHI_RANGE - PHI_HALF
 
 
-def delta_r2(p: Particle | AngularCoord, q: Particle | AngularCoord) -> int:
+def delta_r2(p: Particle | Tau, q: Particle | Tau) -> int:
     """Squared angular distance deta^2 + dphi^2 with a wrapped phi difference.
 
-    Each argument is a particle (a seed is one) or a tau's position: only
-    ``.eta`` and ``.phi`` are read.  Inside the ranges the largest value is
-    ``MAX_DELTA_R2`` < 2^27, so a 27-bit register holds every distance and
-    nothing saturates.
+    Each argument is a particle (a seed is one) or a tau: only ``.eta`` and
+    ``.phi`` are read.  eta and phi share one least-significant quantum, so
+    the sum is an isotropic squared distance.  Inside the ranges the largest
+    value is ``MAX_DELTA_R2`` < 2^27, so a 27-bit register holds every
+    distance and nothing saturates.
     """
     deta = p.eta - q.eta
     dphi = (p.phi - q.phi + PHI_HALF) % PHI_RANGE - PHI_HALF  # wrap_phi(p.phi - q.phi), inlined

@@ -425,9 +425,7 @@ def build_report(event_ids: Sequence[int], tau_lists: Sequence[Sequence], point)
             {
                 "type": "event",
                 "event_id": event_id,
-                "taus": [
-                    {"pt": t.pt, "eta": t.pos.eta, "phi": t.pos.phi} for t in taus
-                ],
+                "taus": [{"pt": t.pt, "eta": t.eta, "phi": t.phi} for t in taus],
             }
         )
     m = {

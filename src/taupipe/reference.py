@@ -35,7 +35,6 @@ from .core import (
     PHI_HALF,
     PHI_RANGE,
     PT_MAX,
-    AngularCoord,
     Event,
     Particle,
     delta_r2,
@@ -136,7 +135,7 @@ def oracle_trigger(
         eta_w = _trunc_div(sum(p.pt * p.eta for p in kept), weight)
         phi_off = _trunc_div(sum(p.pt * wrap_phi(p.phi - seed.phi) for p in kept), weight)
         phi_w = wrap_phi(seed.phi + phi_off)
-        taus[slot] = Tau(sum_pt, AngularCoord(eta_w, phi_w))
+        taus[slot] = Tau(sum_pt, eta_w, phi_w)
 
     return oracle_clean(taus, cfg)
 
@@ -153,7 +152,7 @@ def oracle_clean(taus: Sequence[Tau], cfg: TriggerConfig) -> tuple[Tau, ...]:
         # the pt test first: it is cheaper than the distance, and rules out j == i
         dominated = any(
             (taus[j].pt > taus[i].pt or (taus[j].pt == taus[i].pt and j < i))
-            and delta_r2(taus[i].pos, taus[j].pos) <= cfg.proximity_r2
+            and delta_r2(taus[i], taus[j]) <= cfg.proximity_r2
             for j in valid
         )
         if not dominated:

@@ -30,11 +30,11 @@ from .core import (
     PHI_HALF,
     PHI_RANGE,
     PT_MAX,
-    AngularCoord,
     Event,
     OpCounter,
     Particle,
     Species,
+    Tau,
     charge,
     delta_r2,
     trunc_div,
@@ -84,19 +84,7 @@ class CandidateList:
     candidates: tuple[Particle, ...]
 
 
-@dataclass(frozen=True)
-class Tau:
-    """A saturated pt sum and a position; a tau with pt 0 is no tau."""
-
-    pt: int
-    pos: AngularCoord
-
-    @property
-    def valid(self) -> bool:
-        return self.pt > 0
-
-
-INVALID_TAU = Tau(0, AngularCoord(0, 0))
+INVALID_TAU = Tau(0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -309,7 +297,7 @@ def compute_tau_params(clist: CandidateList, ops: OpCounter | None = None) -> Ta
     eta_w = trunc_div(num_eta, weight)
     phi_off = trunc_div(num_phi, weight)
     phi_w = wrap_phi(seed_phi + phi_off)
-    return Tau(min(weight, PT_MAX), AngularCoord(eta_w, phi_w))
+    return Tau(min(weight, PT_MAX), eta_w, phi_w)
 
 
 def reconstruct_tau(
@@ -347,7 +335,7 @@ def build_cleaning_matrix(
     return frozenset(
         (i, j) if taus[i].pt < taus[j].pt else (j, i)
         for i, j in combinations(valid, 2)
-        if delta_r2(taus[i].pos, taus[j].pos) <= cfg.proximity_r2
+        if delta_r2(taus[i], taus[j]) <= cfg.proximity_r2
     )
 
 

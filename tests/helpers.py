@@ -12,7 +12,6 @@ from taupipe.core import (
     PAD_PARTICLE,
     PHI_HALF,
     PT_MAX,
-    AngularCoord,
     Event,
     OpCounter,
     Particle,
@@ -37,7 +36,7 @@ from taupipe.stages import (
 
 
 def tau(pt: int, eta: int, phi: int) -> Tau:
-    return Tau(pt, AngularCoord(eta, phi))
+    return Tau(pt, eta, phi)
 
 
 def fig5_taus() -> tuple[Tau, ...]:

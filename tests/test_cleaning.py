@@ -49,7 +49,7 @@ def test_equal_pt_tie_break_lower_index_wins():
 
 def test_chain_only_head_survives():
     taus = chain_taus()
-    assert delta_r2(taus[0].pos, taus[2].pos) > CFG.proximity_r2  # a not near c
+    assert delta_r2(taus[0], taus[2]) > CFG.proximity_r2  # a not near c
     for fn in (clean_solution_a, clean_solution_b, oracle_clean):
         assert fn(taus, CFG) == (taus[0],)
 
@@ -111,7 +111,7 @@ def test_matrix_exactly_one_direction_for_nearby_pairs(taus):
             if not (taus[i].valid and taus[j].valid):
                 assert (i, j) not in m and (j, i) not in m
                 continue
-            nearby = delta_r2(taus[i].pos, taus[j].pos) <= CFG.proximity_r2
+            nearby = delta_r2(taus[i], taus[j]) <= CFG.proximity_r2
             assert ((i, j) in m or (j, i) in m) == nearby
             assert not ((i, j) in m and (j, i) in m)
 
@@ -127,7 +127,7 @@ def test_precap_survivors_are_the_undominated_set(taus):
         and any(
             taus[j].valid
             and j != i
-            and delta_r2(taus[i].pos, taus[j].pos) <= CFG.proximity_r2
+            and delta_r2(taus[i], taus[j]) <= CFG.proximity_r2
             and (taus[j].pt > taus[i].pt or (taus[j].pt == taus[i].pt and j < i))
             for j in range(16)
         )
@@ -139,7 +139,7 @@ def test_oracle_permutation_invariance_distinct_pts():
     base = random_tau_slots(splitmix64(99))
     # force distinct pts so relabeling cannot change the winner set
     taus = tuple(
-        tau(100 + i, t.pos.eta, t.pos.phi) if t.valid else INVALID_TAU
+        tau(100 + i, t.eta, t.phi) if t.valid else INVALID_TAU
         for i, t in enumerate(base)
     )
     perm = list(range(16))
@@ -148,8 +148,8 @@ def test_oracle_permutation_invariance_distinct_pts():
         j = draw() % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     shuffled = tuple(taus[perm[i]] for i in range(16))
-    got = {(t.pt, t.pos.eta, t.pos.phi) for t in oracle_clean(shuffled, CFG)}
-    want = {(t.pt, t.pos.eta, t.pos.phi) for t in oracle_clean(taus, CFG)}
+    got = {(t.pt, t.eta, t.phi) for t in oracle_clean(shuffled, CFG)}
+    want = {(t.pt, t.eta, t.phi) for t in oracle_clean(taus, CFG)}
     assert got == want
 
 

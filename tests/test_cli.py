@@ -255,12 +255,16 @@ def test_run_refuses_zero_events(tmp_path, capsys, source):
 
 def test_explore_empty_freqs(capsys):
     assert run_cli(["explore", "--freqs", ""]) == 2
-    assert "non-empty" in capsys.readouterr().err
+    assert "--freqs values must be integers, got ''" in capsys.readouterr().err
 
 
 def test_explore_bad_freqs(capsys):
-    assert run_cli(["explore", "--freqs", "abc"]) == 2
-    assert "--freqs values must be integers, got 'abc'" in capsys.readouterr().err
+    # an empty item is no integer either
+    for freqs in ["abc", "360,,300", "300,"]:
+        assert run_cli(["explore", "--freqs", freqs]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: --freqs values must be integers, got {freqs!r}\n"
     # 150 ns at 6 MHz is less than one cycle, and no clock <= 0 has a cycle
     for freqs, bad in [("360,6", "6"), ("0", "0"), ("-5", "-5")]:
         assert run_cli(["explore", "--freqs", freqs]) == 2
@@ -490,10 +494,18 @@ def test_run_engine_and_stage_errors_name_the_line(tmp_path, capsys, setting, me
         ("fifo_depth = 0\nstage.merging.latency = 5", 2, "fifo_depth must be >= 1"),
         # the trigger settings are checked together after the pass
         ("min_seed_pt = -1\nbogus = 1", 3, "unknown config key 'bogus'"),
+        ("allowed_signal_species", 2, "expected 'key = value', got 'allowed_signal_species'"),
+    ]
+    + [
+        (f"{key} = -1", 2, f"{key} must be non-negative")
+        for key in ("filter_cone_r2", "signal_cone_k", "proximity_r2", "min_seed_pt",
+                    "min_tau_pt", "signal_cone_r2_min")
     ],
     ids=[
         "format-version", "unnamed-later-key", "last-named-key", "run-config-later-key",
-        "trigger-checked-after-pass",
+        "trigger-checked-after-pass", "no-equals-sign", "negative-filter_cone_r2",
+        "negative-signal_cone_k", "negative-proximity_r2", "negative-min_seed_pt",
+        "negative-min_tau_pt", "negative-signal_cone_r2_min",
     ],
 )
 def test_run_config_constraint_errors_name_the_line(tmp_path, capsys, setting, line, message):
@@ -521,6 +533,15 @@ def test_run_events_file_with_bad_utf8_names_the_line(tmp_path, capsys):
         path.write_bytes(data)
         assert run_cli(["run", "--events", str(path)]) == 2
         assert f"events {path}: line {line}: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_run_malformed_events_file_names_the_line(tmp_path, capsys):
+    path = tmp_path / "events.txt"
+    path.write_text("taupipe-events 1\n0 0 50 0 0 gluon\n")
+    assert run_cli(["run", "--events", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: events {path}: line 2: unknown species 'gluon'\n"
 
 
 def test_run_config_with_bad_utf8_names_the_line(tmp_path, capsys):

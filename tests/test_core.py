@@ -9,12 +9,12 @@ from taupipe.core import (
     ETA_MAX,
     MAX_DELTA_R2,
     PT_MAX,
-    AngularCoord,
     PAD_PARTICLE,
     PHI_HALF,
     PHI_RANGE,
     Particle,
     Species,
+    Tau,
     delta_r2,
     make_event,
     trunc_div,
@@ -65,24 +65,24 @@ def test_wrap_range_and_antisymmetry(a, b):
 
 
 def test_delta_r2_coincident():
-    p = AngularCoord(10, 20)
+    p = Tau(1, 10, 20)
     assert delta_r2(p, p) == 0
 
 
 def test_delta_r2_345():
-    assert delta_r2(AngularCoord(3, 0), AngularCoord(0, 4)) == 25
-    # a particle (or a seed) against a tau's position
-    assert delta_r2(Particle(1, 3, 4), AngularCoord(0, 0)) == 25
+    assert delta_r2(Tau(1, 3, 0), Tau(1, 0, 4)) == 25
+    # a particle (or a seed) against a tau
+    assert delta_r2(Particle(1, 3, 4), Tau(1, 0, 0)) == 25
 
 
 def test_delta_r2_wrapped_phi():
     # wrapped dphi is -48, squared 2304
-    assert delta_r2(AngularCoord(0, 1000), AngularCoord(0, -1000)) == 2304
+    assert delta_r2(Tau(1, 0, 1000), Tau(1, 0, -1000)) == 2304
 
 
 def test_delta_r2_largest_distance_fits_27_bits():
     # opposite eta ends, phi half a period apart: no distance needs saturation
-    corner = delta_r2(AngularCoord(-ETA_MAX, -PHI_HALF), AngularCoord(ETA_MAX, 0))
+    corner = delta_r2(Tau(1, -ETA_MAX, -PHI_HALF), Tau(1, ETA_MAX, 0))
     assert corner == MAX_DELTA_R2 < 2**27
 
 
@@ -93,13 +93,13 @@ def test_delta_r2_never_exceeds_the_corner(e1, p1, e2, p2):
 
 @given(etas, phis, etas, phis)
 def test_delta_r2_symmetric(e1, p1, e2, p2):
-    a, b = AngularCoord(e1, p1), AngularCoord(e2, p2)
+    a, b = Tau(1, e1, p1), Tau(1, e2, p2)
     assert delta_r2(a, b) == delta_r2(b, a)
 
 
 @given(etas, phis, etas, phis)
 def test_delta_r2_zero_iff_coincident_mod_wrap(e1, p1, e2, p2):
-    a, b = AngularCoord(e1, p1), AngularCoord(e2, p2)
+    a, b = Tau(1, e1, p1), Tau(1, e2, p2)
     zero = delta_r2(a, b) == 0
     assert zero == (e1 == e2 and wrap_phi(p1 - p2) == 0)
 

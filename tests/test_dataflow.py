@@ -288,7 +288,7 @@ def test_engine_outputs_equal_staged_functional_path(tmp_path):
         assert len(event_records) == len(events)
         for ev, record in zip(events, event_records):
             want = [
-                {"pt": t.pt, "eta": t.pos.eta, "phi": t.pos.phi}
+                {"pt": t.pt, "eta": t.eta, "phi": t.phi}
                 for t in run_stages(ev, CFG, merge, clean)
             ]
             assert (record["event_id"], record["taus"]) == (ev.event_id, want)

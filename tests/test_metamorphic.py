@@ -23,7 +23,6 @@ from taupipe.core import (
     PAD_PARTICLE,
     PHI_HALF,
     PHI_RANGE,
-    AngularCoord,
     Event,
     delta_r2,
     wrap_phi,
@@ -68,7 +67,7 @@ def map_particles(ev: Event, f) -> Event:
 
 
 def map_taus(taus, f) -> tuple[Tau, ...]:
-    return tuple(Tau(t.pt, f(t.pos)) for t in taus)
+    return tuple(f(t) for t in taus)
 
 
 @pytest.mark.parametrize("cones", CONES)
@@ -77,7 +76,7 @@ def map_taus(taus, f) -> tuple[Tau, ...]:
 def test_phi_rotation_rotates_every_tau(cones, ev, r):
     rotated = map_particles(ev, lambda p: replace(p, phi=wrap_phi(p.phi + r)))
     for name, trigger in triggers(CONES[cones]):
-        want = map_taus(trigger(ev), lambda pos: AngularCoord(pos.eta, wrap_phi(pos.phi + r)))
+        want = map_taus(trigger(ev), lambda t: replace(t, phi=wrap_phi(t.phi + r)))
         assert trigger(rotated) == want, name
 
 
@@ -87,7 +86,7 @@ def test_phi_rotation_rotates_every_tau(cones, ev, r):
 def test_eta_mirror_mirrors_every_tau(cones, ev):
     mirrored = map_particles(ev, lambda p: replace(p, eta=-p.eta))
     for name, trigger in triggers(CONES[cones]):
-        want = map_taus(trigger(ev), lambda pos: AngularCoord(-pos.eta, pos.phi))
+        want = map_taus(trigger(ev), lambda t: replace(t, eta=-t.eta))
         assert trigger(mirrored) == want, name
 
 
@@ -114,7 +113,7 @@ def test_phi_mirror_mirrors_every_tau(cones, ev):
     ev = without_half_range_pairs(ev)
     mirrored = map_particles(ev, lambda p: replace(p, phi=wrap_phi(-p.phi)))
     for name, trigger in triggers(CONES[cones]):
-        want = map_taus(trigger(ev), lambda pos: AngularCoord(pos.eta, wrap_phi(-pos.phi)))
+        want = map_taus(trigger(ev), lambda t: replace(t, phi=wrap_phi(-t.phi)))
         assert trigger(mirrored) == want, name
 
 

@@ -53,7 +53,7 @@ def test_single_particle_tau_is_identity():
     out = oracle_trigger(make_event(0, [p]), CFG)
     assert len(out) == 1
     t = out[0]
-    assert (t.pt, t.pos.eta, t.pos.phi, t.valid) == (40, 123, -456, True)
+    assert (t.pt, t.eta, t.phi, t.valid) == (40, 123, -456, True)
 
 
 def test_below_tau_threshold_yields_nothing():
@@ -122,7 +122,7 @@ def test_phi_mirror_of_an_offset_of_half_the_range():
         ev = make_event(0, [Particle(50, 0, phis[0]), Particle(10, 0, phis[1])])
         for merge in "AB":
             taus = oracle_trigger(ev, WHOLE_PLANE, merge)
-            assert tuple(t.pos.phi for t in taus) == want
+            assert tuple(t.phi for t in taus) == want
             for clean in "AB":
                 assert run_stages(ev, WHOLE_PLANE, merge, clean) == taus
 

@@ -15,7 +15,6 @@ from taupipe.core import (
     PAD_PARTICLE,
     PHI_HALF,
     PT_MAX,
-    AngularCoord,
     Event,
     OpCounter,
     Particle,
@@ -316,14 +315,14 @@ def test_signal_selection_subsequence_and_idempotent(cands):
 
 def test_tau_params_single_candidate_identity():
     p = Particle(10, 100, -50)
-    assert compute_tau_params(clist([p])) == Tau(10, AngularCoord(100, -50))
+    assert compute_tau_params(clist([p])) == Tau(10, 100, -50)
 
 
 def test_tau_params_weighted_average():
     # pts {1,3}, etas {0,4} -> (0 + 12) / 4 = 3
     a = Particle(1, 0, 7)
     b = Particle(3, 4, 7)
-    assert compute_tau_params(clist([a, b])) == Tau(4, AngularCoord(3, 7))
+    assert compute_tau_params(clist([a, b])) == Tau(4, 3, 7)
 
 
 def test_tau_params_empty_is_invalid_without_division():
@@ -342,7 +341,7 @@ def test_tau_params_truncates_toward_zero():
     # weighted eta numerator is -1 over sum 2: trunc(-0.5) = 0, not floor -1
     a = Particle(1, 0, 0)
     b = Particle(1, -1, 0)
-    assert compute_tau_params(clist([a, b])).pos.eta == 0
+    assert compute_tau_params(clist([a, b])).eta == 0
 
 
 def test_tau_params_phi_wraps_across_boundary():
@@ -352,7 +351,7 @@ def test_tau_params_phi_wraps_across_boundary():
     a = Particle(1, 0, 1015)
     b = Particle(1, 0, -1021)  # 12 units past the boundary from 1015
     # offsets relative to the seed: -5 and +7 -> average +1 -> phi 1021
-    assert compute_tau_params(clist([a, b], seed)).pos.phi == 1021
+    assert compute_tau_params(clist([a, b], seed)).phi == 1021
 
 
 def test_tau_params_zero_pt_group_is_invalid():
@@ -375,9 +374,9 @@ def test_tau_params_position_lies_among_the_candidates(seed, cands):
     tau = compute_tau_params(clist(cands, seed))
     assert tau.pt == min(sum(p.pt for p in cands), PT_MAX)
     etas = [p.eta for p in cands]
-    assert min(etas) <= tau.pos.eta <= max(etas)
+    assert min(etas) <= tau.eta <= max(etas)
     offsets = [wrap_phi(p.phi - seed.phi) for p in cands]
-    assert min(offsets) <= wrap_phi(tau.pos.phi - seed.phi) <= max(offsets)
+    assert min(offsets) <= wrap_phi(tau.phi - seed.phi) <= max(offsets)
 
 
 # --- reconstruction ----------------------------------------------------------
@@ -388,12 +387,12 @@ def test_reconstruct_invalid_params():
     # a zero pt sum is no tau even when the threshold is 0, wherever it sits
     no_threshold = TriggerConfig(min_tau_pt=0)
     assert reconstruct_tau(INVALID_TAU, no_threshold) == INVALID_TAU
-    assert reconstruct_tau(Tau(0, AngularCoord(5, 6)), no_threshold) == INVALID_TAU
+    assert reconstruct_tau(Tau(0, 5, 6), no_threshold) == INVALID_TAU
 
 
 def test_reconstruct_threshold_boundary():
-    below = Tau(CFG.min_tau_pt - 1, AngularCoord(5, 6))
-    at = Tau(CFG.min_tau_pt, AngularCoord(5, 6))
+    below = Tau(CFG.min_tau_pt - 1, 5, 6)
+    at = Tau(CFG.min_tau_pt, 5, 6)
     assert reconstruct_tau(below, CFG) == INVALID_TAU
     got = reconstruct_tau(at, CFG)
     assert got.valid and got == at
@@ -431,8 +430,8 @@ def test_trigger_config_holds_cones_and_thresholds_only():
 def test_step_records_hold_no_derived_values():
     # the pt sum is computed where it is read, and a tau is valid by its pt
     assert [f.name for f in fields(CandidateList)] == ["seed", "candidates"]
-    assert [f.name for f in fields(Tau)] == ["pt", "pos"]
-    assert Tau(1, AngularCoord(0, 0)).valid
+    assert [f.name for f in fields(Tau)] == ["pt", "eta", "phi"]
+    assert Tau(1, 0, 0).valid
     assert not INVALID_TAU.valid
 
 
